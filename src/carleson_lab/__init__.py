@@ -52,12 +52,12 @@ from .geometry import (
     mei_cover,
 )
 from .measures import (
-    BoxMassTable,
     DiskQuadrature,
     SampledFunction,
     Weight,
     ball_mass,
     box_mass,
+    box_masses,
     build_quadrature,
     doubling_report,
     dual_weight,

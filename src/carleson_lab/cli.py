@@ -22,7 +22,7 @@ import numpy as np
 from . import dirichlet as dirichlet_mod
 from . import dyadic as dyadic_mod
 from . import geometry, measures, operators
-from .errors import CarlesonLabError, WeightSpecError
+from .errors import CarlesonLabError, ConfigError, WeightSpecError
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20260810
@@ -111,12 +111,8 @@ def _stage(name, verdict, constants, witness=None):
 def _run_test_weight(cfg: RunConfig):
     w = measures.parse_weight(cfg.weight)
     quad = None if w.is_radial_power else measures.build_quadrature(cfg.quad_depth)
-    rev = measures.reverse_doubling_report(
-        w, depth=cfg.depth, seed=cfg.seed, quad=quad
-    )
-    dbl = measures.doubling_report(
-        w, samples=min(cfg.samples, 500), seed=cfg.seed, quad=quad
-    )
+    rev = measures.reverse_doubling_report(w, depth=cfg.depth, seed=cfg.seed, quad=quad)
+    dbl = measures.doubling_report(w, samples=min(cfg.samples, 500), seed=cfg.seed)
     return [
         _stage(
             "reverse-doubling",
@@ -331,7 +327,7 @@ def _run_verify_lemma(cfg: RunConfig):
     raise WeightSpecError(f"unknown lemma {name!r}; choose from {LEMMA_NAMES}")
 
 
-def bench(sizes, depth: int = 0, seed: int = DEFAULT_SEED) -> list[dict]:
+def bench(sizes, seed: int = DEFAULT_SEED) -> list[dict]:
     """Timing rows comparing the dense apply against the dyadic apply.
 
     Each requested size picks the smallest quadrature with at least that
@@ -384,10 +380,10 @@ def _cap_threads(limit: int) -> None:
         return
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=limit)
     except ImportError:
-        pass  # numpy stays at its default pool size
+        sys.stderr.write(f"warning: --threads {limit} ignored: threadpoolctl is not installed\n")
+        return
+    threadpoolctl.threadpool_limits(limits=limit)
 
 
 def run(cfg: RunConfig) -> tuple[int, Report]:
@@ -406,11 +402,11 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
         elif cfg.command == "verify-lemma":
             stages = _run_verify_lemma(cfg)
         elif cfg.command == "bench":
-            rows = bench(cfg.sizes, cfg.depth, cfg.seed)
+            rows = bench(cfg.sizes, cfg.seed)
             stages = [_stage("bench", True, {"rows": rows})]
         else:
             raise WeightSpecError(f"unknown command {cfg.command!r}")
-    except WeightSpecError:
+    except (WeightSpecError, ConfigError):
         raise
     except CarlesonLabError as exc:
         stages = [
@@ -494,8 +490,9 @@ def main(argv=None) -> int:
         sizes=sizes,
     )
     try:
+        measures.cell_cap()  # a malformed cap is a usage error for every command
         code, report = run(cfg)
-    except WeightSpecError as exc:
+    except (WeightSpecError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if cfg.command == "bench" and cfg.format == "csv":

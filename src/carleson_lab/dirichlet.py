@@ -119,8 +119,8 @@ def polynomial_ratio(
 class CarlesonVerdict:
     constant_estimate: float
     method: str
-    trace: tuple[tuple[int, float], ...]
-    verdict: bool
+    trace: tuple[tuple[int, float], ...]  # (quadrature depth used, estimate)
+    verdict: bool | None  # None when fewer than two depths were computed
 
 
 def _radial_gram_top_eigenvalue(
@@ -203,27 +203,27 @@ def carleson_constant(
     constant.
     """
     if method == "operator-norm":
+        # Sampled weights take the dense route, capped at depth 8 (1,792 cells).
+        cap = math.inf if w.is_radial_power else 8
         trace = []
-        for d in quad_depths:
+        for d in dict.fromkeys(min(d, cap) for d in quad_depths):  # each depth once
             if w.is_radial_power:
                 quad = build_quadrature(d)
                 est = _radial_gram_top_eigenvalue(w, quad)
             else:
-                # Sampled weights get the dense route on capped refinements.
                 from .operators import DiscreteMeasure, KernelSpec, assemble_operator, operator_norm
 
-                quad = build_quadrature(min(d, 8))
+                quad = build_quadrature(d)
                 masses = np.real(w.density(quad.z)) * quad.area
                 keep = masses > 0
                 dm = DiscreteMeasure(quad.z[keep], masses[keep])
                 est = operator_norm(assemble_operator(KernelSpec.dirichlet(), dm)).value
             trace.append((d, float(est)))
         values = [v for _, v in trace]
-        verdict = (
-            len(values) >= 2
-            and abs(values[-1] - values[-2])
-            <= stabilize_rtol * max(abs(values[-1]), 1e-300)
-        )
+        verdict = None  # a single depth has refined nothing
+        if len(values) >= 2:
+            delta = abs(values[-1] - values[-2])
+            verdict = delta <= stabilize_rtol * max(abs(values[-1]), 1e-300)
         return CarlesonVerdict(values[-1], "operator-norm", tuple(trace), verdict)
 
     if method == "polynomial-sampling":
@@ -340,5 +340,5 @@ def theorem_pipeline(
 
     run_stage("carleson-constant", stage_carleson)
 
-    verdict = all(s.verdict for s in stages)
+    verdict = all(s.verdict for s in stages if s.verdict is not None)
     return PipelineReport(stages=tuple(stages), verdict=verdict)

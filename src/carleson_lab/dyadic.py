@@ -21,7 +21,6 @@ from .geometry import (
     GRIDS,
     TAU,
     Arc,
-    CarlesonBox,
     DyadicIndex,
     bridge_box_batch,
     full_box_area,
@@ -31,8 +30,9 @@ from .measures import (
     SampledFunction,
     Weight,
     box_level_sums,
-    box_mass,
     box_mass_levels,
+    box_masses,
+    draw_arcs,
     dual_weight,
 )
 
@@ -512,18 +512,18 @@ def two_weight_testing_constant(
             if vals[k] > best:
                 best = float(vals[k])
                 worst = DyadicIndex(grid, j, k)
-    for _ in range(random_arcs):
-        length = float(rng.uniform(2.0**-depth, 1.0))
-        arc = Arc(float(rng.uniform(0.0, TAU)), length)
-        box = CarlesonBox(arc)
-        val = (
-            box_mass(nu, box, quad) ** (1.0 / cfg.q)
-            * box_mass(dual, box, quad) ** (1.0 / cfg.p_prime)
-            / full_box_area(length) ** (cfg.alpha / 2.0)
+    arcs = draw_arcs(rng, random_arcs, 2.0**-depth)
+    if arcs:
+        # float_power is libm pow, as Python's ``**`` on floats.
+        vals = (
+            np.float_power(box_masses(nu, arcs, quad), 1.0 / cfg.q)
+            * np.float_power(box_masses(dual, arcs, quad), 1.0 / cfg.p_prime)
+            / np.float_power(full_box_area([arc.length for arc in arcs]), cfg.alpha / 2.0)
         )
-        if val > best:
-            best = float(val)
-            worst = arc
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best = float(vals[k])
+            worst = arcs[k]
     return TestingConstantReport(best, worst, dual.spec)
 
 

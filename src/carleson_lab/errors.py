@@ -27,3 +27,7 @@ class MemoryGuardError(CarlesonLabError):
 
 class WeightSpecError(CarlesonLabError, ValueError):
     """A weight specification string could not be parsed."""
+
+
+class ConfigError(CarlesonLabError, ValueError):
+    """An environment setting is malformed."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateWeightError,
     InfiniteMassError,
     MemoryGuardError,
@@ -36,12 +37,14 @@ DEFAULT_MAX_CELLS = 2_000_000
 MAX_CELLS_ENV = "CARLESON_LAB_MAX_CELLS"
 
 
-def _max_cells() -> int:
-    raw = os.environ.get(MAX_CELLS_ENV, "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_CELLS
-    except ValueError:
+def cell_cap() -> int:
+    """The quadrature cell cap: ``CARLESON_LAB_MAX_CELLS``, else the default."""
+    raw = os.environ.get(MAX_CELLS_ENV, "").strip()
+    if not raw:
         return DEFAULT_MAX_CELLS
+    if not raw.isdecimal() or int(raw) == 0:
+        raise ConfigError(f"{MAX_CELLS_ENV}={raw!r} is not a positive integer")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +335,7 @@ def build_quadrature(
     if angular_base < 4 or angular_base & (angular_base - 1) != 0:
         raise ValueError(f"angular_base must be a power of two >= 4, got {angular_base}")
     refine = radial_refine if radial_refine is not None else 2 ** math.ceil(depth / 2)
-    cap = max_cells if max_cells is not None else _max_cells()
+    cap = max_cells if max_cells is not None else cell_cap()
 
     layers: list[Layer] = []
     start = 0
@@ -486,81 +489,79 @@ def box_mass_levels(
     return box_level_sums(quad, values, grid, depth)
 
 
+def arc_box_sums(
+    cell_values: np.ndarray, quad: DiskQuadrature, r_in, start_turn, length
+) -> np.ndarray:
+    """Sums of a cellwise quantity over the regions ``{r >= r_in} x arc``.
+
+    Takes equal-shaped float arrays, one entry per region.  Each layer's
+    cumsum is built once and answers the whole batch with one window sum;
+    layers straddling ``r_in`` count the covered fraction of their area.
+    Layers are added in quadrature order, so every entry equals the sum
+    taken one region at a time.
+    """
+    r_in_sq = np.float_power(r_in, 2.0)  # libm pow, as Python's ``**`` on floats
+    total = np.zeros(r_in.shape)
+    for layer in quad.layers:
+        inside = layer.r_hi > r_in
+        if not inside.any():
+            continue
+        r_hi_sq = layer.r_hi**2
+        radial_frac = np.where(
+            layer.r_lo < r_in, (r_hi_sq - r_in_sq) / (r_hi_sq - layer.r_lo**2), 1.0
+        )
+        cs = np.zeros(layer.count + 1)
+        np.cumsum(cell_values[quad.layer_slice(layer)], out=cs[1:])
+        s = _range_sums(cs, layer.count, start_turn * layer.count, length * layer.count)
+        np.add(total, radial_frac * s, out=total, where=inside)
+    return total
+
+
+def box_masses(
+    w: Weight,
+    arcs,
+    quad: DiskQuadrature | None = None,
+    kind: str = "full",
+    force_quadrature: bool = False,
+) -> np.ndarray:
+    """Masses of the boxes (``kind="full"``) or top halves over a batch of arcs.
+
+    Radial-power weights use the exact closed form (the angular factor is
+    the arc length) unless ``force_quadrature`` sends them, like any other
+    weight, through :func:`arc_box_sums`, which is how it is validated.
+    """
+    length = np.array([arc.length for arc in arcs], dtype=float)
+    if w.is_radial_power and not force_quadrature:
+        return length * w.outer_radial_mass(length if kind == "full" else length / 2.0)
+    if quad is None:
+        raise ValueError("box mass of a sampled weight needs a quadrature")
+    fine = length < 2.0**-quad.depth * (1.0 - 1e-12)
+    if fine.any():
+        raise ResolutionError(
+            f"box of arc length {length[fine][0]} is finer than quadrature depth {quad.depth}"
+        )
+    r_in = 1.0 - length if kind == "full" else 1.0 - length / 2.0
+    start_turn = np.array([arc.start_turn for arc in arcs], dtype=float)
+    return arc_box_sums(w.density(quad.z) * quad.area, quad, r_in, start_turn, length)
+
+
 def box_mass(
     w: Weight,
     box: CarlesonBox,
     quad: DiskQuadrature | None = None,
     force_quadrature: bool = False,
 ) -> float:
-    """Mass of a box under a weight.
-
-    Radial-power weights use the exact closed form (the angular factor is
-    the arc length); anything else is a midpoint sum over quadrature cells,
-    with fractional radial and angular overlap at the box boundary.
-    ``force_quadrature`` routes closed-form weights through the midpoint
-    sum as well, which is how the quadrature is validated.
-    """
-    length = box.arc.length
-    if w.is_radial_power and not force_quadrature:
-        s = length if box.kind == "full" else length / 2.0
-        return float(length * w.outer_radial_mass(s))
-    if quad is None:
-        raise ValueError("box mass of a sampled weight needs a quadrature")
-    if length < 2.0**-quad.depth * (1.0 - 1e-12):
-        raise ResolutionError(
-            f"box of arc length {length} is finer than quadrature depth {quad.depth}"
-        )
-    return _cell_region_integral(
-        w.density(quad.z) * quad.area, quad, box.inner_radius, box.arc
-    )
+    """Mass of one box under a weight; see :func:`box_masses`."""
+    return float(box_masses(w, [box.arc], quad, box.kind, force_quadrature)[0])
 
 
-def _cell_region_integral(
-    cell_values: np.ndarray, quad: DiskQuadrature, r_in: float, arc: Arc
-) -> float:
-    """Integral of a cellwise quantity over ``{r >= r_in} x arc``."""
-    total = 0.0
-    start = arc.start_turn
-    for layer in quad.layers:
-        if layer.r_hi <= r_in:
-            continue
-        radial_frac = 1.0
-        if layer.r_lo < r_in:
-            radial_frac = (layer.r_hi**2 - r_in**2) / (layer.r_hi**2 - layer.r_lo**2)
-        sl = quad.layer_slice(layer)
-        cs = np.zeros(layer.count + 1)
-        np.cumsum(cell_values[sl], out=cs[1:])
-        s = _range_sums(
-            cs, layer.count, np.array([start * layer.count]), arc.length * layer.count
-        )
-        total += radial_frac * float(s[0])
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Box mass table
-# ---------------------------------------------------------------------------
-
-
-class BoxMassTable:
-    """Memoised masses of dyadic boxes for one weight.
-
-    Entries are deterministic pure-function values, so concurrent readers
-    (or racing writers producing identical values) are safe.
-    """
-
-    def __init__(self, w: Weight, quad: DiskQuadrature | None = None):
-        self.weight = w
-        self.quad = quad
-        self.tag = w.spec
-        self._cache: dict[tuple, float] = {}
-
-    def mass(self, index: DyadicIndex, kind: str = "full") -> float:
-        key = (index.grid, index.level, index.position, kind)
-        if key not in self._cache:
-            box = CarlesonBox(index.arc, kind)
-            self._cache[key] = box_mass(self.weight, box, self.quad)
-        return self._cache[key]
+def draw_arcs(rng: np.random.Generator, count: int, min_length: float) -> list[Arc]:
+    """``count`` uniformly random arcs, each drawn as its length, then its start."""
+    arcs = []
+    for _ in range(count):
+        length = float(rng.uniform(min_length, 1.0))
+        arcs.append(Arc(float(rng.uniform(0.0, TAU)), length))
+    return arcs
 
 
 # ---------------------------------------------------------------------------
@@ -629,18 +630,16 @@ def reverse_doubling_report(
                 if ratios[k] > delta:
                     delta = float(ratios[k])
                     worst = DyadicIndex(grid, j, k).arc
-        values = w.density(quad.z) * quad.area
-        for _ in range(random_arcs):
-            length = float(rng.uniform(2.0**-depth, 1.0))
-            start = float(rng.uniform(0.0, TAU))
-            arc = Arc(start, length)
-            q = _cell_region_integral(values, quad, 1.0 - length, arc)
-            if q <= 0.0:
+        arcs = draw_arcs(rng, random_arcs, 2.0**-depth)
+        if arcs:
+            q = box_masses(w, arcs, quad)
+            if np.any(q <= 0.0):
                 raise DegenerateWeightError("zero-mass box on a random arc")
-            b = _cell_region_integral(values, quad, 1.0 - length / 2.0, arc)
-            if b / q > delta:
-                delta = b / q
-                worst = arc
+            ratios = box_masses(w, arcs, quad, "top") / q
+            k = int(np.argmax(ratios))  # the first maximum, as a strict-> scan keeps
+            if ratios[k] > delta:
+                delta = float(ratios[k])
+                worst = arcs[k]
         n_dyadic = 2 * (2 ** (depth + 1) - 1)
 
     return ReverseDoublingReport(
@@ -705,7 +704,6 @@ def doubling_report(
     w: Weight,
     samples: int = 200,
     seed: int = 11,
-    quad: DiskQuadrature | None = None,
 ) -> DoublingReport:
     """Sampled doubling constant: sup of mass(B(z,2r) n D) / mass(B(z,r) n D).
 
@@ -714,7 +712,6 @@ def doubling_report(
     """
     if not w.finite:
         raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
-    del quad  # ball masses use their own grids; kept for interface stability
     rng = np.random.default_rng(seed)
     centers = np.sqrt(rng.uniform(0, 1, samples)) * np.exp(
         1j * rng.uniform(0, TAU, samples)

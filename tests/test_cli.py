@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from carleson_lab.cli import Report, RunConfig, bench, main, run
+from carleson_lab.errors import ConfigError
+from carleson_lab.measures import MAX_CELLS_ENV, build_quadrature
+
+try:
+    import threadpoolctl
+except ImportError:
+    threadpoolctl = None
 
 SEED = 20260810
 
@@ -161,6 +168,34 @@ def test_unknown_lemma_is_usage_error():
 
 def test_bad_weight_spec_is_usage_error():
     assert main(["certify", "--weight", "wat:1"]) == 2
+
+
+@pytest.mark.parametrize("raw", ["lots", "1e6", "-5", "0"])
+def test_malformed_cell_cap_is_usage_error(raw, monkeypatch, capsys):
+    monkeypatch.setenv(MAX_CELLS_ENV, raw)
+    assert main(["test-weight", "--weight", "lebesgue", "--depth", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and MAX_CELLS_ENV in captured.err
+    with pytest.raises(ConfigError):
+        build_quadrature(4)
+
+
+def test_well_formed_cell_cap_is_applied(monkeypatch):
+    monkeypatch.setenv(MAX_CELLS_ENV, " 100 ")
+    code, rep = run(small_cfg(command="embedding", quad_depth=6))
+    assert code == 1
+    assert rep.stages[0]["witness"]["error"].startswith("MemoryGuardError")
+
+
+@pytest.mark.skipif(threadpoolctl is not None, reason="threadpoolctl applies the cap")
+def test_unapplied_thread_cap_warns_once(capsys):
+    code, rep = run(small_cfg(threads=1))
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "--threads 1" in captured.err
+    _, plain = run(small_cfg())
+    assert capsys.readouterr().err == ""
+    assert json.loads(rep.to_json())["stages"] == json.loads(plain.to_json())["stages"]
 
 
 def test_exit_code_zero_on_success(capsys):

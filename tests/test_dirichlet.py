@@ -131,6 +131,21 @@ def test_sampled_weight_dense_route():
     assert v.constant_estimate == pytest.approx(1.0, rel=0.05)
 
 
+def test_sampled_weight_computes_each_capped_depth_once():
+    # The default depths 8, 10 and 12 all cap to 8 for a sampled weight, so
+    # one estimate is computed and nothing is refined: no verdict.
+    r = np.linspace(0.005, 0.995, 50)
+    theta = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    w = Weight.from_grid(r, theta, np.outer(1.0 - r, 1.0 + 0.5 * np.cos(theta)))
+    v = carleson_constant(w)
+    assert len(v.trace) == 1 and v.trace[0][0] == 8
+    assert v.verdict is None
+    refined = carleson_constant(w, quad_depths=(6, 7, 8))
+    assert [d for d, _ in refined.trace] == [6, 7, 8]
+    assert isinstance(refined.verdict, bool)
+    assert refined.trace[-1] == v.trace[0]
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         carleson_constant(Weight.lebesgue(), method="bogus")
@@ -177,3 +192,13 @@ def test_pipeline_thin_shell_reports_failure_but_measures():
     # later stages still carry measurements
     assert "sup_value" in rep.stage("testing-constant").constants
     assert math.isfinite(rep.stage("testing-constant").constants["sup_value"])
+
+
+def test_pipeline_skips_the_carleson_stage_without_a_verdict():
+    r = np.linspace(0.005, 0.995, 50)
+    theta = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    w = Weight.from_grid(r, theta, np.outer(1.0 - r, 1.0 + 0.5 * np.cos(theta)))
+    rep = theorem_pipeline(w, depth=8)
+    assert rep.stage("carleson-constant").verdict is None
+    assert all(s.verdict for s in rep.stages if s.name != "carleson-constant")
+    assert rep.verdict
