@@ -3,7 +3,8 @@
 Subcommands: ``test-weight``, ``embedding``, ``two-weight``, ``certify``,
 ``verify-lemma <name>``, ``bench``.  Reports are JSON (CSV for bench);
 identical configuration and seed produce byte-identical JSON apart from
-the timing block.  Exit codes: 0 all verdicts true, 1 a numerical verdict
+the timing block.  Stages that measure without testing carry a null
+verdict.  Exit codes: 0 all non-null verdicts true, 1 a numerical verdict
 false, 2 usage error.
 """
 
@@ -125,7 +126,7 @@ def _run_test_weight(cfg: RunConfig):
         ),
         _stage(
             "doubling",
-            True,
+            None,
             {"C_hat": dbl.c_hat},
             {"worst_radius": dbl.worst_radius},
         ),
@@ -149,8 +150,8 @@ def _run_embedding(cfg: RunConfig):
             {"c1_hat": emb.c1_hat, "tail_estimate": emb.tail_estimate},
             {"worst_box": repr(emb.worst_box)},
         ),
-        _stage("weak-norm", True, {"weak_type_norm": weak}),
-        _stage("strong-ratio", True, {"strong_ratio": strong}),
+        _stage("weak-norm", None, {"weak_type_norm": weak}),
+        _stage("strong-ratio", None, {"strong_ratio": strong}),
     ]
 
 
@@ -173,7 +174,12 @@ def _run_two_weight(cfg: RunConfig):
             {"sup_value": testing.sup_value},
             {"worst": repr(testing.worst_box)},
         ),
-        _stage("norm-check", norms.stabilized, consts, {"method": norms.method}),
+        _stage(
+            "norm-check",
+            norms.stabilized,
+            consts,
+            {"method": norms.method, "solver": norms.solver_status()},
+        ),
     ]
 
 

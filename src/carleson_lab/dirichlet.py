@@ -31,6 +31,13 @@ from .measures import (
     build_quadrature,
     reverse_doubling_report,
 )
+from .operators import (
+    DiscreteMeasure,
+    KernelSpec,
+    assemble_operator,
+    operator_norm,
+    power_norm,
+)
 
 DEFAULT_DEGREE_CAP = 256
 
@@ -126,7 +133,8 @@ class CarlesonVerdict:
 def _radial_gram_top_eigenvalue(
     w: Weight, quad: DiskQuadrature, series: int = 1024
 ) -> float:
-    """Top eigenvalue of the logarithmic-kernel operator against ``w``.
+    """Top eigenvalue of the logarithmic-kernel operator against ``w``, by
+    power iteration on its positive semidefinite Gram matrix.
 
     Works through the monomial factorization: the operator is the Gram of
     the functions ``sqrt(b_n) z^n`` in the weighted space, and for radial
@@ -165,23 +173,10 @@ def _radial_gram_top_eigenvalue(
             gram[n + d, n] += vals
             k += 1
             d += count
-    # Power iteration on the symmetric Gram.
-    rng = np.random.default_rng(271828)
-    v = rng.standard_normal(series + 1)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(500):
-        u = gram @ v
-        nv = np.linalg.norm(u)
-        if nv == 0:
-            return 0.0
-        u /= nv
-        lam_new = float(u @ (gram @ u))
-        if abs(lam_new - lam) <= 1e-10 * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-        v = u
-    return lam
+    gram = gram.astype(complex)  # one cast, instead of one per product with a complex vector
+    return power_norm(
+        lambda v: gram @ v, lambda v: gram @ v, series + 1, tol=1e-10, max_iter=500, seed=271828
+    ).value
 
 
 def carleson_constant(
@@ -211,8 +206,6 @@ def carleson_constant(
                 quad = build_quadrature(d)
                 est = _radial_gram_top_eigenvalue(w, quad)
             else:
-                from .operators import DiscreteMeasure, KernelSpec, assemble_operator, operator_norm
-
                 quad = build_quadrature(d)
                 masses = np.real(w.density(quad.z)) * quad.area
                 keep = masses > 0
@@ -320,7 +313,7 @@ def theorem_pipeline(
         for lv in rep.levels:
             for g, val in lv.dyadic_norms.items():
                 consts[f"dyadic_{g:.4f}_depth_{lv.depth}"] = val
-        return rep.stabilized, consts, {"method": rep.method}
+        return rep.stabilized, consts, {"method": rep.method, "solver": rep.solver_status()}
 
     run_stage("norm-check", stage_norms)
 

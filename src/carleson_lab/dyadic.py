@@ -12,7 +12,8 @@ box averages; their strong and weak norms against the box-mass measure
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +35,15 @@ from .measures import (
     box_masses,
     draw_arcs,
     dual_weight,
+)
+from .operators import (
+    KernelSpec,
+    NormEstimate,
+    eval_kernel,
+    kernel_rows,
+    matrix_adjoint_apply,
+    power_norm,
+    quadrature_apply,
 )
 
 
@@ -134,7 +144,7 @@ def dyadic_kernel_matrix(
 
     Entry ``(i, j)`` is the sum of ``area(Q)**(-alpha/2)`` over boxes of
     the grid (levels up to ``depth``) containing both centers.  Meant for
-    small quadratures; used by the domination and norm checks.
+    small quadratures: the tests' oracle for :func:`dyadic_apply`.
     """
     zs = quad.z if z is None else np.asarray(z, dtype=complex).ravel()
     r = np.abs(zs)
@@ -160,15 +170,11 @@ def dense_abs_apply(
     block: int = 512,
 ) -> np.ndarray:
     """``integral of f(w) / |1 - z conj(w)|**alpha`` by quadrature."""
-    zs = quad.z if eval_points is None else np.asarray(eval_points, dtype=complex).ravel()
-    fw = f.values * quad.area
-    cu = np.conj(quad.z)
-    out = np.empty(zs.size, dtype=float)
-    for lo in range(0, zs.size, block):
-        hi = min(lo + block, zs.size)
-        kernel = np.abs(1.0 - zs[lo:hi, None] * cu[None, :]) ** (-alpha)
-        out[lo:hi] = kernel @ np.real(fw)
-    return out
+
+    def kernel(z, w):
+        return np.abs(1.0 - z * np.conj(w)) ** (-alpha)
+
+    return quadrature_apply(kernel, np.real(f.values), quad, eval_points, block)
 
 
 @dataclass(frozen=True)
@@ -239,10 +245,9 @@ def tree_averages(
     position-m box.  Masses come from the same cell sums as the integrals,
     so a constant function averages to exactly 1 on every box.
     """
-    masses = box_mass_levels(w, quad, grid, depth, force_quadrature=True)
-    integrals = box_level_sums(
-        quad, np.asarray(f.values) * np.real(w.density(quad.z)) * quad.area, grid, depth
-    )
+    density = np.real(w.density(quad.z))
+    masses = box_level_sums(quad, density * quad.area, grid, depth)
+    integrals = box_level_sums(quad, np.asarray(f.values) * density * quad.area, grid, depth)
     avgs = []
     for j, (mass_j, int_j) in enumerate(zip(masses, integrals)):
         if np.any(mass_j <= 0.0):
@@ -533,68 +538,32 @@ class NormCheckLevel:
     cells: int
     dense_norm: float
     dyadic_norms: dict
+    # The power-iteration solves behind the norms; absent for sampled bounds.
+    dense_solve: NormEstimate | None = None
+    dyadic_solves: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class NormCheckReport:
     levels: tuple[NormCheckLevel, ...]
-    stabilized: bool
+    stabilized: bool | None  # None for sampled lower bounds, which refine nothing
     method: str
 
-
-def _weighted_kernel_matrix(kernel, quad, nu_density, mu_density):
-    """Matrix whose 2-norm is the operator norm from L2(mu) to L2(nu)."""
-    left = np.sqrt(nu_density * quad.area)
-    right = np.where(mu_density > 0, quad.area / np.sqrt(mu_density * quad.area), 0.0)
-    return kernel * left[:, None] * right[None, :]
-
-
-def _two_norm_by_power(forward, adjoint, n, tol: float = 1e-6, max_iter: int = 500) -> float:
-    rng = np.random.default_rng(314159)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma_old = 0.0
-    sigma = 0.0
-    for _ in range(max_iter):
-        u = forward(v)
-        v = adjoint(u)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        v /= nv
-        sigma = math.sqrt(nv)
-        if abs(sigma - sigma_old) <= tol * max(sigma, 1e-300):
-            break
-        sigma_old = sigma
-    return float(sigma)
+    def solver_status(self) -> dict:
+        """Iterations and convergence of every solve, keyed like the norms
+        (``dense_depth_<d>``, ``dyadic_<grid>_depth_<d>``)."""
+        out = {}
+        for lv in self.levels:
+            solves = {f"dyadic_{g:.4f}_depth_{lv.depth}": e for g, e in lv.dyadic_solves.items()}
+            if lv.dense_solve is not None:
+                solves = {f"dense_depth_{lv.depth}": lv.dense_solve, **solves}
+            for key, est in solves.items():
+                out[key] = {"iterations": est.iterations, "converged": est.converged}
+        return out
 
 
-def _matrix_two_norm(b: np.ndarray, tol: float = 1e-6, max_iter: int = 500) -> float:
-    bh = b.conj().T
-    return _two_norm_by_power(
-        lambda v: b @ v, lambda u: bh @ u, b.shape[1], tol, max_iter
-    )
-
-
-def _dyadic_weighted_norm(
-    grid, alpha, quad, depth, nu_density, mu_density, tol=1e-6, max_iter=500
-) -> float:
-    """Weighted norm of the model operator, matrix-free via aggregation."""
-    left = np.sqrt(nu_density * quad.area)
-    right = np.where(mu_density > 0, quad.area / np.sqrt(mu_density * quad.area), 0.0)
-    inv_area = 1.0 / quad.area
-
-    def s_apply(v):
-        f = SampledFunction(quad, v * inv_area)
-        return dyadic_apply(grid, alpha, f, quad, depth).values
-
-    return _two_norm_by_power(
-        lambda v: left * s_apply(right * v),
-        lambda u: right * s_apply(left * u),
-        quad.n_cells,
-        tol,
-        max_iter,
-    )
+# Power-iteration settings of the norm check.
+_NORM_SOLVE = {"tol": 1e-6, "max_iter": 500, "seed": 314159}
 
 
 def two_weight_norm_check(
@@ -610,17 +579,17 @@ def two_weight_norm_check(
     """Measured norms of the dense and dyadic operators across refinements.
 
     For ``p = q = 2`` norms come from power iteration on the weighted
-    matrices; otherwise they are lower bounds from seeded unit-ball
-    samples.  The verdict asks the dense estimates of the last two
-    refinements to agree within ``stabilize_rtol``.
+    operators, and the verdict asks the dense estimates of the last two
+    refinements to agree within ``stabilize_rtol``.  Otherwise they are
+    lower bounds from seeded unit-ball samples, and the verdict is
+    ``None``: two random lower bounds that disagree prove nothing.
     """
     from .measures import build_quadrature  # local import to avoid cycle noise
-    from .operators import KernelSpec, eval_kernel
 
     levels = []
     exact = cfg.p == 2.0 and cfg.q == 2.0
     rng = np.random.default_rng(seed)
-    spec = KernelSpec.k_alpha(cfg.alpha)
+    kernel_fn = partial(eval_kernel, KernelSpec.k_alpha(cfg.alpha))
     for d in quad_depths:
         quad = build_quadrature(d)
         depth = min(dyadic_depth if dyadic_depth is not None else d, quad.depth)
@@ -628,28 +597,46 @@ def two_weight_norm_check(
         mu_d = np.real(mu.density(quad.z))
         n = quad.n_cells
         kernel = np.empty((n, n), dtype=complex)
-        for lo in range(0, n, 1024):
-            hi = min(lo + 1024, n)
-            kernel[lo:hi] = eval_kernel(spec, quad.z[lo:hi, None], quad.z[None, :])
+        for rows, block in kernel_rows(kernel_fn, quad.z, quad.z):
+            kernel[rows] = block
+
+        def model(grid, values):
+            f = SampledFunction(quad, values)
+            return dyadic_apply(grid, cfg.alpha, f, quad, depth).values
+
         if exact:
-            dense = _matrix_two_norm(
-                _weighted_kernel_matrix(kernel, quad, nu_d, mu_d)
+            # Weights that make plain 2-norms the L2(mu) -> L2(nu) norms.
+            left = np.sqrt(nu_d * quad.area)
+            right = np.where(mu_d > 0, quad.area / np.sqrt(mu_d * quad.area), 0.0)
+            inv_area = 1.0 / quad.area
+            kernel *= left[:, None]
+            kernel *= right[None, :]
+            dense_solve = power_norm(
+                lambda v: kernel @ v, matrix_adjoint_apply(kernel), n, **_NORM_SOLVE
             )
-            dyadic = {
-                grid: _dyadic_weighted_norm(grid, cfg.alpha, quad, depth, nu_d, mu_d)
-                for grid in GRIDS
+            # dyadic_apply serves as its own adjoint.  It is symmetric on the
+            # plain grid only, so the one-third grid's figure is not a 2-norm.
+            dyadic_solves = {
+                g: power_norm(
+                    lambda v, g=g: left * model(g, right * v * inv_area),
+                    lambda u, g=g: right * model(g, left * u * inv_area),
+                    n,
+                    **_NORM_SOLVE,
+                )
+                for g in GRIDS
             }
+            dense = dense_solve.value
+            dyadic = {g: e.value for g, e in dyadic_solves.items()}
         else:
             # Sampled lower bound on the L^p(mu) -> L^q(nu) norm.
+            def nu_norm(img):
+                return float(np.sum(np.abs(img) ** cfg.q * nu_d * quad.area) ** (1.0 / cfg.q))
+
+            dense_solve, dyadic_solves = None, {}
             dense = 0.0
             dyadic = {g: 0.0 for g in GRIDS}
-            s_mats = {
-                g: dyadic_kernel_matrix(g, cfg.alpha, quad, depth) for g in GRIDS
-            }
             for _ in range(samples):
-                f = rng.standard_normal(quad.n_cells) + 1j * rng.standard_normal(
-                    quad.n_cells
-                )
+                f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 f[mu_d <= 0] = 0.0
                 denom = float(
                     np.sum(np.abs(f) ** cfg.p * mu_d * quad.area) ** (1.0 / cfg.p)
@@ -657,32 +644,20 @@ def two_weight_norm_check(
                 if denom == 0:
                     continue
                 f /= denom
-                img = kernel @ (f * quad.area)
-                dense = max(
-                    dense,
-                    float(
-                        np.sum(np.abs(img) ** cfg.q * nu_d * quad.area)
-                        ** (1.0 / cfg.q)
-                    ),
-                )
+                dense = max(dense, nu_norm(kernel @ (f * quad.area)))
                 for g in GRIDS:
-                    img = s_mats[g] @ (f * quad.area)
-                    dyadic[g] = max(
-                        dyadic[g],
-                        float(
-                            np.sum(np.abs(img) ** cfg.q * nu_d * quad.area)
-                            ** (1.0 / cfg.q)
-                        ),
-                    )
+                    dyadic[g] = max(dyadic[g], nu_norm(model(g, f)))
         levels.append(
             NormCheckLevel(
-                depth=d, cells=quad.n_cells, dense_norm=float(dense), dyadic_norms=dyadic
+                d, n, float(dense), dyadic, dense_solve=dense_solve, dyadic_solves=dyadic_solves
             )
         )
-    stabilized = False
-    if len(levels) >= 2:
-        a, b = levels[-2].dense_norm, levels[-1].dense_norm
-        stabilized = abs(a - b) <= stabilize_rtol * max(abs(b), 1e-300)
+    stabilized = None
+    if exact:
+        stabilized = False
+        if len(levels) >= 2:
+            a, b = levels[-2].dense_norm, levels[-1].dense_norm
+            stabilized = abs(a - b) <= stabilize_rtol * max(abs(b), 1e-300)
     return NormCheckReport(
         levels=tuple(levels),
         stabilized=stabilized,

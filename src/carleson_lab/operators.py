@@ -5,14 +5,18 @@ The two built-in kernel families are the fractional Cauchy kernels
 ``log(1 / (1 - z conj(w))) / (z conj(w))`` whose power series is
 ``sum x**n / (n + 1)``; the latter reproduces the analytic functions with
 norm ``sum (n+1) |a_n|^2``.  Operators against a discrete measure are
-plain dense matrices; their norm on the mass-weighted square-summable
-space is estimated by power iteration (dense eigensolves stay available
-as an oracle for small sizes).
+plain dense matrices.  Two routines serve the whole package:
+:func:`power_norm`, the one power iteration (on callables, so dense
+matrices and matrix-free operators alike), and :func:`kernel_rows`, the
+one blocked loop over kernel rows behind every quadrature apply and
+dense kernel build.  Dense eigensolves stay available as an oracle for
+small sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -183,30 +187,30 @@ class NormEstimate:
     converged: bool
 
 
-def operator_norm(
-    a: OperatorMatrix,
+def power_norm(
+    forward,
+    adjoint,
+    n: int,
     tol: float = 1e-8,
     max_iter: int = 10_000,
     seed: int = 20260810,
 ) -> NormEstimate:
-    """Weighted operator norm by power iteration on ``B* B``.
+    """Largest singular value of ``forward`` by power iteration on
+    ``adjoint(forward(.))`` over ``C^n``.
 
     The start vector is drawn from a seeded generator so runs are
-    reproducible; non-convergence is reported through the residual flag
-    rather than raised.
+    reproducible; non-convergence is reported through the ``converged``
+    flag rather than raised.  A hermitian positive semidefinite operator
+    may pass the same callable twice.
     """
-    b = a.weighted()
-    n = a.size
     if n == 0:
         return NormEstimate(0.0, 0, 0.0, True)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    bh = b.conj().T
     sigma_old = 0.0
     for it in range(1, max_iter + 1):
-        u = b @ v
-        v = bh @ u
+        v = adjoint(forward(v))
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return NormEstimate(0.0, it, 0.0, True)
@@ -217,6 +221,22 @@ def operator_norm(
             return NormEstimate(sigma, it, residual, True)
         sigma_old = sigma
     return NormEstimate(sigma, max_iter, residual, False)
+
+
+def matrix_adjoint_apply(b: np.ndarray):
+    """``u -> conj(b).T @ u`` without a conjugated copy of ``b``."""
+    return lambda u: np.conj(b.T @ np.conj(u))
+
+
+def operator_norm(
+    a: OperatorMatrix,
+    tol: float = 1e-8,
+    max_iter: int = 10_000,
+    seed: int = 20260810,
+) -> NormEstimate:
+    """Weighted operator norm: :func:`power_norm` on the similar matrix."""
+    b = a.weighted()
+    return power_norm(lambda v: b @ v, matrix_adjoint_apply(b), a.size, tol, max_iter, seed)
 
 
 def operator_norm_exact(a: OperatorMatrix) -> float:
@@ -266,48 +286,35 @@ def gram_psd_check(points, spec: KernelSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The Cauchy transform against area measure, and the analytic projection
+# Blocked kernel applies, the Cauchy transform, and the analytic projection
 # ---------------------------------------------------------------------------
 
 
-def k1_matrix_apply(
-    quad: DiskQuadrature, stacked_values: np.ndarray, eval_points=None,
-    block: int = 1024,
-) -> np.ndarray:
-    """Apply the Cauchy-area transform to several functions in one pass.
+def kernel_rows(kernel, zs: np.ndarray, ws: np.ndarray, block: int = 1024):
+    """The matrix ``kernel(zs[:, None], ws[None, :])`` one row block at a time.
 
-    ``stacked_values`` has shape ``(n_cells,)`` or ``(n_cells, k)``; the
-    kernel block is built once per block of evaluation points and shared
-    across the columns, which is what makes multi-function checks cheap.
+    Yields ``(rows, values)`` with ``rows`` a slice of ``zs``, so at most
+    ``block * ws.size`` entries (and their temporaries) are alive at once.
+    """
+    for lo in range(0, zs.size, block):
+        rows = slice(lo, min(lo + block, zs.size))
+        yield rows, kernel(zs[rows, None], ws[None, :])
+
+
+def quadrature_apply(
+    kernel, values: np.ndarray, quad: DiskQuadrature, eval_points=None, block: int = 1024
+) -> np.ndarray:
+    """``sum_j kernel(z, u_j) values_j area_j`` at each evaluation point.
+
+    ``values`` has shape ``(n_cells,)`` or ``(n_cells, k)``; each kernel
+    block is shared across the ``k`` stacked columns.  Evaluates at
+    ``eval_points`` (default: every cell center).
     """
     zs = quad.z if eval_points is None else np.asarray(eval_points, dtype=complex).ravel()
-    vals = np.asarray(stacked_values, dtype=complex)
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[:, None]
-    fw = vals * quad.area[:, None]
-    cu = np.conj(quad.z)
-    out = np.empty((zs.size, fw.shape[1]), dtype=complex)
-    for lo in range(0, zs.size, block):
-        hi = min(lo + block, zs.size)
-        out[lo:hi] = (1.0 / (1.0 - zs[lo:hi, None] * cu[None, :])) @ fw
-    return out[:, 0] if squeeze else out
-
-
-def apply_k1(
-    f: SampledFunction,
-    quad: DiskQuadrature,
-    eval_points=None,
-    block: int = 1024,
-) -> np.ndarray:
-    """``(K_1 f)(z) = sum_j f(u_j) / (1 - z conj(u_j)) * area_j``.
-
-    Evaluates at ``eval_points`` (default: every cell center), in blocks to
-    bound memory.
-    """
-    if f.quad is not quad:
-        raise ValueError("sampled function does not live on the given quadrature")
-    return k1_matrix_apply(quad, f.values, eval_points, block)
+    values = np.asarray(values)
+    fw = values * (quad.area if values.ndim == 1 else quad.area[:, None])
+    parts = [k @ fw for _, k in kernel_rows(kernel, zs, quad.z, block)]
+    return np.concatenate(parts) if parts else np.empty((0,) + fw.shape[1:], dtype=complex)
 
 
 def apply_kernel(
@@ -320,13 +327,14 @@ def apply_kernel(
     """Quadrature apply of an arbitrary kernel: ``sum_j k(z, u_j) f_j a_j``."""
     if f.quad is not quad:
         raise ValueError("sampled function does not live on the given quadrature")
-    zs = quad.z if eval_points is None else np.asarray(eval_points, dtype=complex).ravel()
-    fw = f.values * quad.area
-    out = np.empty(zs.size, dtype=complex)
-    for lo in range(0, zs.size, block):
-        hi = min(lo + block, zs.size)
-        out[lo:hi] = eval_kernel(spec, zs[lo:hi, None], quad.z[None, :]) @ fw
-    return out
+    return quadrature_apply(partial(eval_kernel, spec), f.values, quad, eval_points, block)
+
+
+def apply_k1(
+    f: SampledFunction, quad: DiskQuadrature, eval_points=None, block: int = 1024
+) -> np.ndarray:
+    """The Cauchy-area transform ``sum_j f(u_j) / (1 - z conj(u_j)) * area_j``."""
+    return apply_kernel(KernelSpec.k_alpha(1.0), f, quad, eval_points, block)
 
 
 def k1_projection_discrepancy(
@@ -344,7 +352,8 @@ def k1_projection_discrepancy(
         columns.append(f.values)
         columns.append(poly_eval(coeffs, quad.z))
     stacked = np.stack(columns, axis=1)
-    images = k1_matrix_apply(quad, stacked, eval_points)
+    k1 = partial(eval_kernel, KernelSpec.k_alpha(1.0))
+    images = quadrature_apply(k1, stacked, quad, eval_points)
     diffs = images[:, 0::2] - images[:, 1::2]
     return float(np.max(np.abs(diffs)))
 

@@ -1,8 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from carleson_lab import cli
 from carleson_lab.cli import Report, RunConfig, bench, main, run
 from carleson_lab.errors import ConfigError
 from carleson_lab.measures import MAX_CELLS_ENV, build_quadrature
@@ -140,6 +142,35 @@ def test_two_weight_command():
     assert stage["constants"]["sup_value"] == pytest.approx(
         np.sqrt(1.0 / 3.0), rel=1e-9
     )
+    solver = rep.stages[1]["witness"]["solver"]
+    assert sorted(solver) == sorted(
+        f"{kind}_depth_{d}"
+        for d in (6, 8, 10)
+        for kind in ("dense", "dyadic_0.0000", "dyadic_0.3333")
+    )
+    assert all(s["converged"] and s["iterations"] > 0 for s in solver.values())
+
+
+def test_measuring_stages_carry_null_verdicts():
+    code, rep = run(small_cfg(weight="radial-power:1"))
+    assert code == 0
+    assert [s["verdict"] for s in rep.stages] == [True, None]
+    code, rep = run(small_cfg(command="embedding", depth=6))
+    assert code == 0
+    assert [s["verdict"] for s in rep.stages] == [True, None, None]
+
+
+def test_sampled_norm_check_verdict_is_null(monkeypatch):
+    quick = functools.partial(
+        cli.dyadic_mod.two_weight_norm_check, quad_depths=(4, 5, 6), samples=4
+    )
+    monkeypatch.setattr(cli.dyadic_mod, "two_weight_norm_check", quick)
+    code, rep = run(small_cfg(command="two-weight", nu="radial-power:1", p=3.0, q=3.0))
+    assert code == 0
+    stage = rep.stages[1]
+    assert stage["verdict"] is None
+    assert stage["witness"] == {"method": "sampled-lower-bound", "solver": {}}
+    assert set(stage["constants"]) == {"dense_depth_4", "dense_depth_5", "dense_depth_6"}
 
 
 def test_verify_lemma_commands():

@@ -27,7 +27,9 @@ from carleson_lab.geometry import (
     DyadicIndex,
     full_box_area,
 )
-from carleson_lab.measures import SampledFunction, Weight, build_quadrature
+from carleson_lab import dyadic
+from carleson_lab.measures import SampledFunction, Weight, box_mass_levels, build_quadrature
+from carleson_lab.operators import KernelSpec, eval_kernel
 
 SEED = 20260810
 
@@ -411,6 +413,25 @@ def test_strong_ratio_stable_under_refinement():
     del rng
 
 
+def test_tree_averages_evaluate_the_density_once(monkeypatch):
+    quad = build_quadrature(7)
+    w = Weight.radial_power(1)
+    expected_masses = box_mass_levels(w, quad, GRID_THIRD, 7, force_quadrature=True)
+    calls = []
+    density = Weight.density
+
+    def counting(self, z):
+        calls.append(np.size(z))
+        return density(self, z)
+
+    monkeypatch.setattr(Weight, "density", counting)
+    avgs, masses = tree_averages(w, SampledFunction.constant(quad), GRID_THIRD, 7, quad)
+    assert calls == [quad.n_cells]
+    for got, want in zip(masses.levels, expected_masses):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(avgs.flat(), 1.0, rtol=1e-12)
+
+
 def test_strong_ratio_matches_t1_specialization():
     # p = q means t = 1; the generic code must agree with a direct
     # implementation of (sum mass * avg^p)^(1/p) / ||f||_p
@@ -501,3 +522,96 @@ def test_norm_check_sampled_lower_bound_path():
     )
     assert rep.method == "sampled-lower-bound"
     assert rep.levels[-1].dense_norm > 0.0
+
+
+def former_dense_norm(nu, mu, quad):
+    """The norm check's former dense solve, kept as an oracle: a weighted
+    copy of the kernel, its conjugate transpose, and its own power loop."""
+    n = quad.n_cells
+    kernel = np.asarray(eval_kernel(KernelSpec.k_alpha(1.0), quad.z[:, None], quad.z[None, :]))
+    nu_d = np.real(nu.density(quad.z))
+    mu_d = np.real(mu.density(quad.z))
+    left = np.sqrt(nu_d * quad.area)
+    right = np.where(mu_d > 0, quad.area / np.sqrt(mu_d * quad.area), 0.0)
+    b = kernel * left[:, None] * right[None, :]
+    bh = b.conj().T
+    rng = np.random.default_rng(314159)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    sigma_old = 0.0
+    for _ in range(500):
+        v = bh @ (b @ v)
+        nv = np.linalg.norm(v)
+        v /= nv
+        sigma = math.sqrt(nv)
+        if abs(sigma - sigma_old) <= 1e-6 * max(sigma, 1e-300):
+            break
+        sigma_old = sigma
+    return sigma
+
+
+def test_norm_check_dense_norm_equals_the_former_three_copy_solve():
+    cfg = ExponentConfig(2.0, 2.0, 1.0)
+    quad = build_quadrature(6)
+    for nu, mu in (
+        (Weight.radial_power(1), Weight.lebesgue()),
+        (Weight.lebesgue(), Weight.radial_power(0.5)),
+    ):
+        rep = two_weight_norm_check(nu, mu, cfg, quad_depths=(6,))
+        assert rep.levels[0].dense_norm == former_dense_norm(nu, mu, quad)
+
+
+def test_norm_check_keeps_each_solve():
+    cfg = ExponentConfig(2.0, 2.0, 1.0)
+    rep = two_weight_norm_check(Weight.lebesgue(), Weight.lebesgue(), cfg, quad_depths=(4, 5))
+    for lv in rep.levels:
+        assert lv.dense_solve.value == lv.dense_norm and lv.dense_solve.converged
+        assert {g: e.value for g, e in lv.dyadic_solves.items()} == lv.dyadic_norms
+    status = rep.solver_status()
+    assert list(status) == [
+        f"{kind}_depth_{d}"
+        for d in (4, 5)
+        for kind in ("dense", f"dyadic_{GRID_PLAIN:.4f}", f"dyadic_{GRID_THIRD:.4f}")
+    ]
+    assert all(s["converged"] and s["iterations"] >= 2 for s in status.values())
+
+
+def test_norm_check_reports_unconverged_solves(monkeypatch):
+    power_norm = dyadic.power_norm
+    monkeypatch.setattr(
+        dyadic, "power_norm", lambda *a, **kw: power_norm(*a, **{**kw, "max_iter": 1})
+    )
+    cfg = ExponentConfig(2.0, 2.0, 1.0)
+    rep = two_weight_norm_check(Weight.lebesgue(), Weight.lebesgue(), cfg, quad_depths=(4, 5))
+    status = rep.solver_status()
+    assert len(status) == 6
+    assert all(s == {"iterations": 1, "converged": False} for s in status.values())
+
+
+def test_sampled_lower_bounds_carry_no_verdict():
+    # Two seeded random lower bounds that disagree prove nothing.
+    cfg = ExponentConfig(3.0, 3.0, 1.0)
+    rep = two_weight_norm_check(
+        Weight.radial_power(1), Weight.lebesgue(), cfg, quad_depths=(4, 5, 6), samples=4
+    )
+    assert rep.method == "sampled-lower-bound"
+    assert rep.stabilized is None
+    assert rep.solver_status() == {}
+    assert all(lv.dense_solve is None and lv.dyadic_solves == {} for lv in rep.levels)
+
+
+def test_sampled_bound_model_operator_matches_the_dense_oracle_on_the_plain_grid():
+    cfg = ExponentConfig(3.0, 3.0, 1.0)
+    nu, mu = Weight.radial_power(1), Weight.lebesgue()
+    rep = two_weight_norm_check(nu, mu, cfg, quad_depths=(5,), samples=6)
+    quad = build_quadrature(5)
+    nu_d = np.real(nu.density(quad.z))
+    s = dyadic_kernel_matrix(GRID_PLAIN, 1.0, quad, 5)
+    rng = np.random.default_rng(SEED)
+    best = 0.0
+    for _ in range(6):
+        f = rng.standard_normal(quad.n_cells) + 1j * rng.standard_normal(quad.n_cells)
+        f /= np.sum(np.abs(f) ** 3 * quad.area) ** (1.0 / 3.0)
+        img = s @ (f * quad.area)
+        best = max(best, np.sum(np.abs(img) ** 3 * nu_d * quad.area) ** (1.0 / 3.0))
+    assert rep.levels[0].dyadic_norms[GRID_PLAIN] == pytest.approx(best, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from carleson_lab.measures import SampledFunction, build_quadrature
 from carleson_lab.operators import (
     DiscreteMeasure,
     KernelSpec,
+    NormEstimate,
     OperatorMatrix,
     apply_k1,
     apply_kernel,
@@ -16,10 +18,13 @@ from carleson_lab.operators import (
     factorization_check,
     gram_psd_check,
     k1_projection_discrepancy,
+    matrix_adjoint_apply,
     norm_sandwich_check,
     operator_norm,
     operator_norm_exact,
     poly_eval,
+    power_norm,
+    quadrature_apply,
     real_part_operator,
 )
 
@@ -173,6 +178,50 @@ def test_operator_norm_agrees_with_exact():
     dm = DiscreteMeasure(pts, rng.uniform(0.1, 1.0, 40))
     a = assemble_operator(KernelSpec.dirichlet(), dm)
     assert operator_norm(a).value == pytest.approx(operator_norm_exact(a), rel=1e-6)
+
+
+def test_power_norm_rectangular_complex_against_svd():
+    rng = np.random.default_rng(SEED)
+    b = rng.standard_normal((30, 17)) + 1j * rng.standard_normal((30, 17))
+    est = power_norm(lambda v: b @ v, matrix_adjoint_apply(b), 17, tol=1e-12)
+    assert est.converged and est.iterations > 1
+    assert est.value == pytest.approx(np.linalg.norm(b, 2), rel=1e-10)
+
+
+def test_power_norm_real_symmetric_against_eigvalsh():
+    rng = np.random.default_rng(SEED + 1)
+    m = rng.standard_normal((25, 25))
+    gram = m @ m.T
+    est = power_norm(lambda v: gram @ v, lambda v: gram @ v, 25, tol=1e-12)
+    assert est.converged
+    assert est.value == pytest.approx(np.linalg.eigvalsh(gram).max(), rel=1e-10)
+    sym = m + m.T  # indefinite: the norm is the largest |eigenvalue|
+    est = power_norm(lambda v: sym @ v, lambda v: sym @ v, 25, tol=1e-12)
+    assert est.value == pytest.approx(np.abs(np.linalg.eigvalsh(sym)).max(), rel=1e-10)
+
+
+def test_power_norm_zero_operator_and_empty_space():
+    zero = np.zeros((4, 6))
+    est = power_norm(lambda v: zero @ v, lambda u: zero.T @ u, 6)
+    assert (est.value, est.iterations, est.converged) == (0.0, 1, True)
+    assert power_norm(None, None, 0) == NormEstimate(0.0, 0, 0.0, True)
+
+
+def test_power_norm_reports_exhausted_iterations():
+    d = np.diag([1.0, 0.999, 0.5])
+    est = power_norm(lambda v: d @ v, lambda v: d @ v, 3, tol=1e-14, max_iter=5)
+    assert not est.converged
+    assert est.iterations == 5 and est.residual > 1e-14
+    assert est.value <= 1.0
+
+
+def test_operator_norm_is_power_norm_on_the_weighted_matrix():
+    rng = np.random.default_rng(SEED + 2)
+    dm = DiscreteMeasure(random_points(rng, 50), rng.uniform(0.1, 1.0, 50))
+    a = assemble_operator(KernelSpec.k_alpha(1.5), dm)
+    b = a.weighted()
+    bh = b.conj().T
+    assert operator_norm(a) == power_norm(lambda v: b @ v, lambda u: bh @ u, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +407,21 @@ def test_k1_projection_identity(quad12, eval_nodes):
         eval_nodes,
     )
     assert worst <= 1e-4
+
+
+def test_quadrature_apply_shares_blocks_across_stacked_columns(quad12, eval_nodes):
+    rng = np.random.default_rng(SEED + 3)
+    stacked = rng.standard_normal((quad12.n_cells, 3))
+    spec = KernelSpec.k_alpha(2.0)
+    kernel = partial(eval_kernel, spec)
+    got = quadrature_apply(kernel, stacked, quad12, eval_nodes, block=100)
+    assert got.shape == (eval_nodes.size, 3)
+    for k in range(3):
+        f = SampledFunction(quad12, stacked[:, k])
+        np.testing.assert_allclose(
+            got[:, k], apply_kernel(spec, f, quad12, eval_points=eval_nodes), rtol=1e-12
+        )
+    assert quadrature_apply(kernel, stacked, quad12, np.array([])).shape == (0, 3)
 
 
 def test_poly_eval_horner():
