@@ -34,6 +34,7 @@ from .geometry import (
 )
 
 DEFAULT_MAX_CELLS = 2_000_000
+GRID_DENSITY_BLOCK = 32_768  # points per block of a grid weight's density
 MAX_CELLS_ENV = "CARLESON_LAB_MAX_CELLS"
 
 
@@ -152,14 +153,28 @@ class Weight:
 
     def density(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
+        if self.kind == "grid":
+            if z.size <= GRID_DENSITY_BLOCK:
+                return self._grid_density(z)
+            # The nearest-node search holds about twenty temporaries the
+            # size of its input; blocks keep them to a few megabytes.
+            flat = z.ravel()
+            out = np.empty(flat.size, dtype=self.grid_values.dtype)
+            for lo in range(0, flat.size, GRID_DENSITY_BLOCK):
+                block = slice(lo, lo + GRID_DENSITY_BLOCK)
+                out[block] = self._grid_density(flat[block])
+            return out.reshape(z.shape)
         r = np.abs(z)
         if self.kind == "radial-power":
             if self.a == 0.0:
                 return np.ones_like(r)
             return np.power(np.maximum(1.0 - r, 0.0), self.a)
-        if self.kind == "product":
-            w1, w2 = self.factors
-            return w1.density(z) * w2.density(z)
+        w1, w2 = self.factors
+        return w1.density(z) * w2.density(z)
+
+    def _grid_density(self, z: np.ndarray) -> np.ndarray:
+        """Value at the nearest grid node in radius and in angle."""
+        r = np.abs(z)
         theta = np.mod(np.angle(z), TAU)
         i = np.clip(np.searchsorted(self.grid_r, r), 0, self.grid_r.size - 1)
         i_lo = np.clip(i - 1, 0, self.grid_r.size - 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carleson_lab import measures
 from carleson_lab.errors import (
     DegenerateWeightError,
     InfiniteMassError,
@@ -130,6 +131,29 @@ def test_grid_file_roundtrip(tmp_path):
     assert w.kind == "grid"
     assert w.density(0.25 * np.exp(1.0j)) == pytest.approx(1.0)
     assert w.density(0.75 * np.exp(5.0j)) == pytest.approx(6.0)
+
+
+def test_blocked_grid_density_is_the_nearest_node_value(monkeypatch):
+    rng = np.random.default_rng(SEED)
+    r = np.sort(rng.uniform(0.0, 1.0, 9))
+    theta = np.sort(rng.uniform(0.0, 2 * math.pi, 11))
+    w = Weight.from_grid(r, theta, rng.uniform(0.5, 2.0, (9, 11)))
+    # Points at the nodes and halfway between neighbours test the ties.
+    zr = np.concatenate([rng.uniform(0.0, 1.0, 150), r, 0.5 * (r[1:] + r[:-1])])
+    zt = rng.uniform(0.0, 2 * math.pi, zr.size)
+    zt[:11] = theta
+    zt[11:21] = 0.5 * (theta[1:] + theta[:-1])
+    z = zr * np.exp(1j * zt)
+    dist_r = np.abs(r[None, :] - np.abs(z)[:, None])
+    dist_t = np.abs(theta[None, :] - np.mod(np.angle(z), 2 * math.pi)[:, None])
+    oracle = w.grid_values[np.argmin(dist_r, axis=1), np.argmin(dist_t, axis=1)]
+    one_pass = w.density(z)
+    monkeypatch.setattr(measures, "GRID_DENSITY_BLOCK", 7)
+    assert np.array_equal(w.density(z), oracle)
+    assert np.array_equal(one_pass, oracle)
+    square = z[:156].reshape(12, 13)
+    assert np.array_equal(w.density(square), oracle[:156].reshape(12, 13))
+    assert w.density(z[3]) == oracle[3]
 
 
 def test_grid_file_rejects_negative(tmp_path):
