@@ -7,7 +7,9 @@ by at most a factor of two, so a weight is a Carleson weight for one iff
 for the other.  The certification pipeline for a weight runs, in order:
 finiteness, the reverse-doubling tester, the two-weight testing constant
 against Lebesgue at ``p = q = 2`` and order one, the measured operator
-norms, and the Carleson constant estimate.
+norms, and the Carleson constant estimate.  The ``*_stage`` functions map
+a report to its stage's ``(verdict, constants, witness)``; the command
+line uses the same ones.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .dyadic import (
 from .errors import CarlesonLabError
 from .measures import (
     DiskQuadrature,
+    ReverseDoublingReport,
     Weight,
     build_quadrature,
     reverse_doubling_report,
@@ -127,7 +130,7 @@ class CarlesonVerdict:
     constant_estimate: float
     method: str
     trace: tuple[tuple[int, float], ...]  # (quadrature depth used, estimate)
-    verdict: bool | None  # None when fewer than two depths were computed
+    verdict: bool | None  # None when nothing was tested: one depth, or a sampled lower bound
 
 
 def _radial_gram_top_eigenvalue(
@@ -202,11 +205,10 @@ def carleson_constant(
         cap = math.inf if w.is_radial_power else 8
         trace = []
         for d in dict.fromkeys(min(d, cap) for d in quad_depths):  # each depth once
+            quad = build_quadrature(d)
             if w.is_radial_power:
-                quad = build_quadrature(d)
                 est = _radial_gram_top_eigenvalue(w, quad)
             else:
-                quad = build_quadrature(d)
                 masses = np.real(w.density(quad.z)) * quad.area
                 keep = masses > 0
                 dm = DiscreteMeasure(quad.z[keep], masses[keep])
@@ -225,10 +227,38 @@ def carleson_constant(
         for f in random_polynomials(samples, degree_cap, seed):
             best = max(best, polynomial_ratio(w, f, quad))
         return CarlesonVerdict(
-            float(best), "polynomial-sampling", ((quad_depths[-1], float(best)),), True
+            float(best), "polynomial-sampling", ((quad_depths[-1], float(best)),), None
         )
 
     raise ValueError(f"unknown method {method!r}")
+
+
+def reverse_doubling_stage(rep: ReverseDoublingReport) -> tuple[bool, dict, dict]:
+    """The ``(verdict, constants, witness)`` of a reverse-doubling stage."""
+    return (
+        rep.verdict,
+        {"delta_hat": rep.delta_hat, "margin": rep.margin},
+        {"worst_arc_start": rep.worst_arc.start, "worst_arc_length": rep.worst_arc.length},
+    )
+
+
+def testing_constant_stage(rep: TestingConstantReport) -> tuple[bool, dict, dict]:
+    """The ``(verdict, constants, witness)`` of a testing-constant stage."""
+    return (
+        bool(math.isfinite(rep.sup_value)),
+        {"sup_value": rep.sup_value},
+        {"worst": repr(rep.worst_box)},
+    )
+
+
+def norm_check_stage(rep: NormCheckReport) -> tuple[bool | None, dict, dict]:
+    """The ``(verdict, constants, witness)`` of a norm-check stage; constants
+    are keyed ``dense_depth_<d>`` and ``dyadic_<grid>_depth_<d>``."""
+    consts = {f"dense_depth_{lv.depth}": lv.dense_norm for lv in rep.levels}
+    for lv in rep.levels:
+        for g, val in lv.dyadic_norms.items():
+            consts[f"dyadic_{g:.4f}_depth_{lv.depth}"] = val
+    return rep.stabilized, consts, {"method": rep.method, "solver": rep.solver_status()}
 
 
 @dataclass(frozen=True)
@@ -282,40 +312,16 @@ def theorem_pipeline(
         return bool(w.finite and math.isfinite(mass)), {"disk_mass": mass}, {}
 
     run_stage("finiteness", stage_finite)
-
-    def stage_reverse():
-        rep = reverse_doubling_report(w, depth=depth, quad=quad, seed=seed)
-        return (
-            rep.verdict,
-            {"delta_hat": rep.delta_hat, "margin": rep.margin},
-            {"worst_arc_start": rep.worst_arc.start, "worst_arc_length": rep.worst_arc.length},
-        )
-
-    run_stage("reverse-doubling", stage_reverse)
-
-    cfg = ExponentConfig(p=2.0, q=2.0, alpha=1.0)
-
-    def stage_testing():
-        rep: TestingConstantReport = two_weight_testing_constant(
-            w, Weight.lebesgue(), cfg, depth=depth, quad=quad, seed=seed
-        )
-        return (
-            bool(math.isfinite(rep.sup_value)),
-            {"sup_value": rep.sup_value},
-            {"worst": repr(rep.worst_box)},
-        )
-
-    run_stage("testing-constant", stage_testing)
-
-    def stage_norms():
-        rep: NormCheckReport = two_weight_norm_check(w, Weight.lebesgue(), cfg, seed=seed)
-        consts = {f"dense_depth_{lv.depth}": lv.dense_norm for lv in rep.levels}
-        for lv in rep.levels:
-            for g, val in lv.dyadic_norms.items():
-                consts[f"dyadic_{g:.4f}_depth_{lv.depth}"] = val
-        return rep.stabilized, consts, {"method": rep.method, "solver": rep.solver_status()}
-
-    run_stage("norm-check", stage_norms)
+    run_stage("reverse-doubling", lambda: reverse_doubling_stage(
+        reverse_doubling_report(w, depth=depth, quad=quad, seed=seed)
+    ))
+    cfg, lebesgue = ExponentConfig(p=2.0, q=2.0, alpha=1.0), Weight.lebesgue()
+    run_stage("testing-constant", lambda: testing_constant_stage(
+        two_weight_testing_constant(w, lebesgue, cfg, depth=depth, quad=quad, seed=seed)
+    ))
+    run_stage("norm-check", lambda: norm_check_stage(
+        two_weight_norm_check(w, lebesgue, cfg, seed=seed)
+    ))
 
     def stage_carleson():
         est = carleson_constant(w, method="operator-norm", seed=seed)

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateWeightError, InfiniteMassError, ResolutionError
+from .errors import ConfigError, DegenerateWeightError, InfiniteMassError, ResolutionError
 from .geometry import (
     GRIDS,
     TAU,
@@ -57,9 +57,9 @@ class ExponentConfig:
 
     def __post_init__(self) -> None:
         if not (1.0 < self.p <= self.q < math.inf):
-            raise ValueError(f"need 1 < p <= q < inf, got p={self.p}, q={self.q}")
+            raise ConfigError(f"need 1 < p <= q < inf, got p={self.p}, q={self.q}")
         if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+            raise ConfigError(f"alpha must be positive, got {self.alpha}")
 
     @property
     def p_prime(self) -> float:
@@ -205,7 +205,7 @@ def domination_check(
     design, so the count should always be zero.
     """
     if alpha <= 0:
-        raise ValueError("alpha must be positive")
+        raise ConfigError("alpha must be positive")
     rng = np.random.default_rng(seed)
     z = np.sqrt(rng.uniform(0, 1, sample_pairs)) * np.exp(
         1j * rng.uniform(0, TAU, sample_pairs)
@@ -300,7 +300,7 @@ def carleson_embedding_constant(
     weights, matching the discrete measure used by the tree mappings.
     """
     if t < 1.0:
-        raise ValueError(f"t must be >= 1, got {t}")
+        raise ConfigError(f"t must be >= 1, got {t}")
     if not w.finite:
         raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
     k_cap = depth // 2 if k_max_level is None else k_max_level

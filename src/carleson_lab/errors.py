@@ -30,4 +30,4 @@ class WeightSpecError(CarlesonLabError, ValueError):
 
 
 class ConfigError(CarlesonLabError, ValueError):
-    """An environment setting is malformed."""
+    """An argument or environment setting is malformed or out of range."""

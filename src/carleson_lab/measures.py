@@ -346,9 +346,9 @@ def build_quadrature(
     shrink by about 16x for every two extra levels of depth).
     """
     if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+        raise ConfigError(f"depth must be >= 1, got {depth}")
     if angular_base < 4 or angular_base & (angular_base - 1) != 0:
-        raise ValueError(f"angular_base must be a power of two >= 4, got {angular_base}")
+        raise ConfigError(f"angular_base must be a power of two >= 4, got {angular_base}")
     refine = radial_refine if radial_refine is not None else 2 ** math.ceil(depth / 2)
     cap = max_cells if max_cells is not None else cell_cap()
 

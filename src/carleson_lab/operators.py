@@ -20,6 +20,7 @@ from functools import partial
 
 import numpy as np
 
+from .errors import ConfigError
 from .measures import DiskQuadrature, SampledFunction
 
 _SERIES_SWITCH = 0.5
@@ -38,7 +39,7 @@ class KernelSpec:
     @staticmethod
     def k_alpha(alpha: float) -> "KernelSpec":
         if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+            raise ConfigError(f"alpha must be positive, got {alpha}")
         return KernelSpec(kind="k_alpha", alpha=float(alpha))
 
     @staticmethod

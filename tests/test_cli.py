@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 
@@ -6,7 +7,7 @@ import pytest
 
 from carleson_lab import cli
 from carleson_lab.cli import Report, RunConfig, bench, main, run
-from carleson_lab.errors import ConfigError
+from carleson_lab.errors import ConfigError, WeightSpecError
 from carleson_lab.measures import MAX_CELLS_ENV, build_quadrature
 
 try:
@@ -193,8 +194,45 @@ def test_verify_lemma_weak_type():
     assert rep.stages[0]["constants"]["failures"] == 0
 
 
+@pytest.mark.parametrize("lemma", list(cli.LEMMAS))
+def test_every_lemma_runs_through_main(lemma, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["verify-lemma", lemma, "--samples", "20", "--quad-depth", "7", "--depth", "6"]
+    assert main([*argv, "--out", str(out)]) == 0
+    stages = json.loads(out.read_text())["stages"]
+    assert [s["name"] for s in stages] == [lemma]
+    assert stages[0]["verdict"] is True
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_subcommand_defaults_are_the_run_config_defaults(command):
+    positional = ["mei-cover"] if command == "verify-lemma" else []
+    args = vars(cli._build_parser().parse_args([command, *positional]))
+    common = [f.name for f in dataclasses.fields(RunConfig) if f.name not in cli._NOT_COMMON]
+    assert {k: args[k] for k in common} == {k: getattr(RunConfig(command), k) for k in common}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embedding", "--p", "3", "--q", "2"],
+        ["two-weight", "--alpha", "0"],
+        ["verify-lemma", "weak-type", "--p", "3", "--q", "2"],
+        ["verify-lemma", "domination", "--alpha", "0"],
+        ["embedding", "--quad-depth", "0"],
+    ],
+)
+def test_out_of_range_option_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("usage error: ")
+
+
 def test_unknown_lemma_is_usage_error():
     assert main(["verify-lemma", "nonsense"]) == 2
+    with pytest.raises(WeightSpecError, match="unknown lemma 'nonsense'; choose from \\('mei-cover', "):
+        run(small_cfg(command="verify-lemma", lemma="nonsense"))
 
 
 def test_bad_weight_spec_is_usage_error():

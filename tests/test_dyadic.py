@@ -17,7 +17,12 @@ from carleson_lab.dyadic import (
     two_weight_testing_constant,
     weak_type_norm,
 )
-from carleson_lab.errors import DegenerateWeightError, InfiniteMassError, ResolutionError
+from carleson_lab.errors import (
+    ConfigError,
+    DegenerateWeightError,
+    InfiniteMassError,
+    ResolutionError,
+)
 from carleson_lab.geometry import (
     GRID_PLAIN,
     GRID_THIRD,
@@ -53,12 +58,20 @@ def test_exponent_config_derived_quantities():
 
 
 def test_exponent_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExponentConfig(p=1.0, q=2.0, alpha=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExponentConfig(p=3.0, q=2.0, alpha=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExponentConfig(p=2.0, q=2.0, alpha=0.0)
+
+
+def test_out_of_range_orders_are_config_errors():
+    # The command line turns ConfigError into a one-line usage error (exit 2).
+    with pytest.raises(ConfigError):
+        domination_check(0.0)
+    with pytest.raises(ConfigError):
+        KernelSpec.k_alpha(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +313,7 @@ def test_embedding_sampled_weight_matches_radial_fast_path():
 
 
 def test_embedding_requires_t_at_least_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         carleson_embedding_constant(Weight.lebesgue(), 0.5, 8)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from carleson_lab import measures
 from carleson_lab.errors import (
+    ConfigError,
     DegenerateWeightError,
     InfiniteMassError,
     MemoryGuardError,
@@ -70,11 +71,11 @@ def test_total_area_is_one(depth):
 
 
 def test_bad_quadrature_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_quadrature(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_quadrature(4, angular_base=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         build_quadrature(4, angular_base=24)
 
 
