@@ -2,11 +2,15 @@
 
 The model operator of order ``alpha`` on a grid replaces the kernel
 ``|1 - z conj(w)|**-alpha`` by a sum over grid boxes of
-``area(Q)**(-alpha/2)`` times the box average of the input; summed over
+``area(Q)**(-alpha/2)`` times the box integral of the input; summed over
 the two shifted grids it dominates the continuous operator pointwise on
-nonnegative functions.  Tree mappings send a function to its weighted
-box averages; their strong and weak norms against the box-mass measure
-``mass(Q)**t`` are what the embedding results control.
+nonnegative functions.  It counts a quadrature cell in a box when the box
+contains the cell's center, on both grids, so its matrix is symmetric.
+Tree mappings send a function to its weighted box averages; their strong
+and weak norms against the box-mass measure ``mass(Q)**t`` are what the
+embedding results control.  Box masses and averages are integrals: they
+count a shifted-grid boundary cell by its covered fraction
+(:func:`box_level_sums`).
 """
 
 from __future__ import annotations
@@ -91,18 +95,6 @@ class TreeFunction:
         return np.concatenate(self.levels)
 
 
-def _positions_for_cells(quad: DiskQuadrature, grid: float, level: int) -> np.ndarray:
-    """Grid position of each cell center at the given level."""
-    t = np.mod(quad.theta / TAU - grid, 1.0)
-    return np.minimum((t * 2**level).astype(np.int64), 2**level - 1)
-
-
-def _max_level_for_cells(quad: DiskQuadrature, depth: int) -> np.ndarray:
-    """Deepest level whose box can contain each cell center (radius rule)."""
-    jmax = np.floor(-np.log2(1.0 - quad.r)).astype(np.int64)
-    return np.minimum(jmax, depth)
-
-
 def dyadic_apply(
     grid: float,
     alpha: float,
@@ -112,57 +104,34 @@ def dyadic_apply(
 ) -> SampledFunction:
     """Apply the dyadic model operator of order ``alpha`` on one grid.
 
-    Box integrals are aggregated bottom-up by child sums in O(cells);
-    the value at a cell is then the root-to-leaf prefix sum of
-    ``area(Q)**(-alpha/2) * integral(Q)`` over the boxes containing it.
+    A cell counts in the boxes that contain its center: the boxes over
+    its angle at every level up to its stratum, capped at ``depth``.  Its
+    deepest box is its index in a flat heap (level ``j``, position ``m``
+    at ``2**j - 1 + m``).  ``f * area`` is scattered to that index, box
+    integrals are added upward by child sums, and the value at a cell is
+    the root-to-leaf prefix sum of ``area(Q)**(-alpha/2) * integral(Q)``,
+    gathered through the same index.  Scatter and gather share the index,
+    so the kernel between cell centers is symmetric.  Runs in
+    ``O(cells + boxes)``.
     """
     if depth > quad.depth:
         raise ResolutionError(f"depth {depth} exceeds quadrature depth {quad.depth}")
-    sums = box_level_sums(quad, f.values * quad.area, grid, depth)
-    prefix: list[np.ndarray] = []
-    running = np.zeros(1, dtype=sums[0].dtype)
+    level = np.minimum(quad.stratum, depth)
+    turns = np.mod(quad.theta / TAU - grid, 1.0)
+    node = 2**level - 1 + np.minimum((turns * 2.0**level).astype(np.int64), 2**level - 1)
+    weights = f.values * quad.area
+    n_boxes = 2 ** (depth + 1) - 1
+    tree = np.bincount(node, np.real(weights), n_boxes).astype(weights.dtype)
+    if np.iscomplexobj(weights):
+        tree.imag = np.bincount(node, np.imag(weights), n_boxes)
+    levels = [tree[2**j - 1 : 2 ** (j + 1) - 1] for j in range(depth + 1)]  # views
+    for j in range(depth - 1, -1, -1):
+        levels[j] += levels[j + 1][0::2] + levels[j + 1][1::2]
     for j in range(depth + 1):
-        coef = full_box_area(2.0**-j) ** (-alpha / 2.0)
-        running = np.repeat(running, 2)[: 2**j] if j > 0 else running
-        running = running + coef * sums[j]
-        prefix.append(running)
-    jmax = _max_level_for_cells(quad, depth)
-    out = np.zeros(quad.n_cells, dtype=sums[0].dtype)
-    for j in range(depth + 1):
-        sel = jmax == j
-        if not sel.any():
-            continue
-        pos = _positions_for_cells(quad, grid, j)[sel]
-        out[sel] = prefix[j][pos]
-    return SampledFunction(quad, out)
-
-
-def dyadic_kernel_matrix(
-    grid: float, alpha: float, quad: DiskQuadrature, depth: int, z=None
-) -> np.ndarray:
-    """Dense kernel of the model operator between cell centers.
-
-    Entry ``(i, j)`` is the sum of ``area(Q)**(-alpha/2)`` over boxes of
-    the grid (levels up to ``depth``) containing both centers.  Meant for
-    small quadratures: the tests' oracle for :func:`dyadic_apply`.
-    """
-    zs = quad.z if z is None else np.asarray(z, dtype=complex).ravel()
-    r = np.abs(zs)
-    theta = np.mod(np.angle(zs), TAU)
-    jmax_rows = np.minimum(np.floor(-np.log2(1.0 - r)).astype(np.int64), depth)
-    jmax_cols = _max_level_for_cells(quad, depth)
-    out = np.zeros((zs.size, quad.n_cells))
-    for j in range(depth + 1):
-        coef = full_box_area(2.0**-j) ** (-alpha / 2.0)
-        rows = jmax_rows >= j
-        cols = jmax_cols >= j
-        tpos = np.minimum(
-            (np.mod(theta / TAU - grid, 1.0) * 2**j).astype(np.int64), 2**j - 1
-        )
-        cpos = _positions_for_cells(quad, grid, j)
-        same = (tpos[:, None] == cpos[None, :]) & rows[:, None] & cols[None, :]
-        out += coef * same
-    return out
+        levels[j] *= full_box_area(2.0**-j) ** (-alpha / 2.0)
+        if j > 0:
+            levels[j] += np.repeat(levels[j - 1], 2)
+    return SampledFunction(quad, tree[node])
 
 
 def dense_abs_apply(
@@ -296,6 +265,8 @@ def carleson_embedding_constant(
     Box sums run over levels up to ``depth``; outer boxes ``Q_K`` run over
     levels up to ``k_max_level`` (default ``depth // 2``).  A geometric
     tail estimate for the truncated inner sum is reported alongside.
+    Masses come from :func:`box_mass_levels`: the closed form for
+    radial-power weights, cell sums over ``quad`` otherwise.
     ``quadrature_masses`` forces cell-sum masses even for closed-form
     weights, matching the discrete measure used by the tree mappings.
     """
@@ -310,49 +281,25 @@ def carleson_embedding_constant(
     tail = 0.0
     per_grid = {}
     for grid in GRIDS:
-        if w.is_radial_power and not quadrature_masses:
-            level_mass = np.array(
-                [2.0**-j * w.outer_radial_mass(2.0**-j) for j in range(depth + 1)]
-            )
-            if np.any(level_mass <= 0.0):
-                raise DegenerateWeightError("zero-mass dyadic box")
-            powered = level_mass**t
-            grid_best, grid_worst = -math.inf, DyadicIndex(grid, 0, 0)
-            for k in range(min(k_cap, depth) + 1):
-                counts = 2.0 ** np.arange(0, depth - k + 1)
-                total = float(np.sum(counts * powered[k:]))
-                ratio = total / powered[k]
-                if ratio > grid_best:
-                    grid_best = ratio
-                    grid_worst = DyadicIndex(grid, k, 0)
-            last_term = float(2.0 ** (depth - 0) * powered[depth] / powered[0])
-            ratio_step = float(
-                (2.0 * powered[depth] / powered[depth - 1]) if depth >= 1 else 0.0
-            )
-        else:
-            if quad is None:
-                raise ValueError("sampled weights need a quadrature")
-            masses = box_mass_levels(
-                w, quad, grid, depth, force_quadrature=quadrature_masses
-            )
-            powered = [m**t for m in masses]
-            if any(np.any(m <= 0.0) for m in masses):
-                raise DegenerateWeightError("zero-mass dyadic box")
-            # Bottom-up: subtree sums of mass**t.
-            subtree = [None] * (depth + 1)
-            subtree[depth] = powered[depth].copy()
-            for j in range(depth - 1, -1, -1):
-                subtree[j] = powered[j] + subtree[j + 1][0::2] + subtree[j + 1][1::2]
-            grid_best, grid_worst = -math.inf, DyadicIndex(grid, 0, 0)
-            for k in range(min(k_cap, depth) + 1):
-                ratios = subtree[k] / powered[k]
-                m = int(np.argmax(ratios))
-                if ratios[m] > grid_best:
-                    grid_best = float(ratios[m])
-                    grid_worst = DyadicIndex(grid, k, m)
-            last_term = float(np.sum(powered[depth]) / powered[0][0])
-            prev = float(np.sum(powered[depth - 1]) / powered[0][0]) if depth >= 1 else 0.0
-            ratio_step = last_term / prev if prev > 0 else 0.0
+        masses = box_mass_levels(w, quad, grid, depth, force_quadrature=quadrature_masses)
+        if any(np.any(m <= 0.0) for m in masses):
+            raise DegenerateWeightError("zero-mass dyadic box")
+        powered = [m**t for m in masses]
+        # Bottom-up: subtree sums of mass**t.
+        subtree = [None] * (depth + 1)
+        subtree[depth] = powered[depth].copy()
+        for j in range(depth - 1, -1, -1):
+            subtree[j] = powered[j] + subtree[j + 1][0::2] + subtree[j + 1][1::2]
+        grid_best, grid_worst = -math.inf, DyadicIndex(grid, 0, 0)
+        for k in range(min(k_cap, depth) + 1):
+            ratios = subtree[k] / powered[k]
+            m = int(np.argmax(ratios))
+            if ratios[m] > grid_best:
+                grid_best = float(ratios[m])
+                grid_worst = DyadicIndex(grid, k, m)
+        last_term = float(np.sum(powered[depth]) / powered[0][0])
+        prev = float(np.sum(powered[depth - 1]) / powered[0][0]) if depth >= 1 else 0.0
+        ratio_step = last_term / prev if prev > 0 else 0.0
         # Geometric tail: if per-level totals decay by factor rho, the
         # missing levels contribute about last * rho / (1 - rho).
         rho = min(ratio_step, 0.99)
@@ -580,9 +527,12 @@ def two_weight_norm_check(
 
     For ``p = q = 2`` norms come from power iteration on the weighted
     operators, and the verdict asks the dense estimates of the last two
-    refinements to agree within ``stabilize_rtol``.  Otherwise they are
-    lower bounds from seeded unit-ball samples, and the verdict is
-    ``None``: two random lower bounds that disagree prove nothing.
+    refinements to agree within ``stabilize_rtol``.  The dyadic model
+    operator counts a cell in the boxes containing its center on both
+    grids, so it is its own adjoint and its figures are 2-norms.
+    Otherwise the norms are lower bounds from seeded unit-ball samples,
+    and the verdict is ``None``: two random lower bounds that disagree
+    prove nothing.
     """
     from .measures import build_quadrature  # local import to avoid cycle noise
 
@@ -614,8 +564,7 @@ def two_weight_norm_check(
             dense_solve = power_norm(
                 lambda v: kernel @ v, matrix_adjoint_apply(kernel), n, **_NORM_SOLVE
             )
-            # dyadic_apply serves as its own adjoint.  It is symmetric on the
-            # plain grid only, so the one-third grid's figure is not a 2-norm.
+            # The model operator is symmetric, so it serves as its own adjoint.
             dyadic_solves = {
                 g: power_norm(
                     lambda v, g=g: left * model(g, right * v * inv_area),

@@ -11,6 +11,7 @@ fractional overlap of the boundary cells.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -446,45 +447,42 @@ def box_level_sums(
     """Per-level sums of ``cell_values`` over all grid boxes up to ``depth``.
 
     Returns ``sums[j][m] = sum over cells in the level-j, position-m box``,
-    built bottom-up: the level-``depth`` leaves collect every stratum at or
-    below them, then each parent adds its own ring (exactly stratum ``j``)
-    to its two children.  Runs in ``O(cells + boxes)``.
+    a shifted-grid boundary cell counted by its covered angle.  Each
+    stratum's radial sublayers share their cell angles, so they are first
+    added into one row.  The level-``depth`` leaves collect the rows of
+    every stratum at or below them; each parent then adds the row of its
+    own stratum (its ring) to its two children.  One window sum per row
+    and level: runs in ``O(cells + boxes)``.
     """
     if depth > quad.depth:
         raise ResolutionError(
             f"box depth {depth} exceeds quadrature depth {quad.depth}"
         )
     cell_values = np.asarray(cell_values)
-    cums = {}
-    for layer in quad.layers:
-        sl = quad.layer_slice(layer)
-        cs = np.zeros(layer.count + 1, dtype=cell_values.dtype)
-        np.cumsum(cell_values[sl], out=cs[1:])
-        cums[layer] = cs
+    rows = []
+    for _, group in itertools.groupby(quad.layers, key=lambda layer: layer.stratum):
+        layers = list(group)
+        first = layers[0]
+        block = cell_values[first.start : first.start + len(layers) * first.count]
+        rows.append(block.reshape(len(layers), first.count).sum(axis=0))
 
-    def level_window_sums(strata_min: int, strata_max: int, j: int) -> np.ndarray:
-        m = np.arange(2**j)
-        starts = (m * 2.0**-j + grid) % 1.0
-        out = np.zeros(2**j, dtype=cell_values.dtype)
-        for layer in quad.layers:
-            if not strata_min <= layer.stratum <= strata_max:
-                continue
-            width = layer.count * 2.0**-j
-            out = out + _range_sums(cums[layer], layer.count, starts * layer.count, width)
-        return out
+    def window_sums(row: np.ndarray, j: int) -> np.ndarray:
+        cs = np.zeros(row.size + 1, dtype=row.dtype)
+        np.cumsum(row, out=cs[1:])
+        starts = (np.arange(2**j) * 2.0**-j + grid) % 1.0
+        return _range_sums(cs, row.size, starts * row.size, row.size * 2.0**-j)
 
     sums: list[np.ndarray | None] = [None] * (depth + 1)
-    sums[depth] = level_window_sums(depth, quad.depth, depth)
+    sums[depth] = sum(window_sums(row, depth) for row in rows[depth:])
     for j in range(depth - 1, -1, -1):
-        ring = level_window_sums(j, j, j)
         child = sums[j + 1]
-        sums[j] = ring + child[0::2] + child[1::2]
+        sums[j] = window_sums(rows[j], j) + child[0::2] + child[1::2]
     return sums  # type: ignore[return-value]
 
 
 def box_mass_levels(
     w: Weight,
-    quad: DiskQuadrature,
+    quad: DiskQuadrature | None,
     grid: float,
     depth: int,
     force_quadrature: bool = False,
@@ -500,6 +498,8 @@ def box_mass_levels(
             np.full(2**j, 2.0**-j * w.outer_radial_mass(2.0**-j))
             for j in range(depth + 1)
         ]
+    if quad is None:
+        raise ValueError("box masses of a sampled weight need a quadrature")
     values = np.real(w.density(quad.z)) * quad.area
     return box_level_sums(quad, values, grid, depth)
 

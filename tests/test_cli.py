@@ -150,6 +150,8 @@ def test_two_weight_command():
         for kind in ("dense", "dyadic_0.0000", "dyadic_0.3333")
     )
     assert all(s["converged"] and s["iterations"] > 0 for s in solver.values())
+    # Every solve it runs is a norm it reports, as certify does.
+    assert sorted(rep.stages[1]["constants"]) == sorted(solver)
 
 
 def test_measuring_stages_carry_null_verdicts():
@@ -171,7 +173,11 @@ def test_sampled_norm_check_verdict_is_null(monkeypatch):
     stage = rep.stages[1]
     assert stage["verdict"] is None
     assert stage["witness"] == {"method": "sampled-lower-bound", "solver": {}}
-    assert set(stage["constants"]) == {"dense_depth_4", "dense_depth_5", "dense_depth_6"}
+    assert set(stage["constants"]) == {
+        f"{kind}_depth_{d}"
+        for d in (4, 5, 6)
+        for kind in ("dense", "dyadic_0.0000", "dyadic_0.3333")
+    }
 
 
 def test_verify_lemma_commands():
@@ -192,6 +198,18 @@ def test_verify_lemma_weak_type():
     )
     assert code == 0
     assert rep.stages[0]["constants"]["failures"] == 0
+
+
+@pytest.mark.parametrize("quad_depth, verdict", [(6, None), (7, True)])
+def test_k1_projection_below_its_minimum_depth_carries_no_verdict(quad_depth, verdict, tmp_path):
+    # At depth 6 the midpoint error alone (about 2e-4) exceeds the 1e-4 tolerance.
+    out = tmp_path / "report.json"
+    argv = ["verify-lemma", "k1-projection", "--quad-depth", str(quad_depth)]
+    assert main([*argv, "--out", str(out)]) == 0
+    (stage,) = json.loads(out.read_text())["stages"]
+    assert stage["verdict"] is verdict
+    assert stage["constants"]["max_discrepancy"] > 0.0
+    assert stage["witness"] == {"min_quad_depth": cli.K1_PROJECTION_MIN_QUAD_DEPTH} == {"min_quad_depth": 7}
 
 
 @pytest.mark.parametrize("lemma", list(cli.LEMMAS))

@@ -9,7 +9,6 @@ from carleson_lab.dyadic import (
     dense_abs_apply,
     domination_check,
     dyadic_apply,
-    dyadic_kernel_matrix,
     strong_embedding_check,
     tree_averages,
     tree_expectation,
@@ -37,6 +36,22 @@ from carleson_lab.measures import SampledFunction, Weight, box_mass_levels, buil
 from carleson_lab.operators import KernelSpec, eval_kernel
 
 SEED = 20260810
+
+
+def dyadic_kernel_matrix(grid: float, alpha: float, quad, depth: int) -> np.ndarray:
+    """Dense kernel of the model operator between cell centers, the oracle
+    for :func:`dyadic_apply`: entry ``(i, k)`` sums ``area(Q)**(-alpha/2)``
+    over the boxes of the grid up to ``depth`` that contain both centers.
+    A center lies in the level-j box over its angle when its radius is at
+    least ``1 - 2**-j``."""
+    max_level = np.minimum(np.floor(-np.log2(1.0 - quad.r)).astype(np.int64), depth)
+    turns = np.mod(quad.theta / TAU - grid, 1.0)
+    out = np.zeros((quad.n_cells, quad.n_cells))
+    for j in range(depth + 1):
+        pos = np.where(max_level >= j, np.minimum((turns * 2**j).astype(np.int64), 2**j - 1), -1)
+        same = (pos[:, None] == pos[None, :]) & (pos[:, None] >= 0)
+        out += full_box_area(2.0**-j) ** (-alpha / 2.0) * same
+    return out
 
 
 def lebesgue_box_sum(depth: int) -> float:
@@ -107,9 +122,8 @@ def test_apply_depth_overflow():
 
 @pytest.mark.parametrize("grid", GRIDS)
 def test_apply_matches_naive_double_loop(grid):
-    # naive reference: loop over boxes, add coefficient * box integral to
-    # the nodes the box contains; level order matches the prefix walk, so
-    # the float sums agree exactly on the plain grid
+    # naive reference: loop over boxes, sum the cells whose centers the box
+    # contains, and add coefficient * that integral to the same cells
     quad = build_quadrature(6)
     rng = np.random.default_rng(SEED)
     f = SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
@@ -117,9 +131,6 @@ def test_apply_matches_naive_double_loop(grid):
     alpha = 1.0
     out = dyadic_apply(grid, alpha, f, quad, depth)
 
-    from carleson_lab.measures import box_level_sums
-
-    sums = box_level_sums(quad, f.values * quad.area, grid, depth)
     naive = np.zeros(quad.n_cells)
     turns = np.mod(quad.theta / TAU - grid, 1.0)
     for level in range(depth + 1):
@@ -128,8 +139,21 @@ def test_apply_matches_naive_double_loop(grid):
         member = quad.r >= 1.0 - 2.0**-level
         for m in range(2**level):
             sel = member & (pos == m)
-            naive[sel] += coef * sums[level][m]
-    np.testing.assert_array_equal(out.values, naive)
+            naive[sel] += coef * np.sum(f.values[sel] * quad.area[sel])
+    np.testing.assert_allclose(out.values, naive, rtol=1e-13)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_apply_is_symmetric_on_unit_vectors(grid):
+    # M[:, k] = dyadic_apply(e_k / area_k): the kernel between cell centers
+    quad = build_quadrature(5)
+    m = np.column_stack(
+        [
+            dyadic_apply(grid, 1.0, SampledFunction(quad, e / quad.area), quad, 5).values
+            for e in np.eye(quad.n_cells)
+        ]
+    )
+    assert np.max(np.abs(m - m.T)) <= 1e-12 * np.max(np.abs(m))
 
 
 def test_apply_box_integrals_against_masked_cells():
@@ -201,14 +225,15 @@ def test_pointwise_domination_bound():
             assert np.all(lhs <= rep.c_hat * rhs * (1 + 1e-9))
 
 
-def test_dyadic_kernel_matrix_matches_apply_on_plain_grid():
+@pytest.mark.parametrize("grid", GRIDS)
+def test_dyadic_kernel_matrix_matches_apply(grid):
     quad = build_quadrature(6)
     rng = np.random.default_rng(SEED)
     f = SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
-    s = dyadic_kernel_matrix(GRID_PLAIN, 1.0, quad, 6)
+    s = dyadic_kernel_matrix(grid, 1.0, quad, 6)
     via_matrix = s @ (f.values * quad.area)
-    via_apply = np.real(dyadic_apply(GRID_PLAIN, 1.0, f, quad, 6).values)
-    np.testing.assert_allclose(via_matrix, via_apply, rtol=1e-10)
+    via_apply = np.real(dyadic_apply(grid, 1.0, f, quad, 6).values)
+    np.testing.assert_allclose(via_matrix, via_apply, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

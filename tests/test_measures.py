@@ -398,6 +398,41 @@ def test_level_sums_depth_overflow():
         box_level_sums(quad, quad.area, GRID_PLAIN, 6)
 
 
+def fsum_box_sum(quad, values, grid, level, position) -> float:
+    """Sum of ``values`` over one grid box by ``math.fsum``: every cell of
+    stratum >= level, weighted by the fraction of its angle inside the arc."""
+    counts = np.concatenate([np.full(layer.count, layer.count) for layer in quad.layers])
+    k = np.concatenate([np.arange(layer.count) for layer in quad.layers])
+    lo, hi = k / counts, (k + 1) / counts
+    a = (position * 2.0**-level + grid) % 1.0
+    b = a + 2.0**-level
+    covered = sum(
+        np.clip(np.minimum(hi, b + shift) - np.maximum(lo, a + shift), 0.0, None)
+        for shift in (-1.0, 0.0, 1.0)
+    )
+    frac = covered * counts
+    keep = (quad.stratum >= level) & (frac > 0.0)
+    return math.fsum((values[keep] * frac[keep]).tolist())
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_level_sums_match_an_fsum_oracle(grid):
+    quad = build_quadrature(8)
+    values = np.random.default_rng(SEED).uniform(0.5, 1.5, quad.n_cells) * quad.area
+    sums = box_level_sums(quad, values, grid, quad.depth)
+    rng = np.random.default_rng(SEED + 1)
+    for level in range(quad.depth + 1):
+        positions = {0, 2**level - 1, *rng.integers(0, 2**level, 3).tolist()}
+        for m in sorted(positions):
+            want = fsum_box_sum(quad, values, grid, level, m)
+            assert abs(sums[level][m] - want) <= 1e-13 * want, (level, m)
+
+
+def test_box_mass_levels_of_a_sampled_weight_need_a_quadrature():
+    with pytest.raises(ValueError):
+        box_mass_levels(thin_shell_weight(), None, GRID_PLAIN, 4)
+
+
 def test_sampled_function_shape_check():
     quad = build_quadrature(3)
     with pytest.raises(ValueError):
