@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -43,9 +42,7 @@ from .measures import (
 from .operators import (
     KernelSpec,
     NormEstimate,
-    eval_kernel,
-    kernel_rows,
-    matrix_adjoint_apply,
+    cell_kernel_apply,
     power_norm,
     quadrature_apply,
 )
@@ -525,6 +522,9 @@ def two_weight_norm_check(
 ) -> NormCheckReport:
     """Measured norms of the dense and dyadic operators across refinements.
 
+    The kernel ``k_alpha`` is applied exactly between cell centers, one
+    layer pair at a time (:func:`cell_kernel_apply`), from a table of
+    ``O(cells * layers)`` entries instead of a dense ``n x n`` matrix.
     For ``p = q = 2`` norms come from power iteration on the weighted
     operators, and the verdict asks the dense estimates of the last two
     refinements to agree within ``stabilize_rtol``.  The dyadic model
@@ -539,16 +539,14 @@ def two_weight_norm_check(
     levels = []
     exact = cfg.p == 2.0 and cfg.q == 2.0
     rng = np.random.default_rng(seed)
-    kernel_fn = partial(eval_kernel, KernelSpec.k_alpha(cfg.alpha))
+    spec = KernelSpec.k_alpha(cfg.alpha)
     for d in quad_depths:
         quad = build_quadrature(d)
         depth = min(dyadic_depth if dyadic_depth is not None else d, quad.depth)
         nu_d = np.real(nu.density(quad.z))
         mu_d = np.real(mu.density(quad.z))
         n = quad.n_cells
-        kernel = np.empty((n, n), dtype=complex)
-        for rows, block in kernel_rows(kernel_fn, quad.z, quad.z):
-            kernel[rows] = block
+        kernel = cell_kernel_apply(spec, quad)
 
         def model(grid, values):
             f = SampledFunction(quad, values)
@@ -559,10 +557,13 @@ def two_weight_norm_check(
             left = np.sqrt(nu_d * quad.area)
             right = np.where(mu_d > 0, quad.area / np.sqrt(mu_d * quad.area), 0.0)
             inv_area = 1.0 / quad.area
-            kernel *= left[:, None]
-            kernel *= right[None, :]
+            # The kernel is hermitian and the weights real, so the adjoint
+            # swaps the two weights.
             dense_solve = power_norm(
-                lambda v: kernel @ v, matrix_adjoint_apply(kernel), n, **_NORM_SOLVE
+                lambda v: left * kernel(right * v),
+                lambda u: right * kernel(left * u),
+                n,
+                **_NORM_SOLVE,
             )
             # The model operator is symmetric, so it serves as its own adjoint.
             dyadic_solves = {
@@ -593,7 +594,7 @@ def two_weight_norm_check(
                 if denom == 0:
                     continue
                 f /= denom
-                dense = max(dense, nu_norm(kernel @ (f * quad.area)))
+                dense = max(dense, nu_norm(kernel(f * quad.area)))
                 for g in GRIDS:
                     dyadic[g] = max(dyadic[g], nu_norm(model(g, f)))
         levels.append(

@@ -27,6 +27,7 @@ from .errors import (
     WeightSpecError,
 )
 from .geometry import (
+    GRID_PLAIN,
     GRIDS,
     TAU,
     Arc,
@@ -604,9 +605,9 @@ def reverse_doubling_report(
 ) -> ReverseDoublingReport:
     """Largest observed ratio mass(top half) / mass(box) over many arcs.
 
-    Sweeps every dyadic arc of both grids up to ``depth`` plus uniformly
-    random arcs; the weight is reverse doubling when the ratio stays
-    bounded away from 1.
+    Sweeps every dyadic arc of both grids up to ``depth`` (the whole
+    circle, level 0 of both, once) plus uniformly random arcs; the weight
+    is reverse doubling when the ratio stays bounded away from 1.
     """
     if not w.finite:
         raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
@@ -633,7 +634,8 @@ def reverse_doubling_report(
         worst = Arc(0.0, 1.0)
         for grid in GRIDS:
             masses = box_mass_levels(w, quad, grid, depth)
-            for j in range(depth):
+            # Level 0 is the whole circle on both grids: sweep it once.
+            for j in range(0 if grid == GRID_PLAIN else 1, depth):
                 q = masses[j]
                 if np.any(q <= 0.0):
                     raise DegenerateWeightError(
@@ -655,7 +657,7 @@ def reverse_doubling_report(
             if ratios[k] > delta:
                 delta = float(ratios[k])
                 worst = arcs[k]
-        n_dyadic = 2 * (2 ** (depth + 1) - 1)
+        n_dyadic = 2 * (2 ** (depth + 1) - 1) - 1
 
     return ReverseDoublingReport(
         delta_hat=delta,

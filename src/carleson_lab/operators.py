@@ -5,11 +5,13 @@ The two built-in kernel families are the fractional Cauchy kernels
 ``log(1 / (1 - z conj(w))) / (z conj(w))`` whose power series is
 ``sum x**n / (n + 1)``; the latter reproduces the analytic functions with
 norm ``sum (n+1) |a_n|^2``.  Operators against a discrete measure are
-plain dense matrices.  Two routines serve the whole package:
+plain dense matrices.  Three routines serve the whole package:
 :func:`power_norm`, the one power iteration (on callables, so dense
-matrices and matrix-free operators alike), and :func:`kernel_rows`, the
-one blocked loop over kernel rows behind every quadrature apply and
-dense kernel build.  Dense eigensolves stay available as an oracle for
+matrices and matrix-free operators alike); :func:`kernel_rows`, the one
+blocked loop over kernel rows behind every quadrature apply at arbitrary
+points and every dense kernel build; and :func:`cell_kernel_apply`, the
+exact kernel apply between quadrature cell centers, one FFT convolution
+per pair of layers.  Dense eigensolves stay available as an oracle for
 small sizes.
 """
 
@@ -21,6 +23,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError
+from .geometry import TAU
 from .measures import DiskQuadrature, SampledFunction
 
 _SERIES_SWITCH = 0.5
@@ -300,6 +303,69 @@ def kernel_rows(kernel, zs: np.ndarray, ws: np.ndarray, block: int = 1024):
     for lo in range(0, zs.size, block):
         rows = slice(lo, min(lo + block, zs.size))
         yield rows, kernel(zs[rows, None], ws[None, :])
+
+
+def _fold(a: np.ndarray, r: int) -> np.ndarray:
+    """Axis 0 of length ``r * b``, index ``m * b + k``, as axes ``(k, m)``."""
+    return a.reshape(r, -1, *a.shape[1:]).swapaxes(0, 1)
+
+
+def cell_kernel_apply(spec: KernelSpec, quad: DiskQuadrature):
+    """The exact apply ``fw -> sum_j k(z_i, z_j) fw_j`` over the cell centers.
+
+    The kernel depends on ``z conj(w)`` alone and every layer holds a
+    power-of-two number of equally spaced angles, so the block between a
+    target layer of count ``P`` and a source layer of count ``Q`` is a
+    cyclic convolution on ``C = max(P, Q)`` angles; the half-cell offset
+    between the two grids sits in the first row of the convolving
+    sequence.  The plan stores the FFT of that sequence for every layer
+    pair (``O(cells * layers)`` entries, grouped by pair of count
+    classes).  An apply takes one FFT per class, one batch of
+    ``min(P, Q)`` matrix products per pair of classes and one inverse FFT
+    per class.  A coarser source's spectrum repeats every ``Q``
+    frequencies (zero-insertion upsampling) and a coarser target keeps the
+    mean of its ``C / P`` aliases (decimation); the plan folds both into
+    the matrices, so frequency ``k`` of the coarser class meets every
+    frequency of the finer class congruent to ``k``.
+    """
+    classes: dict[int, list] = {}
+    for layer in quad.layers:
+        classes.setdefault(layer.count, []).append(layer)
+    cells = {
+        p: np.concatenate([np.arange(l.start, l.start + l.count) for l in layers])
+        for p, layers in classes.items()
+    }
+    radii = {p: np.array([l.r_mid for l in layers]) for p, layers in classes.items()}
+    table = {}
+    for p in classes:
+        for q in classes:
+            c = max(p, q)
+            r = c // min(p, q)
+            turns = (np.arange(c) + (c // p - c // q) / 2) / c
+            x = np.multiply.outer(np.exp(TAU * 1j * turns), np.multiply.outer(radii[p], radii[q]))
+            g = _fold(np.fft.fft(eval_kernel(spec, x, 1.0), axis=0), r)  # (k, m, target, source)
+            if p >= q:  # rows (m, target): the target frequencies m * q + k
+                table[p, q] = g.reshape(q, -1, radii[q].size)
+            else:  # columns (m, source): the aliases of target frequency k
+                table[p, q] = g.transpose(0, 2, 1, 3).reshape(p, radii[p].size, -1) / r
+
+    def apply(fw: np.ndarray) -> np.ndarray:
+        spectra = {q: np.fft.fft(fw[cells[q]].reshape(-1, q).T, axis=0) for q in classes}
+        out = np.empty(quad.n_cells, dtype=complex)
+        for p in classes:
+            acc = 0.0
+            for q, spectrum in spectra.items():
+                r = max(p, q) // min(p, q)
+                if q > p:
+                    spectrum = _fold(spectrum, r).reshape(p, -1)
+                h = (table[p, q] @ spectrum[:, :, None])[:, :, 0]
+                if p > q:
+                    h = h.reshape(q, r, -1).swapaxes(0, 1).reshape(p, -1)
+                acc = acc + h
+            out[cells[p]] = np.fft.ifft(acc, axis=0).T.ravel()
+        return out
+
+    return apply
 
 
 def quadrature_apply(

@@ -1,10 +1,15 @@
 import dataclasses
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carleson_lab
 from carleson_lab import cli
 from carleson_lab.cli import Report, RunConfig, bench, main, run
 from carleson_lab.errors import ConfigError, WeightSpecError
@@ -108,6 +113,35 @@ def test_certify_radial_power(tmp_path):
     names = [s["name"] for s in payload["stages"]]
     assert "reverse-doubling" in names and "carleson-constant" in names
     assert all(s["verdict"] for s in payload["stages"])
+
+
+CERTIFY_PEAK_RSS_CEILING_MB = 250
+
+# The child measures itself, by the high-water mark of its own address
+# space.  RUSAGE_CHILDREN of the test process reports the largest child it
+# ever waited for, and the child's own ru_maxrss starts at the test
+# process's peak, which Linux carries across fork and exec.
+_CERTIFY_IN_CHILD = """
+import sys
+from carleson_lab import cli
+code = cli.main(["certify", "--weight", "radial-power:1", "--depth", "8", "--out", sys.argv[1]])
+with open("/proc/self/status") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, hwm)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_certify_peak_memory_stays_under_the_ceiling(tmp_path):
+    src = str(Path(carleson_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _CERTIFY_IN_CHILD, str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    code, maxrss_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert maxrss_kib / 1024 < CERTIFY_PEAK_RSS_CEILING_MB
 
 
 def test_certify_failing_weight_exits_one(tmp_path):

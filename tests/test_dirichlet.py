@@ -13,6 +13,7 @@ from carleson_lab.dirichlet import (
     theorem_pipeline,
 )
 from carleson_lab.measures import Weight, build_quadrature
+from carleson_lab.operators import DiscreteMeasure, KernelSpec, assemble_operator, operator_norm
 
 SEED = 20260810
 
@@ -150,6 +151,19 @@ def test_sampled_weight_computes_each_capped_depth_once():
     assert [d for d, _ in refined.trace] == [6, 7, 8]
     assert isinstance(refined.verdict, bool)
     assert refined.trace[-1] == v.trace[0]
+
+
+def test_sampled_operator_norm_equals_the_former_dense_route():
+    # The density is positive on every cell, so both routes start the
+    # power iteration from the same vector.
+    r = np.linspace(0.005, 0.995, 50)
+    theta = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    w = Weight.from_grid(r, theta, np.outer(1.0 - r + 0.01, 1.0 + 0.5 * np.cos(theta)))
+    quad = build_quadrature(6)
+    dm = DiscreteMeasure(quad.z, np.real(w.density(quad.z)) * quad.area)
+    former = operator_norm(assemble_operator(KernelSpec.dirichlet(), dm)).value
+    got = carleson_constant(w, quad_depths=(6,))
+    assert got.trace == ((6, pytest.approx(former, rel=1e-10)),)
 
 
 def test_unknown_method_rejected():

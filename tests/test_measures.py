@@ -323,6 +323,27 @@ def test_reverse_doubling_fails_for_thin_shell():
     assert not rep.verdict
 
 
+def test_reverse_doubling_sweeps_the_whole_circle_box_once(monkeypatch):
+    # Level 0 is the whole circle on both grids.  Box masses with ratio
+    # 0.9 at level 0 and 0.5 below, the one-third grid's level 0 one ulp
+    # lighter: the worst arc must still be the plain grid's.
+    def fake_levels(w, quad, grid, depth):
+        masses = [np.array([1.0]), np.array([0.45, 0.45])]
+        for j in range(2, depth + 1):
+            masses.append(np.repeat(masses[-1] / 4.0, 2))
+        if grid == GRID_THIRD:
+            masses[0] = np.nextafter(masses[0], 0.0)
+        return masses
+
+    third = fake_levels(None, None, GRID_THIRD, 1)
+    assert (third[1].sum() / third[0])[0] > 0.9
+    monkeypatch.setattr(measures, "box_mass_levels", fake_levels)
+    w = Weight.from_grid(np.linspace(0.05, 0.95, 10), np.linspace(0.3, 6.0, 8), np.ones((10, 8)))
+    rep = reverse_doubling_report(w, depth=4, quad=build_quadrature(6), random_arcs=20)
+    assert rep.delta_hat == 0.9
+    assert rep.worst_arc.start == 0.0 and rep.worst_arc.length == 1.0
+
+
 def test_reverse_doubling_infinite_mass_rejected():
     with pytest.raises(InfiniteMassError):
         reverse_doubling_report(Weight.radial_power(-1.0))

@@ -14,10 +14,12 @@ from carleson_lab.operators import (
     apply_kernel,
     assemble_operator,
     bergman_project,
+    cell_kernel_apply,
     eval_kernel,
     factorization_check,
     gram_psd_check,
     k1_projection_discrepancy,
+    kernel_rows,
     matrix_adjoint_apply,
     norm_sandwich_check,
     operator_norm,
@@ -422,6 +424,42 @@ def test_quadrature_apply_shares_blocks_across_stacked_columns(quad12, eval_node
             got[:, k], apply_kernel(spec, f, quad12, eval_points=eval_nodes), rtol=1e-12
         )
     assert quadrature_apply(kernel, stacked, quad12, np.array([])).shape == (0, 3)
+
+
+CELL_KERNELS = (
+    KernelSpec.k_alpha(0.5),
+    KernelSpec.k_alpha(1.0),
+    KernelSpec.k_alpha(2.0),
+    KernelSpec.dirichlet(),
+    KernelSpec.custom_series([1.0, -0.5, 0.25, 0.0, 2.0]),
+)
+
+
+def dense_cell_apply(spec, quad, fw):
+    return np.concatenate(
+        [k @ fw for _, k in kernel_rows(partial(eval_kernel, spec), quad.z, quad.z)]
+    )
+
+
+@pytest.mark.parametrize("spec", CELL_KERNELS, ids=lambda s: f"{s.kind}-{s.alpha}")
+@pytest.mark.parametrize("depth, angular_base", [(4, 16), (6, 16), (8, 16), (5, 64)])
+def test_cell_kernel_apply_matches_the_dense_kernel(spec, depth, angular_base):
+    quad = build_quadrature(depth, angular_base=angular_base)
+    rng = np.random.default_rng(SEED + depth)
+    fw = rng.standard_normal(quad.n_cells) + 1j * rng.standard_normal(quad.n_cells)
+    got = cell_kernel_apply(spec, quad)(fw)
+    want = dense_cell_apply(spec, quad, fw)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("spec", CELL_KERNELS, ids=lambda s: f"{s.kind}-{s.alpha}")
+def test_cell_kernel_apply_is_hermitian(spec):
+    quad = build_quadrature(7)
+    rng = np.random.default_rng(SEED + 7)
+    f, g = rng.standard_normal((2, quad.n_cells)) + 1j * rng.standard_normal((2, quad.n_cells))
+    apply = cell_kernel_apply(spec, quad)
+    left, right = np.vdot(g, apply(f)), np.vdot(apply(g), f)
+    assert abs(left - right) <= 1e-12 * np.linalg.norm(apply(f)) * np.linalg.norm(g)
 
 
 def test_poly_eval_horner():
