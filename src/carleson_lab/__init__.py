@@ -14,7 +14,6 @@ from .dirichlet import (
     carleson_constant,
     dirichlet_norm,
     kernel_norm,
-    polynomial_ratio,
     random_polynomials,
     theorem_pipeline,
 )

@@ -4,12 +4,15 @@ Analytic polynomials carry two comparable square norms: the derivative
 norm ``|a_0|^2 + sum n |a_n|^2`` and the kernel norm
 ``sum (n+1) |a_n|^2`` reproduced by the logarithmic kernel; they differ
 by at most a factor of two, so a weight is a Carleson weight for one iff
-for the other.  The certification pipeline for a weight runs, in order:
-finiteness, the reverse-doubling tester, the two-weight testing constant
-against Lebesgue at ``p = q = 2`` and order one, the measured operator
-norms, and the Carleson constant estimate.  The ``*_stage`` functions map
-a report to its stage's ``(verdict, constants, witness)``; the command
-line uses the same ones.
+for the other.  :func:`carleson_constant` returns the logarithmic-kernel
+operator norm on ``L2(w)`` together with the exact maximum of
+``integral |f|^2 w / derivative-norm(f)`` over polynomials of degree at
+most 64; for a radial weight both are its disk mass.  The certification
+pipeline for a weight runs, in order: finiteness, the reverse-doubling
+tester, the two-weight testing constant against Lebesgue at ``p = q = 2``
+and order one, the measured operator norms, and the Carleson constant.
+The ``*_stage`` functions map a report to its stage's
+``(verdict, constants, witness)``; the command line uses the same ones.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ from .measures import (
 from .operators import KernelSpec, cell_kernel_apply, power_norm
 
 DEFAULT_DEGREE_CAP = 256
+#: Degree of the polynomial space the Carleson lower bound maximizes over.
+LOWER_BOUND_DEGREE = 64
+#: Points per Vandermonde block of :func:`monomial_gram` (about 1 MiB).
+GRAM_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -98,137 +105,78 @@ def random_polynomials(
     return out
 
 
-def polynomial_ratio(
-    w: Weight, f: AnalyticPolynomial, quad: DiskQuadrature | None = None
-) -> float:
-    """``integral of |f|^2 against the weight / derivative norm of f``.
-
-    The quantity the polynomial-sampling method maximizes; radial-power
-    weights use exact moments.
-    """
-    if w.is_radial_power:
-        mass_int = sum(
-            abs(c) ** 2 * w.radial_moment(2 * n) for n, c in enumerate(f.coefficients)
-        )
-    else:
-        if quad is None:
-            quad = build_quadrature(10)
-        mass_int = float(
-            np.sum(np.abs(f(quad.z)) ** 2 * np.real(w.density(quad.z)) * quad.area)
-        )
-    return float(mass_int / dirichlet_norm(f))
-
-
 @dataclass(frozen=True)
 class CarlesonVerdict:
-    constant_estimate: float
-    method: str
+    constant_estimate: float  # norm of the logarithmic-kernel operator on L2(w)
+    lower_bound: float  # max of integral |f|^2 w / derivative norm, degree <= 64
     trace: tuple[tuple[int, float], ...]  # (quadrature depth used, estimate)
-    verdict: bool | None  # None when nothing was tested: one depth, or a sampled lower bound
+    verdict: bool | None  # None when one depth has refined nothing
 
 
-def _radial_gram_top_eigenvalue(
-    w: Weight, quad: DiskQuadrature, series: int = 1024
-) -> float:
-    """Top eigenvalue of the logarithmic-kernel operator against ``w``, by
-    power iteration on its positive semidefinite Gram matrix.
+def monomial_gram(z: np.ndarray, mass: np.ndarray, degree: int) -> np.ndarray:
+    """``G[n, m] = sum_i mass_i conj(z_i)^n z_i^m`` for ``n, m <= degree``,
+    so ``a^H G a = sum_i mass_i |f(z_i)|^2`` for ``f = sum a_n z^n``; summed
+    over blocks of ``GRAM_BLOCK`` points, never one Vandermonde of all."""
+    gram = np.zeros((degree + 1, degree + 1), dtype=complex)
+    for lo in range(0, z.size, GRAM_BLOCK):
+        v = np.vander(z[lo : lo + GRAM_BLOCK], degree + 1, increasing=True)
+        gram += np.conj(v.T) @ (mass[lo : lo + GRAM_BLOCK, None] * v)
+    return gram
 
-    Works through the monomial factorization: the operator is the Gram of
-    the functions ``sqrt(b_n) z^n`` in the weighted space, and for radial
-    weights the Gram matrix reduces to ring moments (the angular sums
-    vanish except where the ring's angular count divides the frequency
-    difference, with an alternating sign there).
-    """
-    b = 1.0 / (np.arange(series + 1, dtype=float) + 1.0)
-    root_b = np.sqrt(b)
-    # Ring moments grouped by angular count.
-    by_count: dict[int, list[tuple[float, float]]] = {}
-    for layer in quad.layers:
-        area_cell = (layer.r_hi**2 - layer.r_lo**2) / layer.count
-        ring_mass = float(
-            layer.count * area_cell * np.real(w.density(np.array([layer.r_mid + 0j])))[0]
-        )
-        by_count.setdefault(layer.count, []).append((layer.r_mid, ring_mass))
-    smax = 2 * series + 1
-    moments: dict[int, np.ndarray] = {}
-    for count, rows in by_count.items():
-        radii = np.array([r for r, _ in rows])
-        mass = np.array([m for _, m in rows])
-        powers = radii[None, :] ** np.arange(smax + 1)[:, None]
-        moments[count] = powers @ mass
-    gram = np.zeros((series + 1, series + 1))
-    total = sum(moments.values())
-    idx = np.arange(series + 1)
-    gram[idx, idx] = b * total[2 * idx]
-    for count, mom in moments.items():
-        d = count
-        k = 1
-        while d <= series:
-            n = np.arange(series + 1 - d)
-            vals = root_b[n] * root_b[n + d] * ((-1.0) ** k) * mom[2 * n + d]
-            gram[n, n + d] += vals
-            gram[n + d, n] += vals
-            k += 1
-            d += count
-    gram = gram.astype(complex)  # one cast, instead of one per product with a complex vector
-    return power_norm(
-        lambda v: gram @ v, lambda v: gram @ v, series + 1, tol=1e-10, max_iter=500, seed=271828
-    ).value
+
+def gram_lower_bound(gram: np.ndarray) -> float:
+    """``max a^H G a / (|a_0|^2 + sum n |a_n|^2)`` over the Gram's
+    polynomials: the top eigenvalue of ``S G S``, ``S = diag(1/sqrt(max(n, 1)))``."""
+    n = np.arange(gram.shape[0], dtype=float)
+    s = 1.0 / np.sqrt(np.maximum(n, 1.0))
+    return float(np.linalg.eigvalsh(s[:, None] * gram * s[None, :])[-1])
 
 
 def carleson_constant(
     w: Weight,
-    method: str = "operator-norm",
     quad_depths: tuple[int, ...] = (8, 10, 12),
-    degree_cap: int = 64,
-    samples: int = 200,
     seed: int = 20260810,
     stabilize_rtol: float = 0.05,
 ) -> CarlesonVerdict:
-    """Estimate the best constant embedding the analytic space into L2(w).
+    """The Carleson constant of ``w`` and a polynomial lower bound for it.
 
-    ``operator-norm`` estimates the norm of the logarithmic-kernel
-    operator on refining discretizations; this equals the squared
-    embedding constant for the kernel norm.  ``polynomial-sampling``
-    maximizes ``integral |f|^2 w / derivative-norm(f)`` over a seeded
-    polynomial ensemble and is a lower bound for the derivative-norm
-    constant.
+    The estimate is the norm of the logarithmic-kernel operator on
+    ``L2(w)``, the squared embedding constant for the kernel norm.  The
+    lower bound is the largest ``integral |f|^2 w / derivative-norm(f)``
+    over polynomials of degree at most ``LOWER_BOUND_DEGREE``.
+
+    Radial weights are exact: the monomials diagonalize the operator with
+    eigenvalues ``M_2n / (n+1)`` and the ratio with values
+    ``M_2n / max(n, 1)``, ``M_k`` the ``k``-th moment of ``|z|``; both are
+    largest at ``n = 0`` since ``M_2n`` decreases, so the constant
+    polynomial attains both and each is the disk mass ``M_0``.
+
+    Sampled weights: power iteration, seeded by ``seed``, on the operator
+    between cell centers at each depth capped at 8 (one depth refines
+    nothing: verdict ``None``); the lower bound is exact on quadrature
+    depth ``min(quad_depths[-1], 10)``, from the monomial Gram.
     """
-    if method == "operator-norm":
-        # Sampled weights apply the kernel between cell centers, capped at depth 8.
-        cap = math.inf if w.is_radial_power else 8
-        trace = []
-        for d in dict.fromkeys(min(d, cap) for d in quad_depths):  # each depth once
-            quad = build_quadrature(d)
-            if w.is_radial_power:
-                est = _radial_gram_top_eigenvalue(w, quad)
-            else:
-                # D^1/2 K D^1/2 with D the cell masses is hermitian: its own adjoint.
-                root = np.sqrt(np.real(w.density(quad.z)) * quad.area)
-                kernel = cell_kernel_apply(KernelSpec.dirichlet(), quad)
+    if w.is_radial_power:
+        mass = w.disk_mass()
+        return CarlesonVerdict(mass, mass, (), True)
+    trace = []
+    for d in dict.fromkeys(min(d, 8) for d in quad_depths):  # each capped depth once
+        quad = build_quadrature(d)
+        # D^1/2 K D^1/2 with D the cell masses is hermitian: its own adjoint.
+        root = np.sqrt(np.real(w.density(quad.z)) * quad.area)
+        kernel = cell_kernel_apply(KernelSpec.dirichlet(), quad)
 
-                def weighted(v):
-                    return root * kernel(root * v)
+        def weighted(v):
+            return root * kernel(root * v)
 
-                est = power_norm(weighted, weighted, quad.n_cells).value
-            trace.append((d, float(est)))
-        values = [v for _, v in trace]
-        verdict = None  # a single depth has refined nothing
-        if len(values) >= 2:
-            delta = abs(values[-1] - values[-2])
-            verdict = delta <= stabilize_rtol * max(abs(values[-1]), 1e-300)
-        return CarlesonVerdict(values[-1], "operator-norm", tuple(trace), verdict)
-
-    if method == "polynomial-sampling":
-        best = 0.0
-        quad = None if w.is_radial_power else build_quadrature(min(quad_depths[-1], 10))
-        for f in random_polynomials(samples, degree_cap, seed):
-            best = max(best, polynomial_ratio(w, f, quad))
-        return CarlesonVerdict(
-            float(best), "polynomial-sampling", ((quad_depths[-1], float(best)),), None
-        )
-
-    raise ValueError(f"unknown method {method!r}")
+        trace.append((d, power_norm(weighted, weighted, quad.n_cells, seed=seed).value))
+    last, verdict = trace[-1][1], None
+    if len(trace) >= 2:
+        verdict = abs(last - trace[-2][1]) <= stabilize_rtol * max(abs(last), 1e-300)
+    quad = build_quadrature(min(quad_depths[-1], 10))
+    mass = np.real(w.density(quad.z)) * quad.area
+    lower = gram_lower_bound(monomial_gram(quad.z, mass, LOWER_BOUND_DEGREE))
+    return CarlesonVerdict(last, lower, tuple(trace), verdict)
 
 
 def reverse_doubling_stage(rep: ReverseDoublingReport) -> tuple[bool, dict, dict]:
@@ -288,7 +236,9 @@ def theorem_pipeline(
 ) -> PipelineReport:
     """Certify numerically that a finite reverse-doubling weight embeds.
 
-    Stage errors are captured in the report instead of raised, so a
+    The last stage reports one :func:`carleson_constant` call: the
+    operator-norm estimate, the polynomial lower bound and the depth
+    trace.  Stage errors are captured in the report instead of raised, so a
     failing hypothesis still yields measurements for the later stages.
     """
     stages: list[PipelineStage] = []
@@ -322,17 +272,14 @@ def theorem_pipeline(
     ))
 
     def stage_carleson():
-        est = carleson_constant(w, method="operator-norm", seed=seed)
-        lower = carleson_constant(
-            w, method="polynomial-sampling", samples=64, seed=seed
-        )
+        c = carleson_constant(w, seed=seed)
         return (
-            est.verdict,
+            c.verdict,
             {
-                "operator_norm_estimate": est.constant_estimate,
-                "polynomial_lower_bound": lower.constant_estimate,
+                "operator_norm_estimate": c.constant_estimate,
+                "polynomial_lower_bound": c.lower_bound,
             },
-            {"trace": est.trace},
+            {"trace": c.trace},
         )
 
     run_stage("carleson-constant", stage_carleson)

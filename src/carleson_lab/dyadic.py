@@ -36,6 +36,7 @@ from .measures import (
     box_level_sums,
     box_mass_levels,
     box_masses,
+    build_quadrature,
     draw_arcs,
     dual_weight,
 )
@@ -515,7 +516,6 @@ def two_weight_norm_check(
     mu: Weight,
     cfg: ExponentConfig,
     quad_depths: tuple[int, ...] = (6, 8, 10),
-    dyadic_depth: int | None = None,
     seed: int = 20260810,
     samples: int = 64,
     stabilize_rtol: float = 0.05,
@@ -534,15 +534,13 @@ def two_weight_norm_check(
     and the verdict is ``None``: two random lower bounds that disagree
     prove nothing.
     """
-    from .measures import build_quadrature  # local import to avoid cycle noise
-
     levels = []
     exact = cfg.p == 2.0 and cfg.q == 2.0
     rng = np.random.default_rng(seed)
     spec = KernelSpec.k_alpha(cfg.alpha)
     for d in quad_depths:
         quad = build_quadrature(d)
-        depth = min(dyadic_depth if dyadic_depth is not None else d, quad.depth)
+        depth = min(d, quad.depth)
         nu_d = np.real(nu.density(quad.z))
         mu_d = np.real(mu.density(quad.z))
         n = quad.n_cells

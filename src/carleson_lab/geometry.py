@@ -193,6 +193,39 @@ def box_children(index: DyadicIndex, max_depth: int = DEFAULT_MAX_DEPTH):
     return index.children()
 
 
+def _finest_grid_arcs(j0: np.ndarray, locate):
+    """Per item, the finest grid arc accepted by ``locate(grid, level, rows)``,
+    which returns the candidate positions of the items ``rows`` and a mask
+    of the accepted ones.  Levels run from the item's ``j0`` down to 0, the
+    plain grid first; level 0 is tested too (the shifted grid's level-0 arc
+    wraps past angle 0), and the fallback is the whole circle, plain grid.
+    """
+    n = j0.size
+    out_grid, found = np.zeros(n), np.zeros(n, dtype=bool)
+    out_level, out_pos = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for j in range(int(j0.max(initial=0)), -1, -1):
+        for grid in GRIDS:
+            rows = np.flatnonzero(~found & (j0 >= j))
+            if rows.size == 0:
+                break
+            pos, ok = locate(grid, j, rows)
+            idx = rows[ok]
+            out_grid[idx] = grid
+            out_level[idx] = j
+            out_pos[idx] = pos[ok]
+            found[idx] = True
+    return out_grid, out_level, out_pos
+
+
+def _grid_position(turns, grid: float, level: int):
+    """Position of the arc of ``(grid, level)`` holding each turn, and the
+    turn's offset from that arc's start."""
+    size = 2.0**-level
+    t = np.mod(turns - grid, 1.0)
+    m = np.minimum(np.floor(t / size), 2**level - 1).astype(np.int64)
+    return m, t - m * size
+
+
 def mei_cover_batch(starts, lengths, max_depth: int = DEFAULT_MAX_DEPTH):
     """Vectorized covering of arcs by grid arcs at most six times longer.
 
@@ -200,47 +233,18 @@ def mei_cover_batch(starts, lengths, max_depth: int = DEFAULT_MAX_DEPTH):
     contains it (grid 0 preferred on ties).  The level-0 arc always
     succeeds, so the search terminates.
     """
-    starts = np.mod(np.asarray(starts, dtype=float), TAU)
+    turns = np.mod(np.asarray(starts, dtype=float), TAU) / TAU
     lengths = np.asarray(lengths, dtype=float)
     if np.any((lengths <= 0.0) | (lengths > 1.0)):
         raise ValueError("arc lengths must lie in (0, 1]")
-
-    n = starts.size
-    out_grid = np.zeros(n)
-    out_level = np.zeros(n, dtype=np.int64)
-    out_pos = np.zeros(n, dtype=np.int64)
-    found = np.zeros(n, dtype=bool)
-
     # Smallest candidate level: arcs of length 2**-j still >= the target.
-    j0 = np.floor(-np.log2(lengths)).astype(np.int64)
-    j0 = np.clip(j0, 0, max_depth)
+    j0 = np.clip(np.floor(-np.log2(lengths)).astype(np.int64), 0, max_depth)
 
-    for j in range(int(j0.max()), -1, -1):
-        size = 2.0**-j
-        active = (~found) & (j0 >= j)
-        if not active.any():
-            continue
-        for grid in GRIDS:
-            trial = active & ~found
-            if not trial.any():
-                break
-            t = np.mod(starts[trial] / TAU - grid, 1.0)
-            m = np.minimum(np.floor(t / size), 2**j - 1).astype(np.int64)
-            offset = t - m * size
-            ok = offset + lengths[trial] <= size * (1.0 + _REL_TOL) + 1e-15
-            idx = np.flatnonzero(trial)[ok]
-            out_grid[idx] = grid
-            out_level[idx] = j
-            out_pos[idx] = m[ok]
-            found[idx] = True
-        # Level 0 contains everything.
-        if j == 0:
-            idx = np.flatnonzero(~found)
-            out_level[idx] = 0
-            out_pos[idx] = 0
-            out_grid[idx] = GRID_PLAIN
-            found[idx] = True
-    return out_grid, out_level, out_pos
+    def fits(grid, j, rows):
+        m, offset = _grid_position(turns[rows], grid, j)
+        return m, offset + lengths[rows] <= 2.0**-j * (1.0 + _REL_TOL) + 1e-15
+
+    return _finest_grid_arcs(j0, fits)
 
 
 def mei_cover(arc: Arc, max_depth: int = DEFAULT_MAX_DEPTH) -> DyadicIndex:
@@ -276,38 +280,12 @@ def bridge_box_batch(z, w, max_depth: int = DEFAULT_MAX_DEPTH, min_length: float
     needed = np.maximum(needed, max(min_length, 2.0**-max_depth))
     j0 = np.clip(np.floor(np.log2(1.0 / needed)).astype(np.int64), 0, max_depth)
 
-    n = z.size
-    out_grid = np.zeros(n)
-    out_level = np.zeros(n, dtype=np.int64)
-    out_pos = np.zeros(n, dtype=np.int64)
-    found = np.zeros(n, dtype=bool)
+    def same_arc(grid, j, rows):
+        mz, _ = _grid_position(tz[rows] / TAU, grid, j)
+        mw, _ = _grid_position(tw[rows] / TAU, grid, j)
+        return mz, mz == mw
 
-    for j in range(int(j0.max()), -1, -1):
-        size = 2.0**-j
-        active = (~found) & (j0 >= j)
-        if not active.any():
-            continue
-        for grid in GRIDS:
-            trial = active & ~found
-            if not trial.any():
-                break
-            a = np.mod(tz[trial] / TAU - grid, 1.0)
-            b = np.mod(tw[trial] / TAU - grid, 1.0)
-            ma = np.minimum(np.floor(a / size), 2**j - 1).astype(np.int64)
-            mb = np.minimum(np.floor(b / size), 2**j - 1).astype(np.int64)
-            ok = ma == mb
-            idx = np.flatnonzero(trial)[ok]
-            out_grid[idx] = grid
-            out_level[idx] = j
-            out_pos[idx] = ma[ok]
-            found[idx] = True
-        if j == 0:
-            idx = np.flatnonzero(~found)
-            out_grid[idx] = GRID_PLAIN
-            out_level[idx] = 0
-            out_pos[idx] = 0
-            found[idx] = True
-
+    out_grid, out_level, out_pos = _finest_grid_arcs(j0, same_arc)
     lengths = 2.0 ** -out_level.astype(float)
     ratio = np.abs(1.0 - z * np.conj(w)) / np.sqrt(full_box_area(lengths))
     return out_grid, out_level, out_pos, ratio

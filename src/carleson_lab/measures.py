@@ -591,8 +591,6 @@ class ReverseDoublingReport:
     worst_arc: Arc
     verdict: bool
     margin: float
-    dyadic_arcs: int
-    random_arcs: int
 
 
 def reverse_doubling_report(
@@ -625,7 +623,6 @@ def reverse_doubling_report(
         k = int(np.argmax(ratios))
         delta = float(ratios[k])
         worst = Arc(0.0, float(lengths[k]))
-        n_dyadic = depth + 1
     else:
         if quad is None:
             quad = build_quadrature(min(depth, 12))
@@ -657,15 +654,12 @@ def reverse_doubling_report(
             if ratios[k] > delta:
                 delta = float(ratios[k])
                 worst = arcs[k]
-        n_dyadic = 2 * (2 ** (depth + 1) - 1) - 1
 
     return ReverseDoublingReport(
         delta_hat=delta,
         worst_arc=worst,
         verdict=bool(delta < 1.0 - margin),
         margin=margin,
-        dyadic_arcs=n_dyadic,
-        random_arcs=random_arcs,
     )
 
 

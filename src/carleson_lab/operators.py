@@ -62,22 +62,6 @@ class KernelSpec:
         # k(z, w) = conj(k(w, z)).
         return True
 
-    def series_coefficients(self, n_terms: int) -> np.ndarray:
-        """First ``n_terms`` power-series coefficients in ``x = z conj(w)``."""
-        n = np.arange(n_terms, dtype=float)
-        if self.kind == "dirichlet":
-            return 1.0 / (n + 1.0)
-        if self.kind == "k_alpha":
-            coeffs = np.empty(n_terms)
-            coeffs[0] = 1.0
-            for k in range(1, n_terms):
-                coeffs[k] = coeffs[k - 1] * (k - 1 + self.alpha) / k
-            return coeffs
-        out = np.zeros(n_terms)
-        got = np.asarray(self.coefficients)[:n_terms]
-        out[: got.size] = got
-        return out
-
 
 def _dirichlet_values(x: np.ndarray) -> np.ndarray:
     """``sum x**n / (n+1)`` via the series for small ``|x|``, the closed

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from carleson_lab.dirichlet import (
+    GRAM_BLOCK,
+    LOWER_BOUND_DEGREE,
     AnalyticPolynomial,
     carleson_constant,
     dirichlet_norm,
+    gram_lower_bound,
     kernel_norm,
-    polynomial_ratio,
+    monomial_gram,
     random_polynomials,
     theorem_pipeline,
 )
@@ -72,62 +75,106 @@ def test_norm_comparability_random_polynomials():
 # ---------------------------------------------------------------------------
 
 
+def _sampled_weight(offset=0.0):
+    r = np.linspace(0.005, 0.995, 50)
+    theta = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
+    values = np.outer(1.0 - r, 1.0 + 0.5 * np.cos(theta)) + offset
+    return Weight.from_grid(r, theta, values)
+
+
+def _cell_masses(w, depth):
+    quad = build_quadrature(depth)
+    return quad, np.real(w.density(quad.z)) * quad.area
+
+
 def test_operator_norm_estimate_lebesgue_is_one():
     # oracle: monomials diagonalize the log-kernel operator with
     # eigenvalues 1/(n+1)^2, so the top is 1
     v = carleson_constant(Weight.lebesgue())
     assert v.verdict
-    assert v.constant_estimate == pytest.approx(1.0, rel=0.02)
+    assert v.constant_estimate == pytest.approx(1.0, rel=1e-14)
 
 
 def test_operator_norm_estimate_radial_power_below_lebesgue():
     v = carleson_constant(Weight.radial_power(1))
     assert v.verdict
-    assert v.constant_estimate == pytest.approx(1.0 / 3.0, rel=0.02)
+    assert v.constant_estimate == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 1.0, 3.0])
+def test_radial_constant_is_the_top_monomial_eigenvalue(a):
+    # oracle: the eigenvalues M_2n / (n+1) of the diagonalized operator and
+    # the ratios M_2n / max(n, 1) of the monomials, from the exact moments
+    w = Weight.radial_power(a)
+    moments = np.array([w.radial_moment(2 * n) for n in range(257)])
+    n = np.arange(moments.size)
+    v = carleson_constant(w)
+    assert v.constant_estimate == pytest.approx(np.max(moments / (n + 1)), rel=1e-12)
+    assert v.lower_bound == pytest.approx(np.max(moments / np.maximum(n, 1)), rel=1e-12)
+    assert v.constant_estimate == v.lower_bound == w.disk_mass()
+    assert v.trace == () and v.verdict is True
 
 
 def test_polynomial_ratio_of_constant_is_one():
-    got = polynomial_ratio(Weight.lebesgue(), AnalyticPolynomial([1.0]))
+    # The Gram's [0, 0] entry is the integral of |1|^2 against Lebesgue.
+    quad, mass = _cell_masses(Weight.lebesgue(), 10)
+    gram = monomial_gram(quad.z, mass, 0)
+    got = gram[0, 0].real / dirichlet_norm(AnalyticPolynomial([1.0]))
     assert got == pytest.approx(1.0, rel=1e-14)
+    assert gram_lower_bound(gram) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_polynomial_sampling_is_lower_bound():
-    lower = carleson_constant(
-        Weight.lebesgue(), method="polynomial-sampling", samples=100
+    # oracle: the former best of 64 random degree-64 polynomials, on the
+    # quadrature the Gram bound uses
+    w = _sampled_weight()
+    v = carleson_constant(w)
+    quad, mass = _cell_masses(w, 10)
+    sampled = max(
+        float(np.sum(np.abs(f(quad.z)) ** 2 * mass)) / dirichlet_norm(f)
+        for f in random_polynomials(64, LOWER_BOUND_DEGREE, SEED)
     )
-    upper = carleson_constant(Weight.lebesgue())
-    assert 0.0 < lower.constant_estimate <= 2.0 * upper.constant_estimate
+    assert 0.0 < sampled <= v.lower_bound * (1 + 1e-12)
+    # The derivative norm is at least half the kernel norm.
+    assert v.lower_bound <= 2.0 * v.constant_estimate
 
 
-def test_polynomial_sampling_carries_no_verdict():
-    # The best ratio over a seeded ensemble is a lower bound; it tests nothing.
-    v = carleson_constant(Weight.radial_power(1), method="polynomial-sampling", samples=4)
-    assert v.verdict is None
+def test_gram_lower_bound_never_falls_as_the_degree_grows():
+    w = _sampled_weight()
+    quad, mass = _cell_masses(w, 10)
+    gram = monomial_gram(quad.z, mass, LOWER_BOUND_DEGREE)
+    # A lower degree's Gram is the leading block of a higher degree's.
+    low = monomial_gram(quad.z, mass, 16)
+    assert np.max(np.abs(low - gram[:17, :17])) <= 1e-13 * np.max(np.abs(gram))
+    bounds = np.array([gram_lower_bound(gram[: d + 1, : d + 1]) for d in range(gram.shape[0])])
+    assert np.all(np.diff(bounds) >= -1e-13 * bounds[-1])
+    assert bounds[-1] > bounds[0]
+    assert bounds[-1] == carleson_constant(w).lower_bound
 
 
-def test_methods_consistent_on_radial_power():
-    lower = carleson_constant(
-        Weight.radial_power(1), method="polynomial-sampling", samples=100
-    )
-    upper = carleson_constant(Weight.radial_power(1))
-    assert lower.constant_estimate <= 2.0 * upper.constant_estimate
+def test_blocked_gram_equals_the_dense_gram():
+    rng = np.random.default_rng(SEED)
+    quad = build_quadrature(8)
+    z = quad.z[: 2 * GRAM_BLOCK + 77]  # two whole blocks and a partial one
+    mass = rng.uniform(0.0, 1.0, z.size) * quad.area[: z.size]
+    v = np.vander(z, LOWER_BOUND_DEGREE + 1, increasing=True)
+    dense = np.conj(v.T) @ np.diag(mass) @ v
+    got = monomial_gram(z, mass, LOWER_BOUND_DEGREE)
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_monotonicity_in_the_weight():
     # (1-r)^2 <= (1-r) <= 1 pointwise on the disk
-    ests = [
-        carleson_constant(w).constant_estimate
-        for w in (Weight.radial_power(2), Weight.radial_power(1), Weight.lebesgue())
-    ]
-    assert ests[0] <= ests[1] * (1 + 1e-9) <= ests[2] * (1 + 1e-9)
-    ratios = [
-        max(
-            polynomial_ratio(w, f)
-            for f in random_polynomials(50, 32, seed=SEED)
-        )
-        for w in (Weight.radial_power(2), Weight.radial_power(1), Weight.lebesgue())
-    ]
-    assert ratios[0] <= ratios[1] <= ratios[2]
+    for name in ("constant_estimate", "lower_bound"):
+        vals = [
+            getattr(carleson_constant(w), name)
+            for w in (Weight.radial_power(2), Weight.radial_power(1), Weight.lebesgue())
+        ]
+        assert vals[0] <= vals[1] <= vals[2]
+    # the same sampled weight and the weight 0.1 above it
+    low, high = carleson_constant(_sampled_weight()), carleson_constant(_sampled_weight(0.1))
+    assert low.constant_estimate <= high.constant_estimate * (1 + 1e-6)
+    assert low.lower_bound <= high.lower_bound
 
 
 def test_sampled_weight_dense_route():
@@ -164,11 +211,6 @@ def test_sampled_operator_norm_equals_the_former_dense_route():
     former = operator_norm(assemble_operator(KernelSpec.dirichlet(), dm)).value
     got = carleson_constant(w, quad_depths=(6,))
     assert got.trace == ((6, pytest.approx(former, rel=1e-10)),)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        carleson_constant(Weight.lebesgue(), method="bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -266,3 +266,23 @@ def test_bridge_membership_and_ratio_interval():
         idx = DyadicIndex(float(grids[k]), int(levels[k]), int(positions[k]))
         box = CarlesonBox(idx.arc)
         assert box.contains(z[k]) and box.contains(w[k])
+
+
+# ---------------------------------------------------------------------------
+# the shared finest-arc search
+# ---------------------------------------------------------------------------
+
+
+def test_level_zero_cover_can_be_the_shifted_grid():
+    # [1/2, 6/5) turns crosses the plain grid's break at 0 but fits in the
+    # shifted grid's level-0 arc [1/3, 4/3).
+    idx = mei_cover(Arc(0.5 * TAU, 0.7))
+    assert (idx.grid, idx.level, idx.position) == (GRID_THIRD, 0, 0)
+
+
+def test_batches_of_no_arcs_and_no_pairs_are_empty():
+    empty = np.array([])
+    cover = mei_cover_batch(empty, empty)
+    bridge = bridge_box_batch(empty.astype(complex), empty.astype(complex))
+    assert [a.size for a in cover] == [0, 0, 0]
+    assert [a.size for a in bridge] == [0, 0, 0, 0]
