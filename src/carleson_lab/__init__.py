@@ -21,13 +21,16 @@ from .dyadic import (
     ExponentConfig,
     TreeFunction,
     carleson_embedding_constant,
+    cell_mass_trees,
     domination_check,
     dyadic_apply,
+    radial_mass_trees,
     strong_embedding_check,
     tree_expectation,
     two_weight_norm_check,
     two_weight_testing_constant,
     weak_type_norm,
+    weighted_trees,
 )
 from .errors import (
     CarlesonLabError,

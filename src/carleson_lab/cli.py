@@ -200,15 +200,15 @@ def _weak_type(cfg: RunConfig, rng):
     depth = min(cfg.depth, quad.depth)
     w = measures.parse_weight(cfg.weight)
     t = cfg.q / cfg.p
-    emb = dyadic_mod.carleson_embedding_constant(
-        w, t, depth, quad=quad, k_max_level=depth, quadrature_masses=True
-    )
+    density = np.real(w.density(quad.z))
+    masses = dyadic_mod.cell_mass_trees(density, depth, quad)
+    emb = dyadic_mod.carleson_embedding_constant(w, t, masses, k_max_level=depth)
     failures = 0
     trials = max(10, min(cfg.samples, 100))
     for _ in range(trials):
         f = measures.SampledFunction(quad, rng.uniform(0.0, 2.0, quad.n_cells))
-        weak = dyadic_mod.weak_type_norm(w, t, f, depth, quad)
-        l1 = float(np.sum(f.values * np.real(w.density(quad.z)) * quad.area))
+        weak = dyadic_mod.weak_type_norm(t, f, dyadic_mod.weighted_trees(density, f, masses, quad))
+        l1 = float(np.sum(f.values * density * quad.area))
         if weak > emb.c1_hat ** (1.0 / t) * l1 * (1 + 1e-9):
             failures += 1
     return failures == 0, {"trials": trials, "failures": failures, "c1_hat": emb.c1_hat}
@@ -246,11 +246,17 @@ def _run_embedding(cfg: RunConfig):
     econf = dyadic_mod.ExponentConfig(p=cfg.p, q=cfg.q, alpha=cfg.alpha)
     quad = measures.build_quadrature(cfg.quad_depth)
     depth = min(cfg.depth, quad.depth)
-    emb = dyadic_mod.carleson_embedding_constant(w, econf.t, depth, quad=quad)
+    # One density and one weighted tree per grid serve all three stages;
+    # a radial-power weight's constant keeps its closed-form masses.
+    density = np.real(w.density(quad.z))
+    masses = dyadic_mod.cell_mass_trees(density, depth, quad)
+    exact = dyadic_mod.radial_mass_trees(w, depth) if w.is_radial_power else masses
+    emb = dyadic_mod.carleson_embedding_constant(w, econf.t, exact)
     rng = np.random.default_rng(cfg.seed)
     f = measures.SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
-    weak = dyadic_mod.weak_type_norm(w, econf.t, f, depth, quad)
-    strong = dyadic_mod.strong_embedding_check(w, econf, f, depth, quad)
+    trees = dyadic_mod.weighted_trees(density, f, masses, quad)
+    weak = dyadic_mod.weak_type_norm(econf.t, f, trees)
+    strong = dyadic_mod.strong_embedding_check(econf, f, density, trees, quad)
     return [
         _stage(
             "embedding-constant",

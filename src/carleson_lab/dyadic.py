@@ -8,9 +8,11 @@ nonnegative functions.  It counts a quadrature cell in a box when the box
 contains the cell's center, on both grids, so its matrix is symmetric.
 Tree mappings send a function to its weighted box averages; their strong
 and weak norms against the box-mass measure ``mass(Q)**t`` are what the
-embedding results control.  Box masses and averages are integrals: they
-count a shifted-grid boundary cell by its covered fraction
-(:func:`box_level_sums`).
+embedding results control.  The embedding constant and both tree norms
+are functionals of one shared weighted tree per grid: the box masses of
+a cell density evaluated once, and the averages of ``f`` against it.
+Box masses and averages are integrals: they count a shifted-grid
+boundary cell by its covered fraction (:func:`box_level_sums`).
 """
 
 from __future__ import annotations
@@ -198,32 +200,42 @@ def domination_check(
 # ---------------------------------------------------------------------------
 
 
-def tree_averages(
-    w: Weight,
-    f: SampledFunction,
-    grid: float,
-    depth: int,
-    quad: DiskQuadrature,
-) -> tuple[TreeFunction, TreeFunction]:
-    """Weighted box averages of ``f`` and box masses, per level.
+def cell_mass_trees(density: np.ndarray, depth: int, quad: DiskQuadrature) -> tuple:
+    """Box masses of a cell density on each grid up to ``depth``: one
+    :class:`TreeFunction` per grid, from one cell sum per grid."""
+    values = density * quad.area
+    return tuple(
+        TreeFunction(g, depth, tuple(box_level_sums(quad, values, g, depth))) for g in GRIDS
+    )
 
-    Returns ``(averages, masses)`` where ``averages.levels[j][m]`` is the
-    mass-normalized integral of ``f`` against the weight over the level-j,
-    position-m box.  Masses come from the same cell sums as the integrals,
-    so a constant function averages to exactly 1 on every box.
+
+def radial_mass_trees(w: Weight, depth: int) -> tuple:
+    """Closed-form box masses of a radial-power weight on each grid."""
+    return tuple(TreeFunction(g, depth, tuple(box_mass_levels(w, None, g, depth))) for g in GRIDS)
+
+
+def tree_averages(
+    density: np.ndarray, f: SampledFunction, masses: TreeFunction, quad: DiskQuadrature
+) -> TreeFunction:
+    """Weighted box averages of ``f`` on the grid and depth of ``masses``.
+
+    ``levels[j][m]`` is the integral of ``f`` against the cell ``density``
+    over the level-j, position-m box, divided by its mass.  Given the masses
+    of the same density, a constant function averages to exactly 1.
     """
-    density = np.real(w.density(quad.z))
-    masses = box_level_sums(quad, density * quad.area, grid, depth)
-    integrals = box_level_sums(quad, np.asarray(f.values) * density * quad.area, grid, depth)
+    values = np.asarray(f.values) * density * quad.area
+    integrals = box_level_sums(quad, values, masses.grid, masses.depth)
     avgs = []
-    for j, (mass_j, int_j) in enumerate(zip(masses, integrals)):
+    for j, (mass_j, int_j) in enumerate(zip(masses.levels, integrals)):
         if np.any(mass_j <= 0.0):
             raise DegenerateWeightError(f"zero-mass box at level {j}")
         avgs.append(int_j / mass_j)
-    return (
-        TreeFunction(grid, depth, tuple(avgs)),
-        TreeFunction(grid, depth, tuple(masses)),
-    )
+    return TreeFunction(masses.grid, masses.depth, tuple(avgs))
+
+
+def weighted_trees(density: np.ndarray, f: SampledFunction, masses: tuple, quad) -> list:
+    """The weighted tree of ``f`` on each grid: ``(averages, masses)`` pairs."""
+    return [(tree_averages(density, f, m, quad), m) for m in masses]
 
 
 def tree_expectation(
@@ -251,38 +263,32 @@ class EmbeddingReport:
 
 
 def carleson_embedding_constant(
-    w: Weight,
-    t: float,
-    depth: int,
-    quad: DiskQuadrature | None = None,
-    k_max_level: int | None = None,
-    quadrature_masses: bool = False,
+    w: Weight, t: float, masses: tuple, k_max_level: int | None = None
 ) -> EmbeddingReport:
     """Largest ratio ``sum over boxes inside Q_K of mass**t / mass(Q_K)**t``.
 
-    Box sums run over levels up to ``depth``; outer boxes ``Q_K`` run over
+    ``masses`` holds the box masses of ``w`` on each grid
+    (:func:`radial_mass_trees` or :func:`cell_mass_trees`).  Box sums run
+    over their levels, up to ``depth``; outer boxes ``Q_K`` run over
     levels up to ``k_max_level`` (default ``depth // 2``).  A geometric
     tail estimate for the truncated inner sum is reported alongside.
-    Masses come from :func:`box_mass_levels`: the closed form for
-    radial-power weights, cell sums over ``quad`` otherwise.
-    ``quadrature_masses`` forces cell-sum masses even for closed-form
-    weights, matching the discrete measure used by the tree mappings.
     """
     if t < 1.0:
         raise ConfigError(f"t must be >= 1, got {t}")
     if not w.finite:
         raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
+    depth = masses[0].depth
     k_cap = depth // 2 if k_max_level is None else k_max_level
 
     best = -math.inf
     worst = DyadicIndex(GRIDS[0], 0, 0)
     tail = 0.0
     per_grid = {}
-    for grid in GRIDS:
-        masses = box_mass_levels(w, quad, grid, depth, force_quadrature=quadrature_masses)
-        if any(np.any(m <= 0.0) for m in masses):
+    for tree in masses:
+        grid = tree.grid
+        if any(np.any(m <= 0.0) for m in tree.levels):
             raise DegenerateWeightError("zero-mass dyadic box")
-        powered = [m**t for m in masses]
+        powered = [m**t for m in tree.levels]
         # Bottom-up: subtree sums of mass**t.
         subtree = [None] * (depth + 1)
         subtree[depth] = powered[depth].copy()
@@ -316,16 +322,10 @@ def carleson_embedding_constant(
     )
 
 
-def weak_type_norm(
-    w: Weight,
-    t: float,
-    f: SampledFunction,
-    depth: int,
-    quad: DiskQuadrature,
-    per_grid: bool = False,
-):
+def weak_type_norm(t: float, f: SampledFunction, trees: list, per_grid: bool = False):
     """Weak norm of the tree of box averages against ``mass**t``.
 
+    ``trees`` holds one ``(averages, masses)`` pair of ``f`` per grid.
     Computes ``sup over lambda of lambda * (sum of mass(Q)**t over boxes
     with average > lambda)**(1/t)``; the supremum over the attained
     averages is taken as the left limit at each level set.
@@ -333,8 +333,7 @@ def weak_type_norm(
     if np.any(np.real(f.values) < 0):
         raise ValueError("weak-type norm expects a nonnegative function")
     results = {}
-    for grid in GRIDS:
-        avgs, masses = tree_averages(w, f, grid, depth, quad)
+    for avgs, masses in trees:
         e = np.real(avgs.flat())
         m = masses.flat()
         order = np.argsort(-e)
@@ -342,44 +341,38 @@ def weak_type_norm(
         prefix = np.cumsum(m[order] ** t)
         positive = e_sorted > 0
         if not positive.any():
-            results[grid] = 0.0
+            results[avgs.grid] = 0.0
             continue
         values = e_sorted[positive] * prefix[positive] ** (1.0 / t)
-        results[grid] = float(np.max(values))
+        results[avgs.grid] = float(np.max(values))
     if per_grid:
         return results
     return max(results.values())
 
 
 def strong_embedding_check(
-    w: Weight,
-    cfg: ExponentConfig,
-    f: SampledFunction,
-    depth: int,
-    quad: DiskQuadrature,
-    per_grid: bool = False,
+    cfg: ExponentConfig, f: SampledFunction, density: np.ndarray, trees: list,
+    quad: DiskQuadrature, per_grid: bool = False,
 ):
     """Ratio of the tree norm to the weighted input norm.
 
-    Left side: ``(sum over boxes of mass**t * average**q)**(1/q)``; right
-    side: ``(integral of |f|**p against the weight)**(1/p)``.  Returns 0
-    for an identically zero input.
+    ``trees`` holds one ``(averages, masses)`` pair of ``f`` per grid,
+    taken against the cell ``density``.  Left side: ``(sum over boxes of
+    mass**t * average**q)**(1/q)``; right side: ``(integral of |f|**p
+    against the density)**(1/p)``.  Returns 0 for an identically zero input.
     """
     fv = np.real(np.asarray(f.values))
     if np.any(fv < 0):
         raise ValueError("strong embedding check expects a nonnegative function")
-    right = float(
-        np.sum(fv**cfg.p * w.density(quad.z) * quad.area) ** (1.0 / cfg.p)
-    )
+    right = float(np.sum(fv**cfg.p * density * quad.area) ** (1.0 / cfg.p))
     if right == 0.0:
-        return {g: 0.0 for g in GRIDS} if per_grid else 0.0
+        return {avgs.grid: 0.0 for avgs, _ in trees} if per_grid else 0.0
     results = {}
-    for grid in GRIDS:
-        avgs, masses = tree_averages(w, f, grid, depth, quad)
+    for avgs, masses in trees:
         e = np.real(avgs.flat())
         m = masses.flat()
         left = float(np.sum(m**cfg.t * e**cfg.q) ** (1.0 / cfg.q))
-        results[grid] = left / right
+        results[avgs.grid] = left / right
     if per_grid:
         return results
     return max(results.values())

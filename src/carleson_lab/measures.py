@@ -482,19 +482,11 @@ def box_level_sums(
 
 
 def box_mass_levels(
-    w: Weight,
-    quad: DiskQuadrature | None,
-    grid: float,
-    depth: int,
-    force_quadrature: bool = False,
+    w: Weight, quad: DiskQuadrature | None, grid: float, depth: int
 ) -> list[np.ndarray]:
-    """Masses of every grid box up to ``depth`` under the weight.
-
-    ``force_quadrature`` routes radial-power weights through the cell sums
-    instead of the closed form, which keeps masses consistent with other
-    cell-sampled integrals of the same weight.
-    """
-    if w.is_radial_power and not force_quadrature:
+    """Masses of every grid box up to ``depth`` under the weight: the
+    closed form for radial-power weights, cell sums over ``quad`` otherwise."""
+    if w.is_radial_power:
         return [
             np.full(2**j, 2.0**-j * w.outer_radial_mass(2.0**-j))
             for j in range(depth + 1)

@@ -23,11 +23,14 @@ from carleson_lab.dirichlet import (
 from carleson_lab.dyadic import (
     ExponentConfig,
     carleson_embedding_constant,
+    cell_mass_trees,
     dense_abs_apply,
     domination_check,
     dyadic_apply,
+    radial_mass_trees,
     two_weight_testing_constant,
     weak_type_norm,
+    weighted_trees,
 )
 from carleson_lab.geometry import GRIDS, TAU, mei_cover_batch
 from carleson_lab.measures import SampledFunction, Weight, build_quadrature
@@ -234,7 +237,9 @@ def test_criterion_07_k1_projection_identity(quad12_base64):
 def test_criterion_08_embedding_constant():
     # closed-form oracle: (4 - 4 l / 3) / (2 - l) evaluated at l = 1
     oracle = (4.0 - 4.0 / 3.0) / 1.0
-    rep = carleson_embedding_constant(Weight.lebesgue(), 1.0, 14)
+    rep = carleson_embedding_constant(
+        Weight.lebesgue(), 1.0, radial_mass_trees(Weight.lebesgue(), 14)
+    )
     ok = abs(rep.c1_hat - oracle) <= 0.01 * oracle
     report(
         8,
@@ -254,13 +259,12 @@ def test_criterion_09_weak_type_bound():
         (Weight.lebesgue(), 2.0),
         (Weight.radial_power(1), 1.0),
     ):
-        emb = carleson_embedding_constant(
-            weight, t, depth, quad=quad, k_max_level=depth, quadrature_masses=True
-        )
         density = np.real(weight.density(quad.z))
+        masses = cell_mass_trees(density, depth, quad)
+        emb = carleson_embedding_constant(weight, t, masses, k_max_level=depth)
         for _ in range(100):
             f = SampledFunction(quad, rng.uniform(0.0, 2.0, quad.n_cells))
-            weak = weak_type_norm(weight, t, f, depth, quad)
+            weak = weak_type_norm(t, f, weighted_trees(density, f, masses, quad))
             l1 = float(np.sum(f.values * density * quad.area))
             if weak > emb.c1_hat ** (1.0 / t) * l1 * (1 + 1e-9):
                 violations += 1

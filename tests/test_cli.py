@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import carleson_lab
-from carleson_lab import cli
+from carleson_lab import cli, dyadic, measures
 from carleson_lab.cli import Report, RunConfig, bench, main, run
 from carleson_lab.errors import ConfigError, WeightSpecError
+from carleson_lab.geometry import GRIDS
 from carleson_lab.measures import MAX_CELLS_ENV, build_quadrature
 
 try:
@@ -166,6 +167,81 @@ def test_embedding_command():
     assert code == 0
     names = [s["name"] for s in rep.stages]
     assert names == ["embedding-constant", "weak-norm", "strong-ratio"]
+
+
+def write_sampled_weight(path) -> str:
+    """Write ``(1 - r)(1 + cos(theta) / 2)`` on a 24 x 32 polar grid file and
+    return its weight spec."""
+    r = np.linspace(0.02, 0.98, 24)
+    theta = (np.arange(32) + 0.5) * (2.0 * np.pi / 32)
+    density = (1.0 - r)[:, None] * (1.0 + 0.5 * np.cos(theta))[None, :]
+    rows = np.column_stack([np.repeat(r, theta.size), np.tile(theta, r.size), density.ravel()])
+    with open(path, "w") as fh:
+        fh.write(f"{r.size} {theta.size}\n")
+        np.savetxt(fh, rows, fmt="%.17g")
+    return f"grid:{path}"
+
+
+def test_embedding_evaluates_the_density_once(tmp_path, monkeypatch):
+    # The three embedding stages read one weighted tree per grid: one
+    # density pass, and per grid one box sum of the masses and one of f.
+    weight = write_sampled_weight(tmp_path / "w.grid")
+    points, sums = [], []
+    density, box_level_sums = measures.Weight.density, measures.box_level_sums
+
+    def counting_density(self, z):
+        points.append(np.size(z))
+        return density(self, z)
+
+    def counting_sums(*args, **kwargs):
+        sums.append(1)
+        return box_level_sums(*args, **kwargs)
+
+    monkeypatch.setattr(measures.Weight, "density", counting_density)
+    for module in (measures, dyadic):
+        monkeypatch.setattr(module, "box_level_sums", counting_sums)
+    code, _ = run(small_cfg(command="embedding", weight=weight, depth=7, quad_depth=7))
+    assert code == 0
+    assert points == [build_quadrature(7).n_cells]
+    assert len(sums) == 4
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0])
+@pytest.mark.parametrize("sampled", [True, False], ids=["grid", "radial-power"])
+def test_embedding_stages_equal_the_per_stage_computation(tmp_path, sampled, q):
+    spec = write_sampled_weight(tmp_path / "w.grid") if sampled else "radial-power:1"
+    cfg = small_cfg(command="embedding", weight=spec, depth=8, quad_depth=8, q=q)
+    code, rep = run(cfg)
+    assert code == 0
+    # Oracle: every stage evaluates the weight and sums its own boxes.
+    w, quad, depth, p, t = measures.parse_weight(spec), build_quadrature(8), 8, 2.0, q / 2.0
+    f = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, quad.n_cells)
+
+    def tree(grid):
+        density = np.real(w.density(quad.z))
+        masses = measures.box_level_sums(quad, density * quad.area, grid, depth)
+        integrals = measures.box_level_sums(quad, f * density * quad.area, grid, depth)
+        return np.concatenate([i / m for i, m in zip(integrals, masses)]), np.concatenate(masses)
+
+    emb = dyadic.carleson_embedding_constant(w, t, tuple(
+        dyadic.TreeFunction(g, depth, tuple(measures.box_mass_levels(w, quad, g, depth)))
+        for g in GRIDS
+    ))
+    weak = []
+    for g in GRIDS:
+        e, m = tree(g)
+        order = np.argsort(-e)
+        weak.append(float(np.max(e[order] * np.cumsum(m[order] ** t) ** (1.0 / t))))
+    right = float(np.sum(f**p * w.density(quad.z) * quad.area) ** (1.0 / p))
+    strong = []
+    for g in GRIDS:
+        e, m = tree(g)
+        strong.append(float(np.sum(m**t * e**q) ** (1.0 / q)) / right)
+    constants = [stage["constants"] for stage in rep.stages]
+    assert constants[0] == {"c1_hat": emb.c1_hat, "tail_estimate": emb.tail_estimate}
+    assert rep.stages[0]["witness"] == {"worst_box": repr(emb.worst_box)}
+    assert constants[1] == {"weak_type_norm": max(weak)}
+    assert constants[2] == {"strong_ratio": max(strong)}
 
 
 def test_two_weight_command():

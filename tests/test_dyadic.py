@@ -6,15 +6,18 @@ import pytest
 from carleson_lab.dyadic import (
     ExponentConfig,
     carleson_embedding_constant,
+    cell_mass_trees,
     dense_abs_apply,
     domination_check,
     dyadic_apply,
+    radial_mass_trees,
     strong_embedding_check,
     tree_averages,
     tree_expectation,
     two_weight_norm_check,
     two_weight_testing_constant,
     weak_type_norm,
+    weighted_trees,
 )
 from carleson_lab.errors import (
     ConfigError,
@@ -32,7 +35,7 @@ from carleson_lab.geometry import (
     full_box_area,
 )
 from carleson_lab import dyadic
-from carleson_lab.measures import SampledFunction, Weight, box_mass_levels, build_quadrature
+from carleson_lab.measures import SampledFunction, Weight, box_level_sums, build_quadrature
 from carleson_lab.operators import KernelSpec, eval_kernel
 
 SEED = 20260810
@@ -52,6 +55,26 @@ def dyadic_kernel_matrix(grid: float, alpha: float, quad, depth: int) -> np.ndar
         same = (pos[:, None] == pos[None, :]) & (pos[:, None] >= 0)
         out += full_box_area(2.0**-j) ** (-alpha / 2.0) * same
     return out
+
+
+def closed_form_constant(w, t: float, depth: int, **kwargs):
+    """Embedding constant of a radial-power weight from its exact masses."""
+    return carleson_embedding_constant(w, t, radial_mass_trees(w, depth), **kwargs)
+
+
+def density_and_trees(w, f, depth: int, quad):
+    """The cell density of ``w`` and the weighted trees of ``f`` under it."""
+    density = np.real(w.density(quad.z))
+    return density, weighted_trees(density, f, cell_mass_trees(density, depth, quad), quad)
+
+
+def weak_norm(w, t: float, f, depth: int, quad, **kwargs):
+    return weak_type_norm(t, f, density_and_trees(w, f, depth, quad)[1], **kwargs)
+
+
+def strong_ratio(w, cfg, f, depth: int, quad, **kwargs):
+    density, trees = density_and_trees(w, f, depth, quad)
+    return strong_embedding_check(cfg, f, density, trees, quad, **kwargs)
 
 
 def lebesgue_box_sum(depth: int) -> float:
@@ -290,7 +313,7 @@ def test_expectation_zero_mass_rejected():
 def test_embedding_constant_lebesgue_t1():
     # closed form: the ratio for an outer box of length l is (4 - 4l/3)/(2 - l),
     # maximized at the full circle where it converges to 8/3
-    rep = carleson_embedding_constant(Weight.lebesgue(), 1.0, 14)
+    rep = closed_form_constant(Weight.lebesgue(), 1.0, 14)
     assert rep.c1_hat == pytest.approx(8.0 / 3.0, rel=1e-3)
     assert rep.worst_box.level == 0
     small = (4.0 - 4.0 * 2.0**-7 / 3.0) / (2.0 - 2.0**-7)
@@ -298,13 +321,13 @@ def test_embedding_constant_lebesgue_t1():
 
 
 def test_embedding_constant_truncation_grows_to_limit():
-    shallow = carleson_embedding_constant(Weight.lebesgue(), 1.0, 6).c1_hat
-    deep = carleson_embedding_constant(Weight.lebesgue(), 1.0, 14).c1_hat
+    shallow = closed_form_constant(Weight.lebesgue(), 1.0, 6).c1_hat
+    deep = closed_form_constant(Weight.lebesgue(), 1.0, 14).c1_hat
     assert shallow < deep < 8.0 / 3.0
 
 
 def test_embedding_constant_leaf_box_is_one():
-    rep = carleson_embedding_constant(Weight.lebesgue(), 1.0, 6, k_max_level=6)
+    rep = closed_form_constant(Weight.lebesgue(), 1.0, 6, k_max_level=6)
     # a leaf-level outer box has a single-term sum: ratio exactly 1
     levels = 6
     w = Weight.lebesgue()
@@ -316,14 +339,14 @@ def test_embedding_constant_leaf_box_is_one():
 def test_embedding_constant_radial_power_oracle():
     # closed form for (1-r): level mass m_j = 8^-j (1 - (2/3) 2^-j), so the
     # full-circle ratio at t = 1 converges to (4/3 - 2/3 * 8/7) / (1/3) = 12/7
-    rep = carleson_embedding_constant(Weight.radial_power(1), 1.0, 16)
+    rep = closed_form_constant(Weight.radial_power(1), 1.0, 16)
     assert rep.c1_hat == pytest.approx(12.0 / 7.0, rel=1e-4)
 
 
 def test_embedding_constant_lebesgue_t2_oracle():
     # sum over one grid: sum_j 8^-j (2 - 2^-j)^2 = 4*(8/7) - 4*(16/15) + 32/31
     expected = 32.0 / 7.0 - 64.0 / 15.0 + 32.0 / 31.0
-    rep = carleson_embedding_constant(Weight.lebesgue(), 2.0, 18)
+    rep = closed_form_constant(Weight.lebesgue(), 2.0, 18)
     assert rep.c1_hat == pytest.approx(expected, rel=1e-4)
 
 
@@ -332,14 +355,15 @@ def test_embedding_sampled_weight_matches_radial_fast_path():
     r = np.linspace(0.005, 0.995, 400)
     theta = np.linspace(0.0, TAU, 64, endpoint=False)
     w = Weight.from_grid(r, theta, np.ones((400, 64)))
-    got = carleson_embedding_constant(w, 1.0, 8, quad=quad).c1_hat
-    exact = carleson_embedding_constant(Weight.lebesgue(), 1.0, 8).c1_hat
+    masses = cell_mass_trees(np.real(w.density(quad.z)), 8, quad)
+    got = carleson_embedding_constant(w, 1.0, masses).c1_hat
+    exact = closed_form_constant(Weight.lebesgue(), 1.0, 8).c1_hat
     assert got == pytest.approx(exact, rel=1e-6)
 
 
 def test_embedding_requires_t_at_least_one():
     with pytest.raises(ConfigError):
-        carleson_embedding_constant(Weight.lebesgue(), 0.5, 8)
+        closed_form_constant(Weight.lebesgue(), 0.5, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +374,14 @@ def test_embedding_requires_t_at_least_one():
 def test_weak_norm_zero_function():
     quad = build_quadrature(6)
     f = SampledFunction(quad, np.zeros(quad.n_cells))
-    assert weak_type_norm(Weight.lebesgue(), 1.0, f, 6, quad) == 0.0
+    assert weak_norm(Weight.lebesgue(), 1.0, f, 6, quad) == 0.0
 
 
 def test_weak_norm_constant_function():
     # all averages are 1, so the sup is the total box-mass sum
     quad = build_quadrature(8)
     f = SampledFunction.constant(quad, 1.0)
-    got = weak_type_norm(Weight.lebesgue(), 1.0, f, 8, quad)
+    got = weak_norm(Weight.lebesgue(), 1.0, f, 8, quad)
     assert got == pytest.approx(lebesgue_box_sum(8), rel=1e-10)
 
 
@@ -366,7 +390,7 @@ def test_weak_norm_leaf_indicator_chain():
     depth = 6
     leaf = DyadicIndex(GRID_PLAIN, depth, 3)
     f = SampledFunction(quad, CarlesonBox(leaf.arc).contains(quad.z).astype(float))
-    got = weak_type_norm(Weight.lebesgue(), 1.0, f, depth, quad, per_grid=True)
+    got = weak_norm(Weight.lebesgue(), 1.0, f, depth, quad, per_grid=True)
     # enumeration over the ancestor chain: E_Q = area(leaf)/area(Q) on
     # ancestors (including the part below depth), mass-weighted prefix sums
     leaf_area = full_box_area(leaf.length)
@@ -390,7 +414,7 @@ def test_weak_norm_rejects_negative():
     quad = build_quadrature(5)
     f = SampledFunction(quad, -np.ones(quad.n_cells))
     with pytest.raises(ValueError):
-        weak_type_norm(Weight.lebesgue(), 1.0, f, 5, quad)
+        weak_norm(Weight.lebesgue(), 1.0, f, 5, quad)
 
 
 @pytest.mark.parametrize(
@@ -400,14 +424,14 @@ def test_weak_norm_rejects_negative():
 def test_weak_norm_bounded_by_embedding_times_l1(weight, t):
     quad = build_quadrature(9)
     depth = 9
-    emb = carleson_embedding_constant(
-        weight, t, depth, quad=quad, k_max_level=depth, quadrature_masses=True
-    )
+    density = np.real(weight.density(quad.z))
+    masses = cell_mass_trees(density, depth, quad)
+    emb = carleson_embedding_constant(weight, t, masses, k_max_level=depth)
     rng = np.random.default_rng(SEED)
     for _ in range(30):
         f = SampledFunction(quad, rng.uniform(0.0, 2.0, quad.n_cells))
-        weak = weak_type_norm(weight, t, f, depth, quad)
-        l1 = float(np.sum(f.values * np.real(weight.density(quad.z)) * quad.area))
+        weak = weak_type_norm(t, f, weighted_trees(density, f, masses, quad))
+        l1 = float(np.sum(f.values * density * quad.area))
         assert weak <= emb.c1_hat ** (1.0 / t) * l1 * (1 + 1e-9)
 
 
@@ -420,9 +444,9 @@ def test_strong_ratio_constant_function():
     quad = build_quadrature(8)
     f = SampledFunction.constant(quad, 1.0)
     cfg = ExponentConfig(2.0, 2.0, 1.0)
-    got = strong_embedding_check(Weight.lebesgue(), cfg, f, 8, quad)
+    got = strong_ratio(Weight.lebesgue(), cfg, f, 8, quad)
     assert got == pytest.approx(math.sqrt(lebesgue_box_sum(8)), rel=1e-10)
-    deep = carleson_embedding_constant(Weight.lebesgue(), 1.0, 14).c1_hat
+    deep = closed_form_constant(Weight.lebesgue(), 1.0, 14).c1_hat
     assert got < math.sqrt(8.0 / 3.0) < 1.64
     del deep
 
@@ -431,7 +455,7 @@ def test_strong_ratio_zero_function():
     quad = build_quadrature(6)
     f = SampledFunction(quad, np.zeros(quad.n_cells))
     cfg = ExponentConfig(2.0, 2.0, 1.0)
-    assert strong_embedding_check(Weight.lebesgue(), cfg, f, 6, quad) == 0.0
+    assert strong_ratio(Weight.lebesgue(), cfg, f, 6, quad) == 0.0
 
 
 def test_strong_ratio_stable_under_refinement():
@@ -444,7 +468,7 @@ def test_strong_ratio_stable_under_refinement():
         best = 0.0
         for _ in range(25):
             f = SampledFunction(quad, rng_local.uniform(0.0, 1.0, quad.n_cells))
-            best = max(best, strong_embedding_check(Weight.lebesgue(), cfg, f, depth, quad))
+            best = max(best, strong_ratio(Weight.lebesgue(), cfg, f, depth, quad))
         maxima[depth] = best
     assert maxima[10] == pytest.approx(maxima[8], rel=0.25)
     assert maxima[10] < 10.0
@@ -454,7 +478,8 @@ def test_strong_ratio_stable_under_refinement():
 def test_tree_averages_evaluate_the_density_once(monkeypatch):
     quad = build_quadrature(7)
     w = Weight.radial_power(1)
-    expected_masses = box_mass_levels(w, quad, GRID_THIRD, 7, force_quadrature=True)
+    cell_masses = np.real(w.density(quad.z)) * quad.area
+    expected_masses = box_level_sums(quad, cell_masses, GRID_THIRD, 7)
     calls = []
     density = Weight.density
 
@@ -463,8 +488,11 @@ def test_tree_averages_evaluate_the_density_once(monkeypatch):
         return density(self, z)
 
     monkeypatch.setattr(Weight, "density", counting)
-    avgs, masses = tree_averages(w, SampledFunction.constant(quad), GRID_THIRD, 7, quad)
+    density = np.real(w.density(quad.z))
+    masses = cell_mass_trees(density, 7, quad)[GRIDS.index(GRID_THIRD)]
+    avgs = tree_averages(density, SampledFunction.constant(quad), masses, quad)
     assert calls == [quad.n_cells]
+    assert avgs.grid == masses.grid == GRID_THIRD
     for got, want in zip(masses.levels, expected_masses):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_allclose(avgs.flat(), 1.0, rtol=1e-12)
@@ -478,9 +506,11 @@ def test_strong_ratio_matches_t1_specialization():
     f = SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
     cfg = ExponentConfig(2.0, 2.0, 1.0)
     w = Weight.radial_power(1)
-    got = strong_embedding_check(w, cfg, f, 8, quad, per_grid=True)
-    for grid in GRIDS:
-        avgs, masses = tree_averages(w, f, grid, 8, quad)
+    density, trees = density_and_trees(w, f, 8, quad)
+    got = strong_embedding_check(cfg, f, density, trees, quad, per_grid=True)
+    assert set(got) == set(GRIDS)
+    for avgs, masses in trees:
+        grid = avgs.grid
         left = math.sqrt(
             float(np.sum(masses.flat() * np.real(avgs.flat()) ** 2))
         )
