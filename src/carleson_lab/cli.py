@@ -5,9 +5,10 @@ Subcommands are the keys of :data:`COMMANDS`: ``test-weight``,
 the keys of :data:`LEMMAS`) and ``bench``.  Their options and defaults
 are the fields of :class:`RunConfig`.  Reports are JSON (CSV for bench);
 identical configuration and seed produce byte-identical JSON apart from
-the timing block.  Stages that measure without testing carry a null
-verdict.  Exit codes: 0 all non-null verdicts true, 1 a numerical verdict
-false, 2 usage error (including an option value out of range).
+the timing block, which holds the total and, for ``certify``, each
+stage.  Stages that measure without testing carry a null verdict.  Exit
+codes: 0 all non-null verdicts true, 1 a numerical verdict false, 2
+usage error (including an option value out of range).
 """
 
 from __future__ import annotations
@@ -226,11 +227,12 @@ LEMMAS = {
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies: each returns the report's stages
+# Subcommand bodies: each returns the report's stages and may record wall
+# milliseconds of its parts in ``timings``
 # ---------------------------------------------------------------------------
 
 
-def _run_test_weight(cfg: RunConfig):
+def _run_test_weight(cfg: RunConfig, timings: dict):
     w = measures.parse_weight(cfg.weight)
     quad = None if w.is_radial_power else measures.build_quadrature(cfg.quad_depth)
     rev = measures.reverse_doubling_report(w, depth=cfg.depth, seed=cfg.seed, quad=quad)
@@ -241,7 +243,7 @@ def _run_test_weight(cfg: RunConfig):
     ]
 
 
-def _run_embedding(cfg: RunConfig):
+def _run_embedding(cfg: RunConfig, timings: dict):
     w = measures.parse_weight(cfg.weight)
     econf = dyadic_mod.ExponentConfig(p=cfg.p, q=cfg.q, alpha=cfg.alpha)
     quad = measures.build_quadrature(cfg.quad_depth)
@@ -269,7 +271,7 @@ def _run_embedding(cfg: RunConfig):
     ]
 
 
-def _run_two_weight(cfg: RunConfig):
+def _run_two_weight(cfg: RunConfig, timings: dict):
     nu = measures.parse_weight(cfg.nu)
     mu = measures.parse_weight(cfg.mu)
     econf = dyadic_mod.ExponentConfig(p=cfg.p, q=cfg.q, alpha=cfg.alpha)
@@ -285,9 +287,11 @@ def _run_two_weight(cfg: RunConfig):
     ]
 
 
-def _run_certify(cfg: RunConfig):
-    w = measures.parse_weight(cfg.weight)
+def _run_certify(cfg: RunConfig, timings: dict):
+    with dirichlet_mod.timed(timings, "parse-weight"):
+        w = measures.parse_weight(cfg.weight)
     report = dirichlet_mod.theorem_pipeline(w, depth=cfg.depth, seed=cfg.seed)
+    timings.update(report.timings_ms)
     return [
         _stage(s.name, s.verdict, s.constants,
                {**s.witness, "error": s.error} if s.error else s.witness)
@@ -295,13 +299,13 @@ def _run_certify(cfg: RunConfig):
     ]
 
 
-def _run_verify_lemma(cfg: RunConfig):
+def _run_verify_lemma(cfg: RunConfig, timings: dict):
     if cfg.lemma not in LEMMAS:
         raise WeightSpecError(f"unknown lemma {cfg.lemma!r}; choose from {tuple(LEMMAS)}")
     return [_stage(cfg.lemma, *LEMMAS[cfg.lemma](cfg, np.random.default_rng(cfg.seed)))]
 
 
-def _run_bench(cfg: RunConfig):
+def _run_bench(cfg: RunConfig, timings: dict):
     return [_stage("bench", True, {"rows": bench(cfg.sizes, cfg.seed)})]
 
 
@@ -377,8 +381,9 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
     _cap_threads(cfg.threads)
     if cfg.command not in COMMANDS:
         raise WeightSpecError(f"unknown command {cfg.command!r}")
+    timings: dict[str, float] = {}
     try:
-        stages = COMMANDS[cfg.command](cfg)
+        stages = COMMANDS[cfg.command](cfg, timings)
     except (WeightSpecError, ConfigError):
         raise
     except CarlesonLabError as exc:
@@ -390,7 +395,7 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
         command=cfg.command,
         config=dataclasses.asdict(cfg),
         stages=stages,
-        timings_ms={"total": elapsed_ms},
+        timings_ms={**timings, "total": elapsed_ms},
     )
     verdicts = [s["verdict"] for s in stages if s["verdict"] is not None]
     code = 0 if all(verdicts) else 1

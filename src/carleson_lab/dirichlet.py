@@ -13,11 +13,15 @@ tester, the two-weight testing constant against Lebesgue at ``p = q = 2``
 and order one, the measured operator norms, and the Carleson constant.
 The ``*_stage`` functions map a report to its stage's
 ``(verdict, constants, witness)``; the command line uses the same ones.
+The pipeline report also holds the wall milliseconds of each stage, and
+of the quadrature it built, if any (:func:`timed`).
 """
 
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,12 +224,24 @@ class PipelineStage:
 class PipelineReport:
     stages: tuple[PipelineStage, ...]
     verdict: bool
+    # Wall milliseconds per stage name, plus "quadrature" when one was built.
+    timings_ms: dict = field(default_factory=dict)
 
     def stage(self, name: str) -> PipelineStage:
         for s in self.stages:
             if s.name == name:
                 return s
         raise KeyError(name)
+
+
+@contextmanager
+def timed(timings: dict, name: str):
+    """Record the wall milliseconds of the block as ``timings[name]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = (time.perf_counter() - t0) * 1e3
 
 
 def theorem_pipeline(
@@ -242,18 +258,21 @@ def theorem_pipeline(
     failing hypothesis still yields measurements for the later stages.
     """
     stages: list[PipelineStage] = []
+    timings: dict[str, float] = {}
     needs_quad = not w.is_radial_power
     if needs_quad and quad is None:
-        quad = build_quadrature(min(depth, 10))
+        with timed(timings, "quadrature"):
+            quad = build_quadrature(min(depth, 10))
 
     def run_stage(name, fn):
-        try:
-            verdict, constants, witness = fn()
-            stages.append(PipelineStage(name, verdict, constants, witness))
-        except CarlesonLabError as exc:
-            stages.append(
-                PipelineStage(name, False, {}, {}, f"{type(exc).__name__}: {exc}")
-            )
+        with timed(timings, name):
+            try:
+                verdict, constants, witness = fn()
+                stages.append(PipelineStage(name, verdict, constants, witness))
+            except CarlesonLabError as exc:
+                stages.append(
+                    PipelineStage(name, False, {}, {}, f"{type(exc).__name__}: {exc}")
+                )
 
     def stage_finite():
         mass = w.disk_mass(quad) if needs_quad else w.disk_mass()
@@ -285,4 +304,4 @@ def theorem_pipeline(
     run_stage("carleson-constant", stage_carleson)
 
     verdict = all(s.verdict for s in stages if s.verdict is not None)
-    return PipelineReport(stages=tuple(stages), verdict=verdict)
+    return PipelineReport(stages=tuple(stages), verdict=verdict, timings_ms=timings)

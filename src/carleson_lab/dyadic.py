@@ -517,7 +517,9 @@ def two_weight_norm_check(
 
     The kernel ``k_alpha`` is applied exactly between cell centers, one
     layer pair at a time (:func:`cell_kernel_apply`), from a table of
-    ``O(cells * layers)`` entries instead of a dense ``n x n`` matrix.
+    ``O(cells * layers)`` entries instead of a dense ``n x n`` matrix;
+    the table holds one block of each Hermitian pair of layers, 16.5 MiB
+    at the deepest default depth, 10.
     For ``p = q = 2`` norms come from power iteration on the weighted
     operators, and the verdict asks the dense estimates of the last two
     refinements to agree within ``stabilize_rtol``.  The dyadic model

@@ -564,12 +564,15 @@ def box_mass(
 
 
 def draw_arcs(rng: np.random.Generator, count: int, min_length: float) -> list[Arc]:
-    """``count`` uniformly random arcs, each drawn as its length, then its start."""
-    arcs = []
-    for _ in range(count):
-        length = float(rng.uniform(min_length, 1.0))
-        arcs.append(Arc(float(rng.uniform(0.0, TAU)), length))
-    return arcs
+    """``count`` uniformly random arcs, each drawn as its length, then its start.
+
+    One draw of ``2 * count`` uniforms, interleaved length and start, is
+    the same stream as ``2 * count`` scalar ``rng.uniform`` calls.
+    """
+    u = rng.random(2 * count)
+    lengths = min_length + (1.0 - min_length) * u[0::2]
+    starts = TAU * u[1::2]
+    return [Arc(start, length) for start, length in zip(starts.tolist(), lengths.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ matrices and matrix-free operators alike); :func:`kernel_rows`, the one
 blocked loop over kernel rows behind every quadrature apply at arbitrary
 points and every dense kernel build; and :func:`cell_kernel_apply`, the
 exact kernel apply between quadrature cell centers, one FFT convolution
-per pair of layers.  Dense eigensolves stay available as an oracle for
-small sizes.
+per pair of layers, from a table that stores one block of each Hermitian
+pair (16.5 MiB at quadrature depth 10).  Dense eigensolves stay
+available as an oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -302,51 +303,69 @@ def cell_kernel_apply(spec: KernelSpec, quad: DiskQuadrature):
     target layer of count ``P`` and a source layer of count ``Q`` is a
     cyclic convolution on ``C = max(P, Q)`` angles; the half-cell offset
     between the two grids sits in the first row of the convolving
-    sequence.  The plan stores the FFT of that sequence for every layer
-    pair (``O(cells * layers)`` entries, grouped by pair of count
-    classes).  An apply takes one FFT per class, one batch of
-    ``min(P, Q)`` matrix products per pair of classes and one inverse FFT
+    sequence.  The kernel is Hermitian, so the plan stores the FFT of that
+    sequence only for pairs with ``P >= Q``: one table per source class,
+    its rows the layers of every class at least as fine
+    (``O(cells * layers)`` entries in all).  An apply takes one FFT per
+    class and two batches of matrix products per class, one inverse FFT
     per class.  A coarser source's spectrum repeats every ``Q``
-    frequencies (zero-insertion upsampling) and a coarser target keeps the
-    mean of its ``C / P`` aliases (decimation); the plan folds both into
-    the matrices, so frequency ``k`` of the coarser class meets every
-    frequency of the finer class congruent to ``k``.
+    frequencies (zero-insertion upsampling), so frequency ``k`` of the
+    source meets every target frequency congruent to ``k``.  A coarser
+    target keeps the mean of its ``r = Q / P`` aliases (decimation); with
+    unnormalized FFTs its block at frequency ``k`` is the conjugate
+    transpose of the stored block of the reverse pair divided by ``r``,
+    applied as ``conj(conj(s) @ T) / r`` on the folded spectrum ``s``.
     """
     classes: dict[int, list] = {}
     for layer in quad.layers:
         classes.setdefault(layer.count, []).append(layer)
+    counts = sorted(classes)
     cells = {
         p: np.concatenate([np.arange(l.start, l.start + l.count) for l in layers])
         for p, layers in classes.items()
     }
     radii = {p: np.array([l.r_mid for l in layers]) for p, layers in classes.items()}
-    table = {}
-    for p in classes:
-        for q in classes:
-            c = max(p, q)
-            r = c // min(p, q)
-            turns = (np.arange(c) + (c // p - c // q) / 2) / c
+    # table[q][k] stacks, for each class p >= q in ascending order, the rows
+    # (m, target) of target frequency m * q + k against the sources of q.
+    table, rows = {}, {}
+    for q in counts:
+        finer = [p for p in counts if p >= q]
+        sizes = [p // q * radii[p].size for p in finer]
+        bounds = np.cumsum([0] + sizes)
+        table[q] = np.empty((q, bounds[-1], radii[q].size), dtype=complex)
+        rows[q] = {p: slice(lo, hi) for p, lo, hi in zip(finer, bounds[:-1], bounds[1:])}
+        for p in finer:
+            r = p // q
+            turns = (np.arange(p) + (1 - r) / 2) / p
             x = np.multiply.outer(np.exp(TAU * 1j * turns), np.multiply.outer(radii[p], radii[q]))
             g = _fold(np.fft.fft(eval_kernel(spec, x, 1.0), axis=0), r)  # (k, m, target, source)
-            if p >= q:  # rows (m, target): the target frequencies m * q + k
-                table[p, q] = g.reshape(q, -1, radii[q].size)
-            else:  # columns (m, source): the aliases of target frequency k
-                table[p, q] = g.transpose(0, 2, 1, 3).reshape(p, radii[p].size, -1) / r
+            table[q][:, rows[q][p]] = g.reshape(q, -1, radii[q].size)
 
     def apply(fw: np.ndarray) -> np.ndarray:
-        spectra = {q: np.fft.fft(fw[cells[q]].reshape(-1, q).T, axis=0) for q in classes}
+        spectra = {q: np.fft.fft(fw[cells[q]].reshape(-1, q).T, axis=0) for q in counts}
+        acc = dict.fromkeys(counts, 0.0)
+        for q in counts:
+            h = (table[q] @ spectra[q][:, :, None])[:, :, 0]
+            for p, block in rows[q].items():
+                acc[p] = acc[p] + h[:, block].reshape(q, p // q, -1).swapaxes(0, 1).reshape(p, -1)
+        conj_spectra = {q: np.conj(s) for q, s in spectra.items()}
+        for p in counts[:-1]:
+            # Finer sources reach p through the conjugate transpose of the
+            # rows that table[p] stores for them as targets: fold each
+            # source's aliases of frequency k and take their mean.
+            folded = np.concatenate(
+                [
+                    _fold(conj_spectra[q], q // p).reshape(p, -1) / (q // p)
+                    for q in counts
+                    if q > p
+                ],
+                axis=1,
+            )
+            coarse = table[p][:, rows[p][p].stop :]
+            acc[p] = acc[p] + np.conj(folded[:, None, :] @ coarse)[:, 0]
         out = np.empty(quad.n_cells, dtype=complex)
-        for p in classes:
-            acc = 0.0
-            for q, spectrum in spectra.items():
-                r = max(p, q) // min(p, q)
-                if q > p:
-                    spectrum = _fold(spectrum, r).reshape(p, -1)
-                h = (table[p, q] @ spectrum[:, :, None])[:, :, 0]
-                if p > q:
-                    h = h.reshape(q, r, -1).swapaxes(0, 1).reshape(p, -1)
-                acc = acc + h
-            out[cells[p]] = np.fft.ifft(acc, axis=0).T.ravel()
+        for p in counts:
+            out[cells[p]] = np.fft.ifft(acc[p], axis=0).T.ravel()
         return out
 
     return apply

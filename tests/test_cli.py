@@ -182,6 +182,17 @@ def write_sampled_weight(path) -> str:
     return f"grid:{path}"
 
 
+@pytest.mark.parametrize("sampled", [False, True])
+def test_certify_times_each_stage(sampled, tmp_path):
+    weight = write_sampled_weight(tmp_path / "w.grid") if sampled else "radial-power:1"
+    _, rep = run(RunConfig(command="certify", weight=weight, depth=8, seed=SEED))
+    timings = json.loads(rep.to_json())["timings_ms"]
+    setup = {"parse-weight", "quadrature"} if sampled else {"parse-weight"}
+    assert set(timings) == {s["name"] for s in rep.stages} | setup | {"total"}
+    parts = sum(ms for key, ms in timings.items() if key != "total")
+    assert abs(parts - timings["total"]) <= 0.02 * timings["total"]
+
+
 def test_embedding_evaluates_the_density_once(tmp_path, monkeypatch):
     # The three embedding stages read one weighted tree per grid: one
     # density pass, and per grid one box sum of the masses and one of f.

@@ -547,6 +547,24 @@ def test_batched_box_masses_equal_the_per_arc_loop_on_many_arcs():
         assert box_masses(w, batch, ARC_QUAD, kind).tolist() == expected
 
 
+@pytest.mark.parametrize("seed", [SEED, 7, 11])
+@pytest.mark.parametrize("min_length", [2.0**-16, 2.0**-ARC_DEPTH, 0.3, 1.0])
+def test_draw_arcs_equals_the_scalar_draw_loop(seed, min_length):
+    # The oracle: length, then start, one scalar uniform each, per arc.
+    rng = np.random.default_rng(seed)
+    expected = []
+    for _ in range(1000):
+        length = float(rng.uniform(min_length, 1.0))
+        expected.append(Arc(float(rng.uniform(0.0, TAU)), length))
+    after = rng.random()
+    rng = np.random.default_rng(seed)
+    got = draw_arcs(rng, 1000, min_length)
+    key = [(a.start, a.length, a.start_turn) for a in got]
+    assert key == [(a.start, a.length, a.start_turn) for a in expected]
+    assert rng.random() == after
+    assert draw_arcs(np.random.default_rng(seed), 0, min_length) == []
+
+
 def test_batched_sums_cover_wrapped_and_resolution_arcs():
     w = thin_shell_weight(floor=0.3)
     values = w.density(ARC_QUAD.z) * ARC_QUAD.area

@@ -4,6 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from carleson_lab import operators
 from carleson_lab.measures import SampledFunction, build_quadrature
 from carleson_lab.operators import (
     DiscreteMeasure,
@@ -460,6 +461,21 @@ def test_cell_kernel_apply_is_hermitian(spec):
     apply = cell_kernel_apply(spec, quad)
     left, right = np.vdot(g, apply(f)), np.vdot(apply(g), f)
     assert abs(left - right) <= 1e-12 * np.linalg.norm(apply(f)) * np.linalg.norm(g)
+
+
+def test_cell_kernel_apply_evaluates_one_table_per_hermitian_pair(monkeypatch):
+    # Depth 10 has angular classes 16, ..., 1024; the plan evaluates the
+    # pairs with target count >= source count only (both orders: 1,737,216).
+    evaluated = []
+
+    def counting(spec, z, w):
+        out = eval_kernel(spec, z, w)
+        evaluated.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(operators, "eval_kernel", counting)
+    cell_kernel_apply(KernelSpec.k_alpha(1.0), build_quadrature(10))
+    assert sum(evaluated) == 1_081_856
 
 
 def test_poly_eval_horner():
