@@ -5,10 +5,11 @@ Subcommands are the keys of :data:`COMMANDS`: ``test-weight``,
 the keys of :data:`LEMMAS`) and ``bench``.  Their options and defaults
 are the fields of :class:`RunConfig`.  Reports are JSON (CSV for bench);
 identical configuration and seed produce byte-identical JSON apart from
-the timing block, which holds the total and, for ``certify``, each
-stage.  Stages that measure without testing carry a null verdict.  Exit
-codes: 0 all non-null verdicts true, 1 a numerical verdict false, 2
-usage error (including an option value out of range).
+the timing block.  It holds the total and, for every command but
+``verify-lemma`` and ``bench``, each stage and setup step.  Stages that
+measure without testing carry a null verdict.  Exit codes: 0 all
+non-null verdicts true, 1 a numerical verdict false, 2 usage error
+(including an option value out of range).
 """
 
 from __future__ import annotations
@@ -233,10 +234,16 @@ LEMMAS = {
 
 
 def _run_test_weight(cfg: RunConfig, timings: dict):
-    w = measures.parse_weight(cfg.weight)
-    quad = None if w.is_radial_power else measures.build_quadrature(cfg.quad_depth)
-    rev = measures.reverse_doubling_report(w, depth=cfg.depth, seed=cfg.seed, quad=quad)
-    dbl = measures.doubling_report(w, samples=min(cfg.samples, 500), seed=cfg.seed)
+    with dirichlet_mod.timed(timings, "parse-weight"):
+        w = measures.parse_weight(cfg.weight)
+    quad = None
+    if not w.is_radial_power:
+        with dirichlet_mod.timed(timings, "quadrature"):
+            quad = measures.build_quadrature(cfg.quad_depth)
+    with dirichlet_mod.timed(timings, "reverse-doubling"):
+        rev = measures.reverse_doubling_report(w, depth=cfg.depth, seed=cfg.seed, quad=quad)
+    with dirichlet_mod.timed(timings, "doubling"):
+        dbl = measures.doubling_report(w, samples=min(cfg.samples, 500), seed=cfg.seed)
     return [
         _stage("reverse-doubling", *dirichlet_mod.reverse_doubling_stage(rev)),
         _stage("doubling", None, {"C_hat": dbl.c_hat}, {"worst_radius": dbl.worst_radius}),
@@ -244,43 +251,51 @@ def _run_test_weight(cfg: RunConfig, timings: dict):
 
 
 def _run_embedding(cfg: RunConfig, timings: dict):
-    w = measures.parse_weight(cfg.weight)
-    econf = dyadic_mod.ExponentConfig(p=cfg.p, q=cfg.q, alpha=cfg.alpha)
-    quad = measures.build_quadrature(cfg.quad_depth)
-    depth = min(cfg.depth, quad.depth)
+    with dirichlet_mod.timed(timings, "parse-weight"):
+        w = measures.parse_weight(cfg.weight)
+        econf = dyadic_mod.ExponentConfig(p=cfg.p, q=cfg.q, alpha=cfg.alpha)
+    with dirichlet_mod.timed(timings, "quadrature"):
+        quad = measures.build_quadrature(cfg.quad_depth)
+        depth = min(cfg.depth, quad.depth)
     # One density and one weighted tree per grid serve all three stages;
-    # a radial-power weight's constant keeps its closed-form masses.
-    density = np.real(w.density(quad.z))
-    masses = dyadic_mod.cell_mass_trees(density, depth, quad)
-    exact = dyadic_mod.radial_mass_trees(w, depth) if w.is_radial_power else masses
-    emb = dyadic_mod.carleson_embedding_constant(w, econf.t, exact)
-    rng = np.random.default_rng(cfg.seed)
-    f = measures.SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
-    trees = dyadic_mod.weighted_trees(density, f, masses, quad)
-    weak = dyadic_mod.weak_type_norm(econf.t, f, trees)
-    strong = dyadic_mod.strong_embedding_check(econf, f, density, trees, quad)
-    return [
-        _stage(
-            "embedding-constant",
-            bool(np.isfinite(emb.c1_hat)),
-            {"c1_hat": emb.c1_hat, "tail_estimate": emb.tail_estimate},
-            {"worst_box": repr(emb.worst_box)},
-        ),
-        _stage("weak-norm", None, {"weak_type_norm": weak}),
-        _stage("strong-ratio", None, {"strong_ratio": strong}),
-    ]
+    # a radial-power weight's constant keeps its closed-form masses.  Each
+    # stage is built in its timed block: the whole run takes milliseconds.
+    with dirichlet_mod.timed(timings, "weighted-trees"):
+        density = np.real(w.density(quad.z))
+        masses = dyadic_mod.cell_mass_trees(density, depth, quad)
+        rng = np.random.default_rng(cfg.seed)
+        f = measures.SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
+        trees = dyadic_mod.weighted_trees(density, f, masses, quad)
+    with dirichlet_mod.timed(timings, "embedding-constant"):
+        exact = dyadic_mod.radial_mass_trees(w, depth) if w.is_radial_power else masses
+        emb = dyadic_mod.carleson_embedding_constant(w, econf.t, exact)
+        stages = [_stage("embedding-constant", bool(np.isfinite(emb.c1_hat)),
+                         {"c1_hat": emb.c1_hat, "tail_estimate": emb.tail_estimate},
+                         {"worst_box": repr(emb.worst_box)})]
+    with dirichlet_mod.timed(timings, "weak-norm"):
+        weak = dyadic_mod.weak_type_norm(econf.t, f, trees)
+        stages.append(_stage("weak-norm", None, {"weak_type_norm": weak}))
+    with dirichlet_mod.timed(timings, "strong-ratio"):
+        strong = dyadic_mod.strong_embedding_check(econf, f, density, trees, quad)
+        stages.append(_stage("strong-ratio", None, {"strong_ratio": strong}))
+    return stages
 
 
 def _run_two_weight(cfg: RunConfig, timings: dict):
-    nu = measures.parse_weight(cfg.nu)
-    mu = measures.parse_weight(cfg.mu)
+    with dirichlet_mod.timed(timings, "parse-weight"):
+        nu = measures.parse_weight(cfg.nu)
+        mu = measures.parse_weight(cfg.mu)
     econf = dyadic_mod.ExponentConfig(p=cfg.p, q=cfg.q, alpha=cfg.alpha)
-    closed_form = nu.is_radial_power and mu.is_radial_power
-    quad = None if closed_form else measures.build_quadrature(cfg.quad_depth)
-    testing = dyadic_mod.two_weight_testing_constant(
-        nu, mu, econf, depth=cfg.depth, quad=quad, seed=cfg.seed
-    )
-    norms = dyadic_mod.two_weight_norm_check(nu, mu, econf, seed=cfg.seed)
+    quad = None
+    if not (nu.is_radial_power and mu.is_radial_power):
+        with dirichlet_mod.timed(timings, "quadrature"):
+            quad = measures.build_quadrature(cfg.quad_depth)
+    with dirichlet_mod.timed(timings, "testing-constant"):
+        testing = dyadic_mod.two_weight_testing_constant(
+            nu, mu, econf, depth=cfg.depth, quad=quad, seed=cfg.seed
+        )
+    with dirichlet_mod.timed(timings, "norm-check"):
+        norms = dyadic_mod.two_weight_norm_check(nu, mu, econf, seed=cfg.seed)
     return [
         _stage("testing-constant", *dirichlet_mod.testing_constant_stage(testing)),
         _stage("norm-check", *dirichlet_mod.norm_check_stage(norms)),

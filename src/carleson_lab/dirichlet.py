@@ -4,13 +4,15 @@ Analytic polynomials carry two comparable square norms: the derivative
 norm ``|a_0|^2 + sum n |a_n|^2`` and the kernel norm
 ``sum (n+1) |a_n|^2`` reproduced by the logarithmic kernel; they differ
 by at most a factor of two, so a weight is a Carleson weight for one iff
-for the other.  :func:`carleson_constant` returns the logarithmic-kernel
-operator norm on ``L2(w)`` together with the exact maximum of
-``integral |f|^2 w / derivative-norm(f)`` over polynomials of degree at
-most 64; for a radial weight both are its disk mass.  The certification
-pipeline for a weight runs, in order: finiteness, the reverse-doubling
-tester, the two-weight testing constant against Lebesgue at ``p = q = 2``
-and order one, the measured operator norms, and the Carleson constant.
+for the other.  :func:`carleson_constant` reads both of its constants
+off one weighted monomial Gram of degree 64, scaled by each norm's
+weights: the logarithmic-kernel operator norm on ``L2(w)`` and the
+exact maximum of ``integral |f|^2 w / derivative-norm(f)`` over those
+polynomials; for a radial weight both are its disk mass.  The
+certification pipeline for a weight runs, in order: finiteness, the
+reverse-doubling tester, the two-weight testing constant against
+Lebesgue at ``p = q = 2`` and order one, the measured operator norms,
+and the Carleson constant.
 The ``*_stage`` functions map a report to its stage's
 ``(verdict, constants, witness)``; the command line uses the same ones.
 The pipeline report also holds the wall milliseconds of each stage, and
@@ -35,13 +37,11 @@ from .dyadic import (
 )
 from .errors import CarlesonLabError
 from .measures import (
-    DiskQuadrature,
     ReverseDoublingReport,
     Weight,
     build_quadrature,
     reverse_doubling_report,
 )
-from .operators import KernelSpec, cell_kernel_apply, power_norm
 
 DEFAULT_DEGREE_CAP = 256
 #: Degree of the polynomial space the Carleson lower bound maximizes over.
@@ -75,19 +75,26 @@ class AnalyticPolynomial:
         return out
 
 
+def derivative_weights(size: int) -> np.ndarray:
+    """``max(n, 1)`` for ``n < size``: the derivative norm's weight on ``|a_n|^2``."""
+    return np.maximum(np.arange(size, dtype=float), 1.0)
+
+
+def kernel_weights(size: int) -> np.ndarray:
+    """``n + 1`` for ``n < size``: the kernel norm's weight on ``|a_n|^2``."""
+    return np.arange(size, dtype=float) + 1.0
+
+
 def dirichlet_norm(f: AnalyticPolynomial) -> float:
     """``|a_0|^2 + sum_{n>=1} n |a_n|^2`` (the derivative-energy norm squared)."""
     a = np.abs(f.coefficients) ** 2
-    n = np.arange(a.size, dtype=float)
-    weights = np.where(n == 0, 1.0, n)
-    return float(np.sum(weights * a))
+    return float(np.sum(derivative_weights(a.size) * a))
 
 
 def kernel_norm(f: AnalyticPolynomial) -> float:
     """``sum (n+1) |a_n|^2``, the norm reproduced by the logarithmic kernel."""
     a = np.abs(f.coefficients) ** 2
-    n = np.arange(a.size, dtype=float)
-    return float(np.sum((n + 1.0) * a))
+    return float(np.sum(kernel_weights(a.size) * a))
 
 
 def random_polynomials(
@@ -128,19 +135,16 @@ def monomial_gram(z: np.ndarray, mass: np.ndarray, degree: int) -> np.ndarray:
     return gram
 
 
-def gram_lower_bound(gram: np.ndarray) -> float:
-    """``max a^H G a / (|a_0|^2 + sum n |a_n|^2)`` over the Gram's
-    polynomials: the top eigenvalue of ``S G S``, ``S = diag(1/sqrt(max(n, 1)))``."""
-    n = np.arange(gram.shape[0], dtype=float)
-    s = 1.0 / np.sqrt(np.maximum(n, 1.0))
+def gram_ratio(gram: np.ndarray, weights) -> float:
+    """``max a^H G a / sum_n weights(n) |a_n|^2`` over the Gram's polynomials,
+    ``weights`` one of the two norms' weight functions: the top eigenvalue
+    of ``S G S``, ``S = diag(1/sqrt(weights))``."""
+    s = 1.0 / np.sqrt(weights(gram.shape[0]))
     return float(np.linalg.eigvalsh(s[:, None] * gram * s[None, :])[-1])
 
 
 def carleson_constant(
-    w: Weight,
-    quad_depths: tuple[int, ...] = (8, 10, 12),
-    seed: int = 20260810,
-    stabilize_rtol: float = 0.05,
+    w: Weight, quad_depths: tuple[int, ...] = (8, 10), stabilize_rtol: float = 0.05
 ) -> CarlesonVerdict:
     """The Carleson constant of ``w`` and a polynomial lower bound for it.
 
@@ -155,32 +159,29 @@ def carleson_constant(
     largest at ``n = 0`` since ``M_2n`` decreases, so the constant
     polynomial attains both and each is the disk mass ``M_0``.
 
-    Sampled weights: power iteration, seeded by ``seed``, on the operator
-    between cell centers at each depth capped at 8 (one depth refines
-    nothing: verdict ``None``); the lower bound is exact on quadrature
-    depth ``min(quad_depths[-1], 10)``, from the monomial Gram.
+    Sampled weights: one :func:`monomial_gram` of the cell masses per
+    depth of ``quad_depths``.  The operator norm is the top eigenvalue of
+    the Gram of the orthonormal basis ``z^n / sqrt(n+1)``: the estimate
+    is the kernel-weighted ratio, traced over the depths; the verdict is
+    whether the last two agree within ``stabilize_rtol`` (``None`` after
+    one depth).  The lower bound is the last Gram's derivative-weighted
+    ratio.  The degree cap compresses the operator, so the estimate never
+    exceeds the norm between cell centers and reads low for mass within
+    about ``1/64`` of the circle.
     """
     if w.is_radial_power:
         mass = w.disk_mass()
         return CarlesonVerdict(mass, mass, (), True)
     trace = []
-    for d in dict.fromkeys(min(d, 8) for d in quad_depths):  # each capped depth once
+    for d in dict.fromkeys(quad_depths):
         quad = build_quadrature(d)
-        # D^1/2 K D^1/2 with D the cell masses is hermitian: its own adjoint.
-        root = np.sqrt(np.real(w.density(quad.z)) * quad.area)
-        kernel = cell_kernel_apply(KernelSpec.dirichlet(), quad)
-
-        def weighted(v):
-            return root * kernel(root * v)
-
-        trace.append((d, power_norm(weighted, weighted, quad.n_cells, seed=seed).value))
+        mass = np.real(w.density(quad.z)) * quad.area
+        gram = monomial_gram(quad.z, mass, LOWER_BOUND_DEGREE)
+        trace.append((d, gram_ratio(gram, kernel_weights)))
     last, verdict = trace[-1][1], None
     if len(trace) >= 2:
         verdict = abs(last - trace[-2][1]) <= stabilize_rtol * max(abs(last), 1e-300)
-    quad = build_quadrature(min(quad_depths[-1], 10))
-    mass = np.real(w.density(quad.z)) * quad.area
-    lower = gram_lower_bound(monomial_gram(quad.z, mass, LOWER_BOUND_DEGREE))
-    return CarlesonVerdict(last, lower, tuple(trace), verdict)
+    return CarlesonVerdict(last, gram_ratio(gram, derivative_weights), tuple(trace), verdict)
 
 
 def reverse_doubling_stage(rep: ReverseDoublingReport) -> tuple[bool, dict, dict]:
@@ -244,12 +245,7 @@ def timed(timings: dict, name: str):
         timings[name] = (time.perf_counter() - t0) * 1e3
 
 
-def theorem_pipeline(
-    w: Weight,
-    depth: int = 12,
-    quad: DiskQuadrature | None = None,
-    seed: int = 20260810,
-) -> PipelineReport:
+def theorem_pipeline(w: Weight, depth: int = 12, seed: int = 20260810) -> PipelineReport:
     """Certify numerically that a finite reverse-doubling weight embeds.
 
     The last stage reports one :func:`carleson_constant` call: the
@@ -259,8 +255,8 @@ def theorem_pipeline(
     """
     stages: list[PipelineStage] = []
     timings: dict[str, float] = {}
-    needs_quad = not w.is_radial_power
-    if needs_quad and quad is None:
+    quad = None
+    if not w.is_radial_power:
         with timed(timings, "quadrature"):
             quad = build_quadrature(min(depth, 10))
 
@@ -275,7 +271,7 @@ def theorem_pipeline(
                 )
 
     def stage_finite():
-        mass = w.disk_mass(quad) if needs_quad else w.disk_mass()
+        mass = w.disk_mass(quad)
         return bool(w.finite and math.isfinite(mass)), {"disk_mass": mass}, {}
 
     run_stage("finiteness", stage_finite)
@@ -291,7 +287,7 @@ def theorem_pipeline(
     ))
 
     def stage_carleson():
-        c = carleson_constant(w, seed=seed)
+        c = carleson_constant(w)
         return (
             c.verdict,
             {

@@ -86,11 +86,6 @@ class TreeFunction:
     depth: int
     levels: tuple[np.ndarray, ...]
 
-    def value(self, index: DyadicIndex) -> float:
-        if index.grid != self.grid or index.level > self.depth:
-            raise KeyError(f"{index} not stored in this tree")
-        return float(self.levels[index.level][index.position])
-
     def flat(self) -> np.ndarray:
         return np.concatenate(self.levels)
 

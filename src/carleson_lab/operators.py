@@ -57,12 +57,6 @@ class KernelSpec:
             raise ValueError(f"custom series capped at {_CUSTOM_SERIES_CAP} terms")
         return KernelSpec(kind="custom-series", coefficients=coeffs)
 
-    @property
-    def hermitian(self) -> bool:
-        # All supported families have real series coefficients, hence
-        # k(z, w) = conj(k(w, z)).
-        return True
-
 
 def _dirichlet_values(x: np.ndarray) -> np.ndarray:
     """``sum x**n / (n+1)`` via the series for small ``|x|``, the closed
@@ -142,7 +136,6 @@ class OperatorMatrix:
 
     matrix: np.ndarray
     masses: np.ndarray
-    hermitian: bool
 
     @property
     def size(self) -> int:
@@ -158,14 +151,12 @@ class OperatorMatrix:
 def assemble_operator(spec: KernelSpec, m: DiscreteMeasure) -> OperatorMatrix:
     """Dense matrix ``A[i, j] = k(z_i, z_j)`` over the measure's atoms."""
     a = eval_kernel(spec, m.points[:, None], m.points[None, :])
-    return OperatorMatrix(matrix=np.asarray(a), masses=m.masses, hermitian=spec.hermitian)
+    return OperatorMatrix(matrix=np.asarray(a), masses=m.masses)
 
 
 def real_part_operator(a: OperatorMatrix) -> OperatorMatrix:
     """Entrywise real part; hermitian input becomes real symmetric."""
-    return OperatorMatrix(
-        matrix=np.real(a.matrix).astype(float), masses=a.masses, hermitian=a.hermitian
-    )
+    return OperatorMatrix(matrix=np.real(a.matrix).astype(float), masses=a.masses)
 
 
 @dataclass(frozen=True)

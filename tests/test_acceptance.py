@@ -333,7 +333,7 @@ def test_criterion_11_theorem_assembly():
         testing_ok &= abs(rep.sup_value - expected) <= 1e-6
     pipe_leb = theorem_pipeline(Weight.lebesgue(), depth=12, seed=SEED)
     pipe_rp1 = theorem_pipeline(Weight.radial_power(1), depth=12, seed=SEED)
-    carleson = carleson_constant(Weight.lebesgue(), seed=SEED)
+    carleson = carleson_constant(Weight.lebesgue())
     carleson_ok = abs(carleson.constant_estimate - 1.0) <= 0.02
     elapsed = time.perf_counter() - t0
     ok = (

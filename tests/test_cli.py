@@ -182,12 +182,17 @@ def write_sampled_weight(path) -> str:
     return f"grid:{path}"
 
 
+@pytest.mark.parametrize("command", ["certify", "test-weight", "embedding", "two-weight"])
 @pytest.mark.parametrize("sampled", [False, True])
-def test_certify_times_each_stage(sampled, tmp_path):
+def test_certify_times_each_stage(sampled, command, tmp_path):
+    # Every stage and setup step is timed: the keys sum to the total.
     weight = write_sampled_weight(tmp_path / "w.grid") if sampled else "radial-power:1"
-    _, rep = run(RunConfig(command="certify", weight=weight, depth=8, seed=SEED))
+    cfg = RunConfig(command=command, weight=weight, nu=weight, depth=8, seed=SEED)
+    _, rep = run(cfg)
     timings = json.loads(rep.to_json())["timings_ms"]
     setup = {"parse-weight", "quadrature"} if sampled else {"parse-weight"}
+    if command == "embedding":
+        setup = {"parse-weight", "quadrature", "weighted-trees"}
     assert set(timings) == {s["name"] for s in rep.stages} | setup | {"total"}
     parts = sum(ms for key, ms in timings.items() if key != "total")
     assert abs(parts - timings["total"]) <= 0.02 * timings["total"]

@@ -147,9 +147,7 @@ def test_assemble_two_atoms_cauchy_kernel():
 
 
 def test_real_part_operator():
-    m = OperatorMatrix(
-        np.array([[1.0, 1j], [-1j, 1.0]]), np.array([1.0, 1.0]), hermitian=True
-    )
+    m = OperatorMatrix(np.array([[1.0, 1j], [-1j, 1.0]]), np.array([1.0, 1.0]))
     r = real_part_operator(m)
     np.testing.assert_array_equal(r.matrix, np.eye(2))
     dm = DiscreteMeasure(np.array([0j, 0.4 + 0j]), np.array([1.0, 1.0]))
@@ -159,19 +157,19 @@ def test_real_part_operator():
 
 def test_operator_norm_identity_kernel():
     masses = np.array([0.3, 0.6, 0.1])
-    m = OperatorMatrix(np.eye(3, dtype=complex), masses, True)
+    m = OperatorMatrix(np.eye(3, dtype=complex), masses)
     est = operator_norm(m)
     assert est.converged
     assert est.value == pytest.approx(max(masses), rel=1e-7)
 
 
 def test_operator_norm_rank_one_all_ones():
-    m = OperatorMatrix(np.ones((2, 2), dtype=complex), np.array([0.5, 0.5]), True)
+    m = OperatorMatrix(np.ones((2, 2), dtype=complex), np.array([0.5, 0.5]))
     assert operator_norm(m).value == pytest.approx(1.0, rel=1e-7)
 
 
 def test_operator_norm_diagonal():
-    m = OperatorMatrix(np.diag([2.0, 3.0]).astype(complex), np.array([1.0, 1.0]), True)
+    m = OperatorMatrix(np.diag([2.0, 3.0]).astype(complex), np.array([1.0, 1.0]))
     assert operator_norm(m).value == pytest.approx(3.0, rel=1e-7)
 
 
