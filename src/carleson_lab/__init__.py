@@ -26,7 +26,6 @@ from .dyadic import (
     dyadic_apply,
     radial_mass_trees,
     strong_embedding_check,
-    tree_expectation,
     two_weight_norm_check,
     two_weight_testing_constant,
     weak_type_norm,
@@ -58,6 +57,7 @@ from .measures import (
     SampledFunction,
     Weight,
     ball_mass,
+    ball_masses,
     box_mass,
     box_masses,
     build_quadrature,

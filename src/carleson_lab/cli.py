@@ -5,10 +5,9 @@ Subcommands are the keys of :data:`COMMANDS`: ``test-weight``,
 the keys of :data:`LEMMAS`) and ``bench``.  Their options and defaults
 are the fields of :class:`RunConfig`.  Reports are JSON (CSV for bench);
 identical configuration and seed produce byte-identical JSON apart from
-the timing block.  It holds the total and, for every command but
-``verify-lemma`` and ``bench``, each stage and setup step.  Stages that
-measure without testing carry a null verdict.  Exit codes: 0 all
-non-null verdicts true, 1 a numerical verdict false, 2 usage error
+the timing block, which holds the total, each stage and each setup step.
+Stages that measure without testing carry a null verdict.  Exit codes: 0
+all non-null verdicts true, 1 a numerical verdict false, 2 usage error
 (including an option value out of range).
 """
 
@@ -317,11 +316,13 @@ def _run_certify(cfg: RunConfig, timings: dict):
 def _run_verify_lemma(cfg: RunConfig, timings: dict):
     if cfg.lemma not in LEMMAS:
         raise WeightSpecError(f"unknown lemma {cfg.lemma!r}; choose from {tuple(LEMMAS)}")
-    return [_stage(cfg.lemma, *LEMMAS[cfg.lemma](cfg, np.random.default_rng(cfg.seed)))]
+    with dirichlet_mod.timed(timings, cfg.lemma):
+        return [_stage(cfg.lemma, *LEMMAS[cfg.lemma](cfg, np.random.default_rng(cfg.seed)))]
 
 
 def _run_bench(cfg: RunConfig, timings: dict):
-    return [_stage("bench", True, {"rows": bench(cfg.sizes, cfg.seed)})]
+    with dirichlet_mod.timed(timings, "bench"):
+        return [_stage("bench", True, {"rows": bench(cfg.sizes, cfg.seed)})]
 
 
 def bench(sizes, seed: int = DEFAULT_SEED) -> list[dict]:

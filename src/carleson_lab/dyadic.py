@@ -233,20 +233,6 @@ def weighted_trees(density: np.ndarray, f: SampledFunction, masses: tuple, quad)
     return [(tree_averages(density, f, m, quad), m) for m in masses]
 
 
-def tree_expectation(
-    w: Weight, f: SampledFunction, index: DyadicIndex, quad: DiskQuadrature
-) -> float:
-    """Weighted average of ``f`` over one box (cell sums top and bottom)."""
-    density = np.real(w.density(quad.z))
-    mass_sums = box_level_sums(quad, density * quad.area, index.grid, index.level)
-    mass = float(mass_sums[index.level][index.position])
-    if mass <= 0.0:
-        raise DegenerateWeightError(f"zero-mass box {index}")
-    values = np.asarray(f.values) * density * quad.area
-    sums = box_level_sums(quad, values, index.grid, index.level)
-    return float(np.real(sums[index.level][index.position])) / mass
-
-
 @dataclass(frozen=True)
 class EmbeddingReport:
     c1_hat: float
@@ -397,7 +383,10 @@ def two_weight_testing_constant(
     """Supremum of ``mass_nu(Q)**(1/q) mass_dual(Q)**(1/p') / area(Q)**(alpha/2)``.
 
     The sweep covers both grids up to ``depth`` plus random arcs; the dual
-    weight of ``mu`` must have finite mass.
+    weight of ``mu`` must have finite mass.  Box masses come from
+    :func:`box_mass_levels` and :func:`box_masses`: closed form for a
+    radial-power weight, cell sums over ``quad`` (which also caps
+    ``depth``) for any other.
     """
     dual = dual_weight(mu, cfg.p)
     if not dual.finite:
@@ -407,35 +396,11 @@ def two_weight_testing_constant(
         )
     if not nu.finite:
         raise InfiniteMassError(f"weight {nu.spec!r} has infinite mass")
-
-    def value_for_length(lengths):
-        lengths = np.asarray(lengths, dtype=float)
-        area = full_box_area(lengths)
-        m_nu = lengths * nu.outer_radial_mass(lengths)
-        m_du = lengths * dual.outer_radial_mass(lengths)
-        return (
-            m_nu ** (1.0 / cfg.q)
-            * m_du ** (1.0 / cfg.p_prime)
-            / area ** (cfg.alpha / 2.0)
-        )
-
     rng = np.random.default_rng(seed)
-    if nu.is_radial_power and dual.is_radial_power:
-        lengths = 2.0 ** -np.arange(0, depth + 1, dtype=float)
-        lengths = np.concatenate([lengths, rng.uniform(0.0, 1.0, random_arcs)])
-        lengths = lengths[lengths > 0]
-        vals = value_for_length(lengths)
-        k = int(np.argmax(vals))
-        worst: DyadicIndex | Arc = Arc(0.0, float(lengths[k]))
-        if k <= depth:
-            worst = DyadicIndex(GRIDS[0], k, 0)
-        return TestingConstantReport(float(vals[k]), worst, dual.spec)
-
-    if quad is None:
-        raise ValueError("sampled weights need a quadrature")
-    depth = min(depth, quad.depth)
+    if quad is not None:
+        depth = min(depth, quad.depth)
     best = -math.inf
-    worst = DyadicIndex(GRIDS[0], 0, 0)
+    worst: DyadicIndex | Arc = DyadicIndex(GRIDS[0], 0, 0)
     for grid in GRIDS:
         m_nu = box_mass_levels(nu, quad, grid, depth)
         m_du = box_mass_levels(dual, quad, grid, depth)
@@ -450,18 +415,18 @@ def two_weight_testing_constant(
             if vals[k] > best:
                 best = float(vals[k])
                 worst = DyadicIndex(grid, j, k)
-    arcs = draw_arcs(rng, random_arcs, 2.0**-depth)
-    if arcs:
+    turn, length = draw_arcs(rng, random_arcs, 2.0**-depth)
+    if length.size:
         # float_power is libm pow, as Python's ``**`` on floats.
         vals = (
-            np.float_power(box_masses(nu, arcs, quad), 1.0 / cfg.q)
-            * np.float_power(box_masses(dual, arcs, quad), 1.0 / cfg.p_prime)
-            / np.float_power(full_box_area([arc.length for arc in arcs]), cfg.alpha / 2.0)
+            np.float_power(box_masses(nu, turn, length, quad), 1.0 / cfg.q)
+            * np.float_power(box_masses(dual, turn, length, quad), 1.0 / cfg.p_prime)
+            / np.float_power(full_box_area(length), cfg.alpha / 2.0)
         )
         k = int(np.argmax(vals))
         if vals[k] > best:
             best = float(vals[k])
-            worst = arcs[k]
+            worst = Arc(0.0, float(length[k]), start_turn=float(turn[k]))
     return TestingConstantReport(best, worst, dual.spec)
 
 

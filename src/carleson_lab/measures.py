@@ -485,8 +485,14 @@ def box_mass_levels(
     w: Weight, quad: DiskQuadrature | None, grid: float, depth: int
 ) -> list[np.ndarray]:
     """Masses of every grid box up to ``depth`` under the weight: the
-    closed form for radial-power weights, cell sums over ``quad`` otherwise."""
+    closed form for radial-power weights, cell sums over ``quad`` otherwise.
+    No quadrature bounds a radial weight's depth, so the cell cap does."""
     if w.is_radial_power:
+        if 2**depth > cell_cap():
+            raise MemoryGuardError(
+                f"box depth {depth} needs 2**{depth} boxes, above the cap {cell_cap()} "
+                f"(set {MAX_CELLS_ENV} to raise it)"
+            )
         return [
             np.full(2**j, 2.0**-j * w.outer_radial_mass(2.0**-j))
             for j in range(depth + 1)
@@ -527,52 +533,54 @@ def arc_box_sums(
 
 def box_masses(
     w: Weight,
-    arcs,
+    start_turn,
+    length,
     quad: DiskQuadrature | None = None,
     kind: str = "full",
-    force_quadrature: bool = False,
 ) -> np.ndarray:
     """Masses of the boxes (``kind="full"``) or top halves over a batch of arcs.
 
-    Radial-power weights use the exact closed form (the angular factor is
-    the arc length) unless ``force_quadrature`` sends them, like any other
-    weight, through :func:`arc_box_sums`, which is how it is validated.
+    The arcs are given as equal-shaped arrays of start turns and lengths.
+    Radial-power weights take the exact closed form (the angular factor is
+    the arc length); every other weight sums its cells over ``quad`` with
+    :func:`arc_box_sums`.
     """
-    length = np.array([arc.length for arc in arcs], dtype=float)
-    if w.is_radial_power and not force_quadrature:
+    length = np.asarray(length, dtype=float)
+    if w.is_radial_power:
         return length * w.outer_radial_mass(length if kind == "full" else length / 2.0)
     if quad is None:
-        raise ValueError("box mass of a sampled weight needs a quadrature")
+        raise ValueError("box masses of a sampled weight need a quadrature")
     fine = length < 2.0**-quad.depth * (1.0 - 1e-12)
     if fine.any():
         raise ResolutionError(
             f"box of arc length {length[fine][0]} is finer than quadrature depth {quad.depth}"
         )
     r_in = 1.0 - length if kind == "full" else 1.0 - length / 2.0
-    start_turn = np.array([arc.start_turn for arc in arcs], dtype=float)
-    return arc_box_sums(w.density(quad.z) * quad.area, quad, r_in, start_turn, length)
+    return arc_box_sums(
+        w.density(quad.z) * quad.area, quad, r_in, np.asarray(start_turn, dtype=float), length
+    )
 
 
-def box_mass(
-    w: Weight,
-    box: CarlesonBox,
-    quad: DiskQuadrature | None = None,
-    force_quadrature: bool = False,
-) -> float:
+def box_mass(w: Weight, box: CarlesonBox, quad: DiskQuadrature | None = None) -> float:
     """Mass of one box under a weight; see :func:`box_masses`."""
-    return float(box_masses(w, [box.arc], quad, box.kind, force_quadrature)[0])
+    turn, length = np.array([box.arc.start_turn]), np.array([box.arc.length])
+    return float(box_masses(w, turn, length, quad, box.kind)[0])
 
 
-def draw_arcs(rng: np.random.Generator, count: int, min_length: float) -> list[Arc]:
-    """``count`` uniformly random arcs, each drawn as its length, then its start.
+def draw_arcs(
+    rng: np.random.Generator, count: int, min_length: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` uniformly random arcs as arrays ``(start_turn, length)``.
 
-    One draw of ``2 * count`` uniforms, interleaved length and start, is
-    the same stream as ``2 * count`` scalar ``rng.uniform`` calls.
+    Each arc is drawn as its length, then its start angle: one draw of
+    ``2 * count`` uniforms, interleaved, is the same stream as ``2 * count``
+    scalar ``rng.uniform`` calls.  The start turn is the one :class:`Arc`
+    derives from that angle.
     """
     u = rng.random(2 * count)
-    lengths = min_length + (1.0 - min_length) * u[0::2]
-    starts = TAU * u[1::2]
-    return [Arc(start, length) for start, length in zip(starts.tolist(), lengths.tolist())]
+    length = min_length + (1.0 - min_length) * u[0::2]
+    start_turn = np.mod(TAU * u[1::2] / TAU, 1.0)
+    return start_turn, length
 
 
 # ---------------------------------------------------------------------------
@@ -600,55 +608,41 @@ def reverse_doubling_report(
 
     Sweeps every dyadic arc of both grids up to ``depth`` (the whole
     circle, level 0 of both, once) plus uniformly random arcs; the weight
-    is reverse doubling when the ratio stays bounded away from 1.
+    is reverse doubling when the ratio stays bounded away from 1.  Box
+    masses come from :func:`box_mass_levels` and :func:`box_masses`:
+    closed form for a radial-power weight, cell sums over ``quad`` (which
+    also caps ``depth``) for any other.
     """
     if not w.finite:
         raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
     rng = np.random.default_rng(seed)
-
-    if w.is_radial_power:
-        # The ratio only depends on arc length for radial densities.
-        lengths = 2.0 ** -np.arange(0, depth + 1, dtype=float)
-        lengths = np.concatenate([lengths, rng.uniform(0.0, 1.0, random_arcs)])
-        lengths = lengths[lengths > 0]
-        outer = w.outer_radial_mass(lengths)
-        if np.any(outer <= 0.0):
-            raise DegenerateWeightError("a box carries zero mass")
-        ratios = w.outer_radial_mass(lengths / 2.0) / outer
-        k = int(np.argmax(ratios))
-        delta = float(ratios[k])
-        worst = Arc(0.0, float(lengths[k]))
-    else:
-        if quad is None:
-            quad = build_quadrature(min(depth, 12))
+    if quad is not None:
         depth = min(depth, quad.depth)
-        delta = -math.inf
-        worst = Arc(0.0, 1.0)
-        for grid in GRIDS:
-            masses = box_mass_levels(w, quad, grid, depth)
-            # Level 0 is the whole circle on both grids: sweep it once.
-            for j in range(0 if grid == GRID_PLAIN else 1, depth):
-                q = masses[j]
-                if np.any(q <= 0.0):
-                    raise DegenerateWeightError(
-                        f"zero-mass box at grid {grid}, level {j}"
-                    )
-                b = masses[j + 1][0::2] + masses[j + 1][1::2]
-                ratios = b / q
-                k = int(np.argmax(ratios))
-                if ratios[k] > delta:
-                    delta = float(ratios[k])
-                    worst = DyadicIndex(grid, j, k).arc
-        arcs = draw_arcs(rng, random_arcs, 2.0**-depth)
-        if arcs:
-            q = box_masses(w, arcs, quad)
+    delta = -math.inf
+    worst = Arc(0.0, 1.0)
+    for grid in GRIDS:
+        masses = box_mass_levels(w, quad, grid, depth)
+        # Level 0 is the whole circle on both grids: sweep it once.
+        for j in range(0 if grid == GRID_PLAIN else 1, depth):
+            q = masses[j]
             if np.any(q <= 0.0):
-                raise DegenerateWeightError("zero-mass box on a random arc")
-            ratios = box_masses(w, arcs, quad, "top") / q
-            k = int(np.argmax(ratios))  # the first maximum, as a strict-> scan keeps
+                raise DegenerateWeightError(f"zero-mass box at grid {grid}, level {j}")
+            b = masses[j + 1][0::2] + masses[j + 1][1::2]
+            ratios = b / q
+            k = int(np.argmax(ratios))
             if ratios[k] > delta:
                 delta = float(ratios[k])
-                worst = arcs[k]
+                worst = DyadicIndex(grid, j, k).arc
+    turn, length = draw_arcs(rng, random_arcs, 2.0**-depth)
+    if length.size:
+        q = box_masses(w, turn, length, quad)
+        if np.any(q <= 0.0):
+            raise DegenerateWeightError("zero-mass box on a random arc")
+        ratios = box_masses(w, turn, length, quad, "top") / q
+        k = int(np.argmax(ratios))  # the first maximum, as a strict-> scan keeps
+        if ratios[k] > delta:
+            delta = float(ratios[k])
+            worst = Arc(0.0, float(length[k]), start_turn=float(turn[k]))
 
     return ReverseDoublingReport(
         delta_hat=delta,
@@ -688,22 +682,34 @@ def _unit_disk_ball_overlap(center: float, radius: float) -> float:
     return (radius * radius * alpha + beta - tri) / math.pi
 
 
-def ball_mass(w: Weight, center: complex, radius: float, nodes: int = 32) -> float:
-    """Mass of ``B(center, radius)`` intersected with the disk.
+def ball_masses(w: Weight, centers, radii, nodes: int = 32) -> np.ndarray:
+    """Masses of the balls ``B(centers[k], radii[k])`` intersected with the disk.
 
-    Lebesgue uses the exact two-circle lens area.  Other weights are
-    integrated on a polar midpoint grid native to the ball (a fixed
-    disk quadrature cannot resolve balls smaller than its local cells).
+    Lebesgue uses the exact two-circle lens area, ball by ball.  Other
+    weights are integrated on a polar midpoint grid native to each ball (a
+    fixed disk quadrature cannot resolve balls smaller than its local
+    cells), evaluating the density only at the nodes inside the disk.
     """
+    centers = np.asarray(centers, dtype=complex)
+    radii = np.asarray(radii, dtype=float)
     if w.is_radial_power and w.a == 0.0:
-        return _unit_disk_ball_overlap(abs(center), radius)
-    rho = radius * (np.arange(nodes) + 0.5) / nodes
+        return np.array(
+            [_unit_disk_ball_overlap(abs(c), r) for c, r in zip(centers.tolist(), radii.tolist())]
+        )
+    rho = radii[:, None] * (np.arange(nodes) + 0.5) / nodes
     phi = (np.arange(nodes) + 0.5) * (TAU / nodes)
-    pts = center + rho[:, None] * np.exp(1j * phi)[None, :]
-    cell = rho * (radius / nodes) * (TAU / nodes) / math.pi  # per ring cell
+    pts = centers[:, None, None] + rho[:, :, None] * np.exp(1j * phi)
+    cell = rho * (radii[:, None] / nodes) * (TAU / nodes) / math.pi  # per ring cell
     inside = np.abs(pts) < 1.0
-    dens = np.where(inside, np.real(w.density(pts)), 0.0)
-    return float(np.sum(dens * cell[:, None]))
+    dens = np.zeros(pts.shape)
+    dens[inside] = np.real(w.density(pts[inside]))
+    return np.sum((dens * cell[:, :, None]).reshape(len(radii), -1), axis=1)
+
+
+def ball_mass(w: Weight, center: complex, radius: float, nodes: int = 32) -> float:
+    """Mass of ``B(center, radius)`` intersected with the disk; see
+    :func:`ball_masses`."""
+    return float(ball_masses(w, [center], [radius], nodes)[0])
 
 
 def doubling_report(
@@ -713,7 +719,7 @@ def doubling_report(
 ) -> DoublingReport:
     """Sampled doubling constant: sup of mass(B(z,2r) n D) / mass(B(z,r) n D).
 
-    Balls are intersected with the disk; see :func:`ball_mass` for how
+    Balls are intersected with the disk; see :func:`ball_masses` for how
     their masses are computed.
     """
     if not w.finite:
@@ -724,19 +730,18 @@ def doubling_report(
     )
     radii = np.exp(rng.uniform(math.log(0.02), math.log(1.5), samples))
 
-    c_hat = 0.0
-    worst = (complex(centers[0]), float(radii[0]))
-    for z0, rad in zip(centers, radii):
-        inner = ball_mass(w, complex(z0), float(rad))
-        outer = ball_mass(w, complex(z0), 2.0 * float(rad))
-        if inner <= 0.0:
-            raise DegenerateWeightError(
-                f"zero-mass inner ball at center {z0}, radius {rad}"
-            )
-        ratio = outer / inner
-        if ratio > c_hat:
-            c_hat = ratio
-            worst = (complex(z0), float(rad))
+    inner = ball_masses(w, centers, radii)
+    empty = np.flatnonzero(inner <= 0.0)
+    if empty.size:
+        k = empty[0]
+        raise DegenerateWeightError(
+            f"zero-mass inner ball at center {centers[k]}, radius {radii[k]}"
+        )
+    ratios = ball_masses(w, centers, 2.0 * radii) / inner
+    k = int(np.argmax(ratios))  # the first maximum, as a strict-> scan keeps
     return DoublingReport(
-        c_hat=c_hat, worst_center=worst[0], worst_radius=worst[1], samples=samples
+        c_hat=float(ratios[k]),
+        worst_center=complex(centers[k]),
+        worst_radius=float(radii[k]),
+        samples=samples,
     )

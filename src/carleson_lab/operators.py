@@ -237,21 +237,13 @@ def norm_sandwich_check(
     spec: KernelSpec,
     m: DiscreteMeasure,
     slack: float = 1e-9,
-    exact_cutoff: int = 1024,
 ) -> SandwichReport:
-    """Check ``|T_Re| <= |T| <= 2 |T_Re|`` on the discrete weighted space.
-
-    Norms come from the dense singular-value oracle below the cutoff and
-    from power iteration above it.
-    """
+    """Check ``|T_Re| <= |T| <= 2 |T_Re|`` on the discrete weighted space,
+    with norms from the dense singular-value oracle."""
     t_full = assemble_operator(spec, m)
     t_real = real_part_operator(t_full)
-    if m.size <= exact_cutoff:
-        n_full = operator_norm_exact(t_full)
-        n_real = operator_norm_exact(t_real)
-    else:
-        n_full = operator_norm(t_full).value
-        n_real = operator_norm(t_real).value
+    n_full = operator_norm_exact(t_full)
+    n_real = operator_norm_exact(t_real)
     lower_ok = n_real <= n_full * (1.0 + slack)
     upper_ok = n_full <= 2.0 * n_real * (1.0 + slack)
     ratios = (n_real / max(n_full, 1e-300), n_full / max(n_real, 1e-300))

@@ -198,6 +198,22 @@ def test_certify_times_each_stage(sampled, command, tmp_path):
     assert abs(parts - timings["total"]) <= 0.02 * timings["total"]
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(command="verify-lemma", lemma="mei-cover", samples=100_000, seed=SEED),
+        RunConfig(command="bench", sizes=(1024,), seed=SEED),
+    ],
+    ids=["verify-lemma", "bench"],
+)
+def test_lemma_and_bench_time_their_stage(cfg):
+    # One stage each, timed under its own name: it and the total agree.
+    _, rep = run(cfg)
+    timings = json.loads(rep.to_json())["timings_ms"]
+    assert set(timings) == {rep.stages[0]["name"], "total"}
+    assert abs(timings[rep.stages[0]["name"]] - timings["total"]) <= 0.02 * timings["total"]
+
+
 def test_embedding_evaluates_the_density_once(tmp_path, monkeypatch):
     # The three embedding stages read one weighted tree per grid: one
     # density pass, and per grid one box sum of the masses and one of f.

@@ -13,7 +13,6 @@ from carleson_lab.dyadic import (
     radial_mass_trees,
     strong_embedding_check,
     tree_averages,
-    tree_expectation,
     two_weight_norm_check,
     two_weight_testing_constant,
     weak_type_norm,
@@ -35,7 +34,13 @@ from carleson_lab.geometry import (
     full_box_area,
 )
 from carleson_lab import dyadic
-from carleson_lab.measures import SampledFunction, Weight, box_level_sums, build_quadrature
+from carleson_lab.measures import (
+    SampledFunction,
+    Weight,
+    box_level_sums,
+    build_quadrature,
+    reverse_doubling_report,
+)
 from carleson_lab.operators import KernelSpec, eval_kernel
 
 SEED = 20260810
@@ -264,12 +269,20 @@ def test_dyadic_kernel_matrix_matches_apply(grid):
 # ---------------------------------------------------------------------------
 
 
+def box_average(w, f, index, quad) -> float:
+    """Weighted average of ``f`` over one box, read off the weighted tree."""
+    density = np.real(w.density(quad.z))
+    masses = cell_mass_trees(density, index.level, quad)[GRIDS.index(index.grid)]
+    avgs = tree_averages(density, f, masses, quad)
+    return float(np.real(avgs.levels[index.level][index.position]))
+
+
 def test_expectation_of_constant_is_one():
     quad = build_quadrature(8)
     f = SampledFunction.constant(quad, 1.0)
     for w in (Weight.lebesgue(), Weight.radial_power(1)):
         for idx in (DyadicIndex(GRID_PLAIN, 0, 0), DyadicIndex(GRID_THIRD, 3, 5)):
-            assert tree_expectation(w, f, idx, quad) == pytest.approx(1.0, rel=1e-10)
+            assert box_average(w, f, idx, quad) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_expectation_of_top_half_indicator():
@@ -279,7 +292,7 @@ def test_expectation_of_top_half_indicator():
     f = SampledFunction(quad, box_top.contains(quad.z).astype(float))
     length = idx.length
     expected = (1 - length / 4.0) / (2.0 - length)
-    got = tree_expectation(Weight.lebesgue(), f, idx, quad)
+    got = box_average(Weight.lebesgue(), f, idx, quad)
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -289,7 +302,7 @@ def test_expectation_of_child_indicator():
     child = idx.children()[0]
     f = SampledFunction(quad, CarlesonBox(child.arc).contains(quad.z).astype(float))
     expected = full_box_area(child.length) / full_box_area(idx.length)
-    got = tree_expectation(Weight.lebesgue(), f, idx, quad)
+    got = box_average(Weight.lebesgue(), f, idx, quad)
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -302,7 +315,7 @@ def test_expectation_zero_mass_rejected():
     w = Weight.from_grid(r, theta, values)
     f = SampledFunction.constant(quad, 1.0)
     with pytest.raises(DegenerateWeightError):
-        tree_expectation(w, f, DyadicIndex(GRID_PLAIN, 4, 0), quad)
+        box_average(w, f, DyadicIndex(GRID_PLAIN, 4, 0), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +559,17 @@ def test_testing_constant_infinite_dual_rejected():
     cfg = ExponentConfig(2.0, 2.0, 1.0)
     with pytest.raises(InfiniteMassError):
         two_weight_testing_constant(Weight.lebesgue(), Weight.radial_power(1), cfg)
+
+
+@pytest.mark.parametrize("tester", ["reverse-doubling", "testing-constant"])
+def test_box_testers_need_a_quadrature_for_a_sampled_weight(tester):
+    w = Weight.from_grid(np.linspace(0.05, 0.95, 10), np.linspace(0.3, 6.0, 8), np.ones((10, 8)))
+    with pytest.raises(ValueError, match="sampled weight need a quadrature"):
+        if tester == "reverse-doubling":
+            reverse_doubling_report(w, depth=4)
+        else:
+            cfg = ExponentConfig(2.0, 2.0, 1.0)
+            two_weight_testing_constant(w, Weight.lebesgue(), cfg, depth=4)
 
 
 def test_testing_constant_sampled_path():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from carleson_lab.measures import (
     _range_sums,
     arc_box_sums,
     ball_mass,
+    ball_masses,
     box_level_sums,
     box_mass,
     box_mass_levels,
@@ -207,7 +209,13 @@ def test_quadrature_path_matches_closed_form():
         for level in range(9):
             box = CarlesonBox(DyadicIndex(GRID_PLAIN, level, 0).arc)
             exact = box_mass(w, box)
-            approx = box_mass(w, box, quad, force_quadrature=True)
+            approx = arc_box_sums(
+                w.density(quad.z) * quad.area,
+                quad,
+                np.array([box.inner_radius]),
+                np.array([box.arc.start_turn]),
+                np.array([box.arc.length]),
+            )[0]
             assert approx == pytest.approx(exact, rel=1e-3)
 
 
@@ -383,6 +391,35 @@ def test_doubling_report_radial_power():
     assert rep.c_hat < 100.0
 
 
+def test_doubling_report_evaluates_no_density_outside_the_disk():
+    # A negative exponent is infinite on the circle: nodes of a ball that
+    # leave the disk must not reach the density.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = doubling_report(Weight.radial_power(-0.7), samples=50, seed=SEED)
+    assert math.isfinite(rep.c_hat)
+
+
+def per_ball_mass(w, center, radius, nodes=32):
+    """The per-ball loop the batch replaced: the density on every node of
+    the ball's polar grid, masked to the disk afterwards."""
+    rho = radius * (np.arange(nodes) + 0.5) / nodes
+    phi = (np.arange(nodes) + 0.5) * (TAU / nodes)
+    pts = center + rho[:, None] * np.exp(1j * phi)[None, :]
+    cell = rho * (radius / nodes) * (TAU / nodes) / math.pi
+    dens = np.where(np.abs(pts) < 1.0, np.real(w.density(pts)), 0.0)
+    return float(np.sum(dens * cell[:, None]))
+
+
+@pytest.mark.parametrize("w", [thin_shell_weight(floor=0.3), Weight.radial_power(1.5)])
+def test_ball_masses_equal_the_per_ball_loop_bit_for_bit(w):
+    rng = np.random.default_rng(SEED)
+    centers = np.sqrt(rng.uniform(0, 1, 200)) * np.exp(1j * rng.uniform(0, TAU, 200))
+    radii = np.exp(rng.uniform(math.log(0.02), math.log(3.0), 200))
+    expected = [per_ball_mass(w, c, r) for c, r in zip(centers.tolist(), radii.tolist())]
+    assert ball_masses(w, centers, radii).tolist() == expected
+
+
 def test_ball_mass_matches_lens_for_unit_grid():
     # a sampled all-ones density behaves like Lebesgue
     r = np.linspace(0.05, 0.95, 12)
@@ -449,6 +486,18 @@ def test_level_sums_match_an_fsum_oracle(grid):
             assert abs(sums[level][m] - want) <= 1e-13 * want, (level, m)
 
 
+def test_radial_box_levels_respect_the_cell_cap(monkeypatch):
+    # No quadrature bounds a radial weight's depth: 2**depth boxes on the
+    # finest level count against the cell cap.
+    monkeypatch.setenv(measures.MAX_CELLS_ENV, "1024")
+    w = Weight.radial_power(1)
+    assert box_mass_levels(w, None, GRID_PLAIN, 10)[10].size == 1024
+    with pytest.raises(MemoryGuardError):
+        box_mass_levels(w, None, GRID_PLAIN, 11)
+    with pytest.raises(MemoryGuardError):
+        reverse_doubling_report(w, depth=11)
+
+
 def test_box_mass_levels_of_a_sampled_weight_need_a_quadrature():
     with pytest.raises(ValueError):
         box_mass_levels(thin_shell_weight(), None, GRID_PLAIN, 4)
@@ -466,6 +515,14 @@ def test_sampled_function_shape_check():
 
 ARC_DEPTH = 6
 ARC_QUAD = build_quadrature(ARC_DEPTH)
+
+
+def arc_arrays(batch):
+    """A list of arcs as the ``(start_turn, length)`` arrays of :func:`box_masses`."""
+    return (
+        np.array([arc.start_turn for arc in batch], dtype=float),
+        np.array([arc.length for arc in batch], dtype=float),
+    )
 
 
 def one_arc_region_sum(cell_values, quad, r_in, arc):
@@ -524,7 +581,7 @@ arcs = st.builds(
 def test_batched_box_masses_equal_the_per_arc_loop_bit_for_bit(w, batch):
     values = w.density(ARC_QUAD.z) * ARC_QUAD.area
     for kind in ("full", "top"):
-        got = box_masses(w, batch, ARC_QUAD, kind)
+        got = box_masses(w, *arc_arrays(batch), ARC_QUAD, kind)
         expected = [
             one_arc_region_sum(values, ARC_QUAD, CarlesonBox(arc, kind).inner_radius, arc)
             for arc in batch
@@ -538,13 +595,14 @@ def test_batched_box_masses_equal_the_per_arc_loop_on_many_arcs():
     # radial fraction in a thousand; a few thousand regions catch that.
     w = thin_shell_weight(floor=0.3)
     values = w.density(ARC_QUAD.z) * ARC_QUAD.area
-    batch = draw_arcs(np.random.default_rng(SEED), 2000, 2.0**-ARC_DEPTH)
+    turn, length = draw_arcs(np.random.default_rng(SEED), 2000, 2.0**-ARC_DEPTH)
+    batch = [Arc(0.0, lv, start_turn=t) for t, lv in zip(turn.tolist(), length.tolist())]
     for kind in ("full", "top"):
         expected = [
             one_arc_region_sum(values, ARC_QUAD, CarlesonBox(arc, kind).inner_radius, arc)
             for arc in batch
         ]
-        assert box_masses(w, batch, ARC_QUAD, kind).tolist() == expected
+        assert box_masses(w, turn, length, ARC_QUAD, kind).tolist() == expected
 
 
 @pytest.mark.parametrize("seed", [SEED, 7, 11])
@@ -558,11 +616,14 @@ def test_draw_arcs_equals_the_scalar_draw_loop(seed, min_length):
         expected.append(Arc(float(rng.uniform(0.0, TAU)), length))
     after = rng.random()
     rng = np.random.default_rng(seed)
-    got = draw_arcs(rng, 1000, min_length)
-    key = [(a.start, a.length, a.start_turn) for a in got]
-    assert key == [(a.start, a.length, a.start_turn) for a in expected]
+    turn, length = draw_arcs(rng, 1000, min_length)
+    assert turn.tolist() == [a.start_turn for a in expected]
+    assert length.tolist() == [a.length for a in expected]
+    # The testers rebuild a winning arc from its turn, at the same start angle.
+    rebuilt = [Arc(0.0, lv, start_turn=t) for t, lv in zip(turn.tolist(), length.tolist())]
+    assert [a.start for a in rebuilt] == [a.start for a in expected]
     assert rng.random() == after
-    assert draw_arcs(np.random.default_rng(seed), 0, min_length) == []
+    assert [a.size for a in draw_arcs(np.random.default_rng(seed), 0, min_length)] == [0, 0]
 
 
 def test_batched_sums_cover_wrapped_and_resolution_arcs():
@@ -598,7 +659,7 @@ def test_whole_circle_box_is_the_disk_mass(w, turn):
 def test_children_and_ring_sum_to_the_parent(w, grid, level, position):
     parent = DyadicIndex(grid, level, position % 2**level)
     family = [parent, *parent.children()]
-    p_mass, c1, c2 = box_masses(w, [idx.arc for idx in family], ARC_QUAD)
+    p_mass, c1, c2 = box_masses(w, *arc_arrays([idx.arc for idx in family]), ARC_QUAD)
     # The ring is stratum ``level`` of the quadrature, summed over the arc alone.
     values = w.density(ARC_QUAD.z) * ARC_QUAD.area * (ARC_QUAD.stratum == level)
     ring = arc_box_sums(
@@ -627,6 +688,6 @@ def test_zero_mass_random_arc_raises(inner, seed):
 def test_batched_box_masses_resolution_and_quadrature_errors():
     w = thin_shell_weight()
     with pytest.raises(ResolutionError):
-        box_masses(w, [Arc(0.0, 0.5), Arc(0.0, 2.0**-(ARC_DEPTH + 1))], ARC_QUAD)
+        box_masses(w, np.zeros(2), np.array([0.5, 2.0**-(ARC_DEPTH + 1)]), ARC_QUAD)
     with pytest.raises(ValueError):
-        box_masses(w, [Arc(0.0, 0.5)])
+        box_masses(w, np.zeros(1), np.array([0.5]))
