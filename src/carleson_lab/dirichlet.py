@@ -42,6 +42,7 @@ from .measures import (
     build_quadrature,
     reverse_doubling_report,
 )
+from .operators import poly_eval
 
 DEFAULT_DEGREE_CAP = 256
 #: Degree of the polynomial space the Carleson lower bound maximizes over.
@@ -69,10 +70,7 @@ class AnalyticPolynomial:
         return self.coefficients.size - 1
 
     def __call__(self, z):
-        out = np.zeros_like(np.asarray(z, dtype=complex))
-        for c in self.coefficients[::-1]:
-            out = out * z + c
-        return out
+        return poly_eval(self.coefficients, z)
 
 
 def derivative_weights(size: int) -> np.ndarray:
@@ -196,7 +194,7 @@ def reverse_doubling_stage(rep: ReverseDoublingReport) -> tuple[bool, dict, dict
 def testing_constant_stage(rep: TestingConstantReport) -> tuple[bool, dict, dict]:
     """The ``(verdict, constants, witness)`` of a testing-constant stage."""
     return (
-        bool(math.isfinite(rep.sup_value)),
+        rep.verdict,
         {"sup_value": rep.sup_value},
         {"worst": repr(rep.worst_box)},
     )

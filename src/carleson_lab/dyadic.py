@@ -369,6 +369,7 @@ class TestingConstantReport:
     sup_value: float
     worst_box: DyadicIndex | Arc
     dual_spec: str
+    verdict: bool
 
 
 def two_weight_testing_constant(
@@ -386,7 +387,8 @@ def two_weight_testing_constant(
     weight of ``mu`` must have finite mass.  Box masses come from
     :func:`box_mass_levels` and :func:`box_masses`: closed form for a
     radial-power weight, cell sums over ``quad`` (which also caps
-    ``depth``) for any other.
+    ``depth``) for any other.  The verdict is false when the supremum sits
+    on a dyadic box of the finest level swept, where it has not stopped growing.
     """
     dual = dual_weight(mu, cfg.p)
     if not dual.finite:
@@ -427,7 +429,8 @@ def two_weight_testing_constant(
         if vals[k] > best:
             best = float(vals[k])
             worst = Arc(0.0, float(length[k]), start_turn=float(turn[k]))
-    return TestingConstantReport(best, worst, dual.spec)
+    at_finest = isinstance(worst, DyadicIndex) and worst.level == depth
+    return TestingConstantReport(best, worst, dual.spec, math.isfinite(best) and not at_finest)
 
 
 @dataclass(frozen=True)
@@ -476,10 +479,10 @@ def two_weight_norm_check(
     """Measured norms of the dense and dyadic operators across refinements.
 
     The kernel ``k_alpha`` is applied exactly between cell centers, one
-    layer pair at a time (:func:`cell_kernel_apply`), from a table of
-    ``O(cells * layers)`` entries instead of a dense ``n x n`` matrix;
-    the table holds one block of each Hermitian pair of layers, 16.5 MiB
-    at the deepest default depth, 10.
+    pair of radial sublayers at a time (:func:`cell_kernel_apply`), from a
+    table of ``O(cells * sublayers)`` entries instead of a dense ``n x n``
+    matrix; the table holds one block of each Hermitian pair of
+    sublayers, 16.5 MiB at the deepest default depth, 10.
     For ``p = q = 2`` norms come from power iteration on the weighted
     operators, and the verdict asks the dense estimates of the last two
     refinements to agree within ``stabilize_rtol``.  The dyadic model

@@ -11,7 +11,6 @@ fractional overlap of the boundary cells.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -293,34 +292,40 @@ def dual_weight(w: Weight, p: float) -> Weight:
 
 
 @dataclass(frozen=True)
-class Layer:
-    """One radial sublayer of a geometric stratum, uniformly cut in angle."""
+class Stratum:
+    """The cells of one dyadic level, consecutive from ``start``: cell
+    ``start + k * count + m`` is angle ``m`` of the radial sublayer
+    ``edges[k] <= r < edges[k + 1]``."""
 
-    r_lo: float
-    r_hi: float
-    stratum: int
+    level: int
     count: int
-    start: int  # index of the layer's first cell in the flat arrays
+    start: int  # index of the stratum's first cell in the flat arrays
+    edges: np.ndarray = field(repr=False)  # sublayer radii, ascending
 
     @property
-    def r_mid(self) -> float:
-        return 0.5 * (self.r_lo + self.r_hi)
+    def cells(self) -> slice:
+        return slice(self.start, self.start + (self.edges.size - 1) * self.count)
+
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        """The ``(sublayers, count)`` view of a cell array on this stratum."""
+        return values[self.cells].reshape(-1, self.count)
 
 
 @dataclass(frozen=True)
 class DiskQuadrature:
     """Midpoint cells on geometric radial strata aligned with dyadic boxes.
 
-    Stratum ``j`` spans radii ``[1 - 2**-j, 1 - 2**-(j+1))`` (the last one
-    closes the disk) and is cut into ``max(angular_base, 2**j)`` equal
-    angles, so every level ``j`` arc of the plain grid bounds cells
-    exactly.  Strata are additionally sliced into radial sublayers so the
-    midpoint rule keeps converging under depth refinement.
+    ``strata[j]`` spans radii ``[1 - 2**-j, 1 - 2**-(j+1))`` (the last one
+    closes the disk), so a level-``j`` box covers exactly strata ``j`` and
+    above.  It is cut into ``max(angular_base, 2**j)`` equal angles, so
+    every level ``j`` arc of the plain grid bounds cells exactly, and into
+    radial sublayers that share them, so the midpoint rule keeps
+    converging under depth refinement.
     """
 
     depth: int
     angular_base: int
-    layers: tuple[Layer, ...]
+    strata: tuple[Stratum, ...]
     z: np.ndarray = field(repr=False)
     area: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
@@ -331,41 +336,33 @@ class DiskQuadrature:
     def n_cells(self) -> int:
         return self.z.size
 
-    def layer_slice(self, layer: Layer) -> slice:
-        return slice(layer.start, layer.start + layer.count)
-
 
 def build_quadrature(
-    depth: int,
-    angular_base: int = 16,
-    radial_refine: int | None = None,
-    max_cells: int | None = None,
+    depth: int, angular_base: int = 16, radial_refine: int | None = None
 ) -> DiskQuadrature:
     """Build the dyadic-aligned polar quadrature of the unit disk.
 
     ``radial_refine`` caps how many radial sublayers a stratum receives
     (default ``2**ceil(depth/2)``, which makes midpoint moment errors
-    shrink by about 16x for every two extra levels of depth).
+    shrink by about 16x for every two extra levels of depth).  Each
+    stratum is filled with whole-array operations; edges are squared by
+    ``np.float_power``, libm ``pow`` as Python's ``**`` on floats.
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
     if angular_base < 4 or angular_base & (angular_base - 1) != 0:
         raise ConfigError(f"angular_base must be a power of two >= 4, got {angular_base}")
     refine = radial_refine if radial_refine is not None else 2 ** math.ceil(depth / 2)
-    cap = max_cells if max_cells is not None else cell_cap()
 
-    layers: list[Layer] = []
+    strata: list[Stratum] = []
     start = 0
     for j in range(depth + 1):
-        r_lo = 1.0 - 2.0**-j
         r_hi = 1.0 if j == depth else 1.0 - 2.0 ** -(j + 1)
         n_sub = 1 if j == depth else max(1, min(refine, 2 ** (depth - 1 - j)))
-        count = max(angular_base, 2**j)
-        edges = np.linspace(r_lo, r_hi, n_sub + 1)
-        for k in range(n_sub):
-            layers.append(Layer(float(edges[k]), float(edges[k + 1]), j, count, start))
-            start += count
-    total = start
+        edges = np.linspace(1.0 - 2.0**-j, r_hi, n_sub + 1)
+        strata.append(Stratum(j, max(angular_base, 2**j), start, edges))
+        start = strata[-1].cells.stop
+    total, cap = start, cell_cap()
     if total > cap:
         raise MemoryGuardError(
             f"quadrature would need {total} cells, above the cap {cap} "
@@ -376,18 +373,17 @@ def build_quadrature(
     theta = np.empty(total)
     area = np.empty(total)
     stratum = np.empty(total, dtype=np.int64)
-    for layer in layers:
-        sl = slice(layer.start, layer.start + layer.count)
-        angles = (np.arange(layer.count) + 0.5) * (TAU / layer.count)
-        r[sl] = layer.r_mid
-        theta[sl] = angles
-        area[sl] = (layer.r_hi**2 - layer.r_lo**2) / layer.count
-        stratum[sl] = layer.stratum
+    for s in strata:
+        sq = np.float_power(s.edges, 2.0)
+        s.rows(r)[:] = (0.5 * (s.edges[:-1] + s.edges[1:]))[:, None]
+        s.rows(theta)[:] = (np.arange(s.count) + 0.5) * (TAU / s.count)
+        s.rows(area)[:] = ((sq[1:] - sq[:-1]) / s.count)[:, None]
+        stratum[s.cells] = s.level
     z = r * np.exp(1j * theta)
     return DiskQuadrature(
         depth=depth,
         angular_base=angular_base,
-        layers=tuple(layers),
+        strata=tuple(strata),
         z=z,
         area=area,
         r=r,
@@ -422,18 +418,21 @@ class SampledFunction:
 
 
 def _range_sums(values_cumsum, count, a_pos, width):
-    """Angular window sums ``[a, a + width)`` on one layer of cells.
+    """Angular window sums ``[a, a + width)`` on rows of ``count`` cells.
 
-    Positions are measured in cells (fractions allowed); fractional ends
-    weight the boundary cell by its covered angle, which is exact for
-    integrands constant on cells.  Windows longer than the layer wrap once.
+    ``values_cumsum`` holds each row's cumsum, with a leading zero, along
+    its last axis; every row answers every window.  Positions are measured
+    in cells (fractions allowed); fractional ends weight the boundary cell
+    by its covered angle, which is exact for integrands constant on cells.
+    Windows longer than a row wrap once.
     """
 
     def interp(x):
         i = np.minimum(np.floor(x).astype(np.int64), count - 1)
         i = np.maximum(i, 0)
         frac = np.clip(x - i, 0.0, 1.0)
-        return values_cumsum[i] + frac * (values_cumsum[i + 1] - values_cumsum[i])
+        lo = values_cumsum[..., i]
+        return lo + frac * (values_cumsum[..., i + 1] - lo)
 
     a = np.mod(a_pos, count)
     b = a + width
@@ -460,12 +459,7 @@ def box_level_sums(
             f"box depth {depth} exceeds quadrature depth {quad.depth}"
         )
     cell_values = np.asarray(cell_values)
-    rows = []
-    for _, group in itertools.groupby(quad.layers, key=lambda layer: layer.stratum):
-        layers = list(group)
-        first = layers[0]
-        block = cell_values[first.start : first.start + len(layers) * first.count]
-        rows.append(block.reshape(len(layers), first.count).sum(axis=0))
+    rows = [s.rows(cell_values).sum(axis=0) for s in quad.strata]
 
     def window_sums(row: np.ndarray, j: int) -> np.ndarray:
         cs = np.zeros(row.size + 1, dtype=row.dtype)
@@ -508,26 +502,27 @@ def arc_box_sums(
 ) -> np.ndarray:
     """Sums of a cellwise quantity over the regions ``{r >= r_in} x arc``.
 
-    Takes equal-shaped float arrays, one entry per region.  Each layer's
-    cumsum is built once and answers the whole batch with one window sum;
-    layers straddling ``r_in`` count the covered fraction of their area.
-    Layers are added in quadrature order, so every entry equals the sum
-    taken one region at a time.
+    Takes equal-shaped float arrays, one entry per region.  Each stratum
+    takes one cumsum along its rows and answers the whole batch on every
+    sublayer with one window sum; sublayers straddling ``r_in`` count the
+    covered fraction of their area.  Sublayers are added in quadrature
+    order, so every entry equals the sum taken one region at a time.
     """
     r_in_sq = np.float_power(r_in, 2.0)  # libm pow, as Python's ``**`` on floats
     total = np.zeros(r_in.shape)
-    for layer in quad.layers:
-        inside = layer.r_hi > r_in
+    for s in quad.strata:
+        edges = s.edges.reshape((-1,) + (1,) * r_in.ndim)  # one row per sublayer
+        lo, hi = edges[:-1], edges[1:]
+        inside = hi > r_in
         if not inside.any():
             continue
-        r_hi_sq = layer.r_hi**2
-        radial_frac = np.where(
-            layer.r_lo < r_in, (r_hi_sq - r_in_sq) / (r_hi_sq - layer.r_lo**2), 1.0
-        )
-        cs = np.zeros(layer.count + 1)
-        np.cumsum(cell_values[quad.layer_slice(layer)], out=cs[1:])
-        s = _range_sums(cs, layer.count, start_turn * layer.count, length * layer.count)
-        np.add(total, radial_frac * s, out=total, where=inside)
+        lo_sq, hi_sq = np.float_power(lo, 2.0), np.float_power(hi, 2.0)
+        radial_frac = np.where(lo < r_in, (hi_sq - r_in_sq) / (hi_sq - lo_sq), 1.0)
+        cs = np.zeros((lo.size, s.count + 1))
+        np.cumsum(s.rows(cell_values), axis=1, out=cs[:, 1:])
+        sums = _range_sums(cs, s.count, start_turn * s.count, length * s.count)
+        for part, keep in zip(radial_frac * sums, inside):
+            np.add(total, part, out=total, where=keep)
     return total
 
 

@@ -11,8 +11,8 @@ matrices and matrix-free operators alike); :func:`kernel_rows`, the one
 blocked loop over kernel rows behind every quadrature apply at arbitrary
 points and every dense kernel build; and :func:`cell_kernel_apply`, the
 exact kernel apply between quadrature cell centers, one FFT convolution
-per pair of layers, from a table that stores one block of each Hermitian
-pair (16.5 MiB at quadrature depth 10).  Dense eigensolves stay
+per pair of radial sublayers, from a table that stores one block of each
+Hermitian pair (16.5 MiB at quadrature depth 10).  Dense eigensolves stay
 available as an oracle for small sizes.
 """
 
@@ -64,11 +64,7 @@ def _dirichlet_values(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     out = np.empty_like(x)
     small = np.abs(x) <= _SERIES_SWITCH
-    xs = x[small]
-    acc = np.full_like(xs, 1.0 / _SERIES_TERMS)
-    for n in range(_SERIES_TERMS - 2, -1, -1):
-        acc = acc * xs + 1.0 / (n + 1.0)
-    out[small] = acc
+    out[small] = poly_eval(1.0 / np.arange(1.0, _SERIES_TERMS + 1.0), x[small])
     xl = x[~small]
     out[~small] = -np.log(1.0 - xl) / xl
     return out
@@ -90,11 +86,7 @@ def eval_kernel(spec: KernelSpec, z, w) -> np.ndarray | complex:
     elif spec.kind == "dirichlet":
         out = _dirichlet_values(x)
     else:
-        # finite user series, evaluated exactly by Horner
-        coeffs = np.asarray(spec.coefficients)
-        out = np.zeros_like(x)
-        for c in coeffs[::-1]:
-            out = out * x + c
+        out = poly_eval(spec.coefficients, x)
     if out.ndim == 0:
         return complex(out)
     return out
@@ -281,17 +273,18 @@ def _fold(a: np.ndarray, r: int) -> np.ndarray:
 def cell_kernel_apply(spec: KernelSpec, quad: DiskQuadrature):
     """The exact apply ``fw -> sum_j k(z_i, z_j) fw_j`` over the cell centers.
 
-    The kernel depends on ``z conj(w)`` alone and every layer holds a
-    power-of-two number of equally spaced angles, so the block between a
-    target layer of count ``P`` and a source layer of count ``Q`` is a
-    cyclic convolution on ``C = max(P, Q)`` angles; the half-cell offset
-    between the two grids sits in the first row of the convolving
-    sequence.  The kernel is Hermitian, so the plan stores the FFT of that
-    sequence only for pairs with ``P >= Q``: one table per source class,
-    its rows the layers of every class at least as fine
-    (``O(cells * layers)`` entries in all).  An apply takes one FFT per
-    class and two batches of matrix products per class, one inverse FFT
-    per class.  A coarser source's spectrum repeats every ``Q``
+    The kernel depends on ``z conj(w)`` alone and every radial sublayer
+    holds its stratum's power-of-two count of equally spaced angles, so
+    the block between a target sublayer of count ``P`` and a source
+    sublayer of count ``Q`` is a cyclic convolution on ``C = max(P, Q)``
+    angles; the half-cell offset between the two grids sits in the first
+    row of the convolving sequence.  The strata of one count form a class.
+    The kernel is Hermitian, so the plan stores the FFT of that sequence
+    only for pairs with ``P >= Q``: one table per source class, its rows
+    the sublayers of every class at least as fine (``O(cells * sublayers)``
+    entries in all).  An apply takes one FFT per class and two batches of
+    matrix products per class, one inverse FFT per class.  A coarser
+    source's spectrum repeats every ``Q``
     frequencies (zero-insertion upsampling), so frequency ``k`` of the
     source meets every target frequency congruent to ``k``.  A coarser
     target keeps the mean of its ``r = Q / P`` aliases (decimation); with
@@ -300,14 +293,14 @@ def cell_kernel_apply(spec: KernelSpec, quad: DiskQuadrature):
     applied as ``conj(conj(s) @ T) / r`` on the folded spectrum ``s``.
     """
     classes: dict[int, list] = {}
-    for layer in quad.layers:
-        classes.setdefault(layer.count, []).append(layer)
+    for s in quad.strata:
+        classes.setdefault(s.count, []).append(s)
     counts = sorted(classes)
     cells = {
-        p: np.concatenate([np.arange(l.start, l.start + l.count) for l in layers])
-        for p, layers in classes.items()
+        p: np.concatenate([np.arange(s.cells.start, s.cells.stop) for s in strata])
+        for p, strata in classes.items()
     }
-    radii = {p: np.array([l.r_mid for l in layers]) for p, layers in classes.items()}
+    radii = {p: quad.r[c[::p]] for p, c in cells.items()}  # one per sublayer, its midpoint
     # table[q][k] stacks, for each class p >= q in ascending order, the rows
     # (m, target) of target frequency m * q + k against the sources of q.
     table, rows = {}, {}

@@ -33,7 +33,7 @@ from carleson_lab.geometry import (
     DyadicIndex,
     full_box_area,
 )
-from carleson_lab import dyadic
+from carleson_lab import dirichlet, dyadic
 from carleson_lab.measures import (
     SampledFunction,
     Weight,
@@ -553,6 +553,26 @@ def test_testing_constant_alpha_two_flat():
     cfg = ExponentConfig(2.0, 2.0, 2.0)
     rep = two_weight_testing_constant(Weight.lebesgue(), Weight.lebesgue(), cfg)
     assert rep.sup_value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_testing_constant_fails_when_its_supremum_sits_on_the_finest_level():
+    # nu = (1-r)^a, mu Lebesgue: the box quantity is l^(3/2) at p = q = 2,
+    # alpha = 1 (largest on the whole circle), and l^(-1/2) at q = 3,
+    # alpha = 2 (largest on the smallest boxes swept, so unbounded).
+    bounded = two_weight_testing_constant(
+        Weight.radial_power(1), Weight.lebesgue(), ExponentConfig(2.0, 2.0, 1.0), depth=8
+    )
+    assert bounded.worst_box.level == 0 and bounded.verdict
+    assert dirichlet.testing_constant_stage(bounded)[0] is True
+    cfg = ExponentConfig(2.0, 3.0, 2.0)
+    # A quadrature caps the sweep, and with it the finest level.
+    for depth, quad, finest in ((8, None, 8), (12, build_quadrature(6), 6)):
+        growing = two_weight_testing_constant(
+            Weight.radial_power(-0.5), Weight.lebesgue(), cfg, depth=depth, quad=quad
+        )
+        assert growing.worst_box.level == finest
+        assert growing.verdict is False
+        assert dirichlet.testing_constant_stage(growing)[0] is False
 
 
 def test_testing_constant_infinite_dual_rejected():

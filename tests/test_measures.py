@@ -81,9 +81,30 @@ def test_bad_quadrature_arguments():
         build_quadrature(4, angular_base=24)
 
 
-def test_memory_guard():
+def test_memory_guard(monkeypatch):
+    monkeypatch.setenv(measures.MAX_CELLS_ENV, "100")
     with pytest.raises(MemoryGuardError):
-        build_quadrature(10, max_cells=100)
+        build_quadrature(10)
+
+
+@pytest.mark.parametrize("angular_base", [4, 16, 64])
+@pytest.mark.parametrize("depth", [1, 2, 5, 10, 13])
+def test_strata_tile_the_cells(depth, angular_base):
+    quad = build_quadrature(depth, angular_base=angular_base)
+    assert [s.level for s in quad.strata] == list(range(depth + 1))
+    stop = 0
+    for s in quad.strata:
+        assert s.cells.start == stop
+        stop = s.cells.stop
+        assert s.count == max(angular_base, 2**s.level)
+        assert np.all(quad.stratum[s.cells] == s.level)
+        midpoints = 0.5 * (s.edges[:-1] + s.edges[1:])
+        assert np.all(s.rows(quad.r) == midpoints[:, None])
+        inner = 1.0 - 2.0**-s.level
+        outer = 1.0 if s.level == depth else 1.0 - 2.0 ** -(s.level + 1)
+        assert (s.edges[0], s.edges[-1]) == (inner, outer)
+        assert quad.area[s.cells].sum() == pytest.approx(outer**2 - inner**2, rel=1e-12)
+    assert stop == quad.n_cells
 
 
 def test_boxes_are_exact_cell_unions_at_depth_ten():
@@ -459,8 +480,9 @@ def test_level_sums_depth_overflow():
 def fsum_box_sum(quad, values, grid, level, position) -> float:
     """Sum of ``values`` over one grid box by ``math.fsum``: every cell of
     stratum >= level, weighted by the fraction of its angle inside the arc."""
-    counts = np.concatenate([np.full(layer.count, layer.count) for layer in quad.layers])
-    k = np.concatenate([np.arange(layer.count) for layer in quad.layers])
+    sublayers = [s.count for s in quad.strata for _ in s.edges[1:]]
+    counts = np.concatenate([np.full(count, count) for count in sublayers])
+    k = np.concatenate([np.arange(count) for count in sublayers])
     lo, hi = k / counts, (k + 1) / counts
     a = (position * 2.0**-level + grid) % 1.0
     b = a + 2.0**-level
@@ -526,22 +548,22 @@ def arc_arrays(batch):
 
 
 def one_arc_region_sum(cell_values, quad, r_in, arc):
-    """The per-arc loop the batch replaced: one cumsum per layer per region."""
+    """The per-arc loop the batch replaced: one cumsum per sublayer per region."""
     total = 0.0
     start = arc.start_turn
-    for layer in quad.layers:
-        if layer.r_hi <= r_in:
-            continue
-        radial_frac = 1.0
-        if layer.r_lo < r_in:
-            radial_frac = (layer.r_hi**2 - r_in**2) / (layer.r_hi**2 - layer.r_lo**2)
-        sl = quad.layer_slice(layer)
-        cs = np.zeros(layer.count + 1)
-        np.cumsum(cell_values[sl], out=cs[1:])
-        s = _range_sums(
-            cs, layer.count, np.array([start * layer.count]), arc.length * layer.count
-        )
-        total += radial_frac * float(s[0])
+    for stratum in quad.strata:
+        edges = stratum.edges.tolist()
+        for row, r_lo, r_hi in zip(stratum.rows(cell_values), edges[:-1], edges[1:]):
+            if r_hi <= r_in:
+                continue
+            radial_frac = 1.0
+            if r_lo < r_in:
+                radial_frac = (r_hi**2 - r_in**2) / (r_hi**2 - r_lo**2)
+            count = stratum.count
+            cs = np.zeros(count + 1)
+            np.cumsum(row, out=cs[1:])
+            s = _range_sums(cs, count, np.array([start * count]), arc.length * count)
+            total += radial_frac * float(s[0])
     return total
 
 
