@@ -42,7 +42,7 @@ w = Weight.radial_power(1)
 cfg = ExponentConfig(p=2.0, q=2.0, alpha=1.0)
 # One cell density and its box masses serve every draw; each draw builds
 # one weighted tree per grid, read by both the weak and the strong norm.
-density = np.real(w.density(quad.z))
+density = w.cell_density(quad)
 masses = cell_mass_trees(density, depth, quad)
 emb = carleson_embedding_constant(w, 1.0, masses, k_max_level=depth)
 worst_weak, worst_strong = 0.0, 0.0

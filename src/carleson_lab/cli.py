@@ -201,7 +201,7 @@ def _weak_type(cfg: RunConfig, rng):
     depth = min(cfg.depth, quad.depth)
     w = measures.parse_weight(cfg.weight)
     t = cfg.q / cfg.p
-    density = np.real(w.density(quad.z))
+    density = w.cell_density(quad)
     masses = dyadic_mod.cell_mass_trees(density, depth, quad)
     emb = dyadic_mod.carleson_embedding_constant(w, t, masses, k_max_level=depth)
     failures = 0
@@ -257,10 +257,10 @@ def _run_embedding(cfg: RunConfig, timings: dict):
         quad = measures.build_quadrature(cfg.quad_depth)
         depth = min(cfg.depth, quad.depth)
     # One density and one weighted tree per grid serve all three stages;
-    # a radial-power weight's constant keeps its closed-form masses.  Each
-    # stage is built in its timed block: the whole run takes milliseconds.
+    # a radial-power weight's constant keeps its closed-form masses.  The
+    # stages and the frees run in timed blocks: a run takes milliseconds.
     with dirichlet_mod.timed(timings, "weighted-trees"):
-        density = np.real(w.density(quad.z))
+        density = w.cell_density(quad)
         masses = dyadic_mod.cell_mass_trees(density, depth, quad)
         rng = np.random.default_rng(cfg.seed)
         f = measures.SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
@@ -277,6 +277,7 @@ def _run_embedding(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "strong-ratio"):
         strong = dyadic_mod.strong_embedding_check(econf, f, density, trees, quad)
         stages.append(_stage("strong-ratio", None, {"strong_ratio": strong}))
+        del quad, density, masses, f, trees, exact
     return stages
 
 

@@ -16,14 +16,13 @@ and the Carleson constant.
 The ``*_stage`` functions map a report to its stage's
 ``(verdict, constants, witness)``; the command line uses the same ones.
 The pipeline report also holds the wall milliseconds of each stage, and
-of the quadrature it built, if any (:func:`timed`).
+of the quadrature it built, if any (:class:`timed`).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,7 +172,7 @@ def carleson_constant(
     trace = []
     for d in dict.fromkeys(quad_depths):
         quad = build_quadrature(d)
-        mass = np.real(w.density(quad.z)) * quad.area
+        mass = w.cell_density(quad) * quad.area
         gram = monomial_gram(quad.z, mass, LOWER_BOUND_DEGREE)
         trace.append((d, gram_ratio(gram, kernel_weights)))
     last, verdict = trace[-1][1], None
@@ -233,14 +232,18 @@ class PipelineReport:
         raise KeyError(name)
 
 
-@contextmanager
-def timed(timings: dict, name: str):
-    """Record the wall milliseconds of the block as ``timings[name]``."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        timings[name] = (time.perf_counter() - t0) * 1e3
+class timed:
+    """Record the wall milliseconds of the block as ``timings[name]`` (a
+    generator context manager would spend microseconds outside it)."""
+
+    def __init__(self, timings: dict, name: str):
+        self.timings, self.name = timings, name
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, *exc):
+        self.timings[self.name] = (time.perf_counter() - self.t0) * 1e3
 
 
 def theorem_pipeline(w: Weight, depth: int = 12, seed: int = 20260810) -> PipelineReport:

@@ -499,8 +499,8 @@ def two_weight_norm_check(
     for d in quad_depths:
         quad = build_quadrature(d)
         depth = min(d, quad.depth)
-        nu_d = np.real(nu.density(quad.z))
-        mu_d = np.real(mu.density(quad.z))
+        nu_d = nu.cell_density(quad)
+        mu_d = mu.cell_density(quad)
         n = quad.n_cells
         kernel = cell_kernel_apply(spec, quad)
 

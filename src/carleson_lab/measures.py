@@ -61,7 +61,8 @@ class Weight:
     ``kind`` is one of ``radial-power`` (exponent ``a``; ``a = 0`` is
     Lebesgue), ``product`` (of two weights; products of radial powers are
     collapsed at construction), or ``grid`` (sampled density on a polar
-    grid, piecewise constant by nearest node).
+    grid, piecewise constant by nearest node, a tie going to the lower one;
+    :meth:`cell_density` looks up each sublayer and stratum angle once).
     """
 
     kind: str
@@ -175,19 +176,28 @@ class Weight:
 
     def _grid_density(self, z: np.ndarray) -> np.ndarray:
         """Value at the nearest grid node in radius and in angle."""
-        r = np.abs(z)
-        theta = np.mod(np.angle(z), TAU)
-        i = np.clip(np.searchsorted(self.grid_r, r), 0, self.grid_r.size - 1)
-        i_lo = np.clip(i - 1, 0, self.grid_r.size - 1)
-        pick_lo = np.abs(self.grid_r[i_lo] - r) <= np.abs(self.grid_r[i] - r)
-        i = np.where(pick_lo, i_lo, i)
-        k = np.clip(np.searchsorted(self.grid_theta, theta), 0, self.grid_theta.size - 1)
-        k_lo = np.clip(k - 1, 0, self.grid_theta.size - 1)
-        pick_lo = np.abs(self.grid_theta[k_lo] - theta) <= np.abs(
-            self.grid_theta[k] - theta
-        )
-        k = np.where(pick_lo, k_lo, k)
+        i = _nearest_node(self.grid_r, np.abs(z))
+        k = _nearest_node(self.grid_theta, np.mod(np.angle(z), TAU))
         return self.grid_values[i, k]
+
+    def cell_density(self, quad: "DiskQuadrature") -> np.ndarray:
+        """The density at every cell center of ``quad``: for a grid, the
+        nearest radial node of each sublayer and angular node of each
+        stratum angle, from the exact ``quad.r`` and ``quad.theta``."""
+        if self.kind == "product":
+            w1, w2 = self.factors
+            return w1.cell_density(quad) * w2.cell_density(quad)
+        if self.kind != "grid":
+            return self.density(quad.z)
+        radii = [s.rows(quad.r)[:, 0] for s in quad.strata]
+        angles = [s.rows(quad.theta)[0] for s in quad.strata]
+        i = _nearest_node(self.grid_r, np.concatenate(radii))
+        k = _nearest_node(self.grid_theta, np.concatenate(angles))
+        cuts = np.cumsum([(a.size, b.size) for a, b in zip(radii, angles)], axis=0)[:-1]
+        out = np.empty(quad.n_cells, dtype=self.grid_values.dtype)
+        for s, i_s, k_s in zip(quad.strata, np.split(i, cuts[:, 0]), np.split(k, cuts[:, 1])):
+            s.rows(out)[:] = self.grid_values[i_s[:, None], k_s]
+        return out
 
     def outer_radial_mass(self, s) -> np.ndarray | float:
         """``2 * integral of density(r) * r dr`` over radii ``[1 - s, 1)``.
@@ -209,7 +219,7 @@ class Weight:
             return float(self.outer_radial_mass(1.0))
         if quad is None:
             raise ValueError("disk mass of a sampled weight needs a quadrature")
-        return float(np.sum(self.density(quad.z) * quad.area))
+        return float(np.sum(self.cell_density(quad) * quad.area))
 
     def radial_moment(self, k: int) -> float:
         """Exact ``integral of |z|^k`` against the weight, radial-power only."""
@@ -221,6 +231,13 @@ class Weight:
         return 2.0 * math.exp(
             math.lgamma(k + 2.0) + math.lgamma(a + 1.0) - math.lgamma(k + a + 3.0)
         )
+
+
+def _nearest_node(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the node nearest each ``x``; a tie goes to the lower node."""
+    i = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
+    i_lo = np.maximum(i - 1, 0)
+    return np.where(np.abs(nodes[i_lo] - x) <= np.abs(nodes[i] - x), i_lo, i)
 
 
 def parse_weight(spec: str) -> Weight:
@@ -346,7 +363,8 @@ def build_quadrature(
     (default ``2**ceil(depth/2)``, which makes midpoint moment errors
     shrink by about 16x for every two extra levels of depth).  Each
     stratum is filled with whole-array operations; edges are squared by
-    ``np.float_power``, libm ``pow`` as Python's ``**`` on floats.
+    ``np.float_power``, libm ``pow`` as Python's ``**`` on floats; ``z``
+    by one complex ``exp`` row per stratum.
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
@@ -372,14 +390,17 @@ def build_quadrature(
     r = np.empty(total)
     theta = np.empty(total)
     area = np.empty(total)
+    z = np.empty(total, dtype=complex)
     stratum = np.empty(total, dtype=np.int64)
     for s in strata:
         sq = np.float_power(s.edges, 2.0)
-        s.rows(r)[:] = (0.5 * (s.edges[:-1] + s.edges[1:]))[:, None]
-        s.rows(theta)[:] = (np.arange(s.count) + 0.5) * (TAU / s.count)
+        mid = (0.5 * (s.edges[:-1] + s.edges[1:]))[:, None]
+        angles = (np.arange(s.count) + 0.5) * (TAU / s.count)
+        s.rows(r)[:] = mid
+        s.rows(theta)[:] = angles
+        s.rows(z)[:] = mid * np.exp(1j * angles)
         s.rows(area)[:] = ((sq[1:] - sq[:-1]) / s.count)[:, None]
         stratum[s.cells] = s.level
-    z = r * np.exp(1j * theta)
     return DiskQuadrature(
         depth=depth,
         angular_base=angular_base,
@@ -447,12 +468,14 @@ def box_level_sums(
     """Per-level sums of ``cell_values`` over all grid boxes up to ``depth``.
 
     Returns ``sums[j][m] = sum over cells in the level-j, position-m box``,
-    a shifted-grid boundary cell counted by its covered angle.  Each
-    stratum's radial sublayers share their cell angles, so they are first
-    added into one row.  The level-``depth`` leaves collect the rows of
-    every stratum at or below them; each parent then adds the row of its
-    own stratum (its ring) to its two children.  One window sum per row
-    and level: runs in ``O(cells + boxes)``.
+    a shifted-grid boundary cell counted by its covered angle.  A stratum's
+    sublayers share their angles, so they are added into one row of
+    ``count`` cells.  A level-``j`` window spans ``count >> j`` cells from
+    ``(grid % 1) * count`` cells past a multiple of that width: the row is
+    rolled back by that offset's whole cells and reshaped to one window per
+    line, and each window passes the left-over fraction of its first cell
+    to the window before it.  The leaves collect the rows of strata at or
+    below ``depth``; each parent adds its own row to its two children.
     """
     if depth > quad.depth:
         raise ResolutionError(
@@ -462,10 +485,14 @@ def box_level_sums(
     rows = [s.rows(cell_values).sum(axis=0) for s in quad.strata]
 
     def window_sums(row: np.ndarray, j: int) -> np.ndarray:
-        cs = np.zeros(row.size + 1, dtype=row.dtype)
-        np.cumsum(row, out=cs[1:])
-        starts = (np.arange(2**j) * 2.0**-j + grid) % 1.0
-        return _range_sums(cs, row.size, starts * row.size, row.size * 2.0**-j)
+        shift = (grid % 1.0) * row.size
+        whole = math.floor(shift)
+        windows = np.roll(row, -whole).reshape(-1, row.size >> j)
+        sums = windows.sum(axis=1)
+        if shift > whole:
+            first = windows[:, 0]
+            sums += (shift - whole) * (np.roll(first, -1) - first)
+        return sums
 
     sums: list[np.ndarray | None] = [None] * (depth + 1)
     sums[depth] = sum(window_sums(row, depth) for row in rows[depth:])
@@ -493,8 +520,7 @@ def box_mass_levels(
         ]
     if quad is None:
         raise ValueError("box masses of a sampled weight need a quadrature")
-    values = np.real(w.density(quad.z)) * quad.area
-    return box_level_sums(quad, values, grid, depth)
+    return box_level_sums(quad, w.cell_density(quad) * quad.area, grid, depth)
 
 
 def arc_box_sums(
@@ -552,7 +578,7 @@ def box_masses(
         )
     r_in = 1.0 - length if kind == "full" else 1.0 - length / 2.0
     return arc_box_sums(
-        w.density(quad.z) * quad.area, quad, r_in, np.asarray(start_turn, dtype=float), length
+        w.cell_density(quad) * quad.area, quad, r_in, np.asarray(start_turn, dtype=float), length
     )
 
 

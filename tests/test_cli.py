@@ -219,17 +219,17 @@ def test_embedding_evaluates_the_density_once(tmp_path, monkeypatch):
     # density pass, and per grid one box sum of the masses and one of f.
     weight = write_sampled_weight(tmp_path / "w.grid")
     points, sums = [], []
-    density, box_level_sums = measures.Weight.density, measures.box_level_sums
+    density, box_level_sums = measures.Weight.cell_density, measures.box_level_sums
 
-    def counting_density(self, z):
-        points.append(np.size(z))
-        return density(self, z)
+    def counting_density(self, quad):
+        points.append(quad.n_cells)
+        return density(self, quad)
 
     def counting_sums(*args, **kwargs):
         sums.append(1)
         return box_level_sums(*args, **kwargs)
 
-    monkeypatch.setattr(measures.Weight, "density", counting_density)
+    monkeypatch.setattr(measures.Weight, "cell_density", counting_density)
     for module in (measures, dyadic):
         monkeypatch.setattr(module, "box_level_sums", counting_sums)
     code, _ = run(small_cfg(command="embedding", weight=weight, depth=7, quad_depth=7))
@@ -250,7 +250,7 @@ def test_embedding_stages_equal_the_per_stage_computation(tmp_path, sampled, q):
     f = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, quad.n_cells)
 
     def tree(grid):
-        density = np.real(w.density(quad.z))
+        density = w.cell_density(quad)
         masses = measures.box_level_sums(quad, density * quad.area, grid, depth)
         integrals = measures.box_level_sums(quad, f * density * quad.area, grid, depth)
         return np.concatenate([i / m for i, m in zip(integrals, masses)]), np.concatenate(masses)
@@ -264,7 +264,7 @@ def test_embedding_stages_equal_the_per_stage_computation(tmp_path, sampled, q):
         e, m = tree(g)
         order = np.argsort(-e)
         weak.append(float(np.max(e[order] * np.cumsum(m[order] ** t) ** (1.0 / t))))
-    right = float(np.sum(f**p * w.density(quad.z) * quad.area) ** (1.0 / p))
+    right = float(np.sum(f**p * w.cell_density(quad) * quad.area) ** (1.0 / p))
     strong = []
     for g in GRIDS:
         e, m = tree(g)

@@ -87,7 +87,7 @@ def _sampled_weight(offset=0.0):
 
 def _cell_masses(w, depth):
     quad = build_quadrature(depth)
-    return quad, np.real(w.density(quad.z)) * quad.area
+    return quad, w.cell_density(quad) * quad.area
 
 
 def test_operator_norm_estimate_lebesgue_is_one():
@@ -208,7 +208,7 @@ def test_sampled_weight_computes_each_capped_depth_once():
 def _dense_norm(w, depth):
     # oracle: the top eigenvalue of the assembled operator D^1/2 K D^1/2
     quad = build_quadrature(depth)
-    dm = DiscreteMeasure(quad.z, np.real(w.density(quad.z)) * quad.area)
+    dm = DiscreteMeasure(quad.z, w.cell_density(quad) * quad.area)
     return float(np.linalg.eigvalsh(assemble_operator(KernelSpec.dirichlet(), dm).weighted())[-1])
 
 

@@ -107,6 +107,15 @@ def test_strata_tile_the_cells(depth, angular_base):
     assert stop == quad.n_cells
 
 
+@pytest.mark.parametrize("angular_base", [4, 16, 64])
+def test_cell_centers_are_r_exp_i_theta_bit_for_bit(angular_base):
+    # One exp row per stratum gives the bits of the elementwise product.
+    for depth in range(1, 17):
+        quad = build_quadrature(depth, angular_base=angular_base)
+        want = quad.r * np.exp(1j * quad.theta)
+        assert quad.z.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), depth
+
+
 def test_boxes_are_exact_cell_unions_at_depth_ten():
     # every plain-grid box is a union of whole cells: the cells inside it,
     # selected geometrically, reproduce its area exactly
@@ -178,6 +187,34 @@ def test_blocked_grid_density_is_the_nearest_node_value(monkeypatch):
     square = z[:156].reshape(12, 13)
     assert np.array_equal(w.density(square), oracle[:156].reshape(12, 13))
     assert w.density(z[3]) == oracle[3]
+
+
+def test_cell_density_reads_the_nearest_node_of_the_exact_cell():
+    quad = build_quadrature(8, angular_base=64)
+    for w in (Weight.lebesgue(), Weight.radial_power(1.5)):
+        assert w.cell_density(quad).tobytes() == w.density(quad.z).tobytes()
+    # Two angular nodes an exact 2**-8 either side of every angle of the
+    # 64-angle strata: each of their cells sits at a tie in floating point.
+    rng = np.random.default_rng(SEED)
+    centers = (np.arange(64) + 0.5) * (TAU / 64)
+    theta = np.sort(np.concatenate([centers - 2.0**-8, centers + 2.0**-8]))
+    r = np.sort(rng.uniform(0.0, 1.0, 9))
+    w = Weight.from_grid(r, theta, rng.uniform(0.5, 2.0, (9, 128)))
+    dist = np.abs(theta[None, :] - quad.theta[:, None])
+    two = np.sort(dist, axis=1)[:, :2]
+    tie = two[:, 0] == two[:, 1]
+    assert np.array_equal(tie, quad.stratum <= 6)
+    got = w.cell_density(quad)
+    # Off the ties, the exact cell and its center z read the same node.
+    assert np.array_equal(got[~tie], w.density(quad.z[~tie]))
+    # At a tie, every sublayer reads the lower node (argmin keeps the first).
+    i = np.argmin(np.abs(r[None, :] - quad.r[:, None]), axis=1)
+    lower = w.grid_values[i, np.argmin(dist, axis=1)]
+    assert np.array_equal(got[tie], lower[tie])
+    product = Weight.product(Weight.radial_power(0.5), w)
+    assert np.array_equal(
+        product.cell_density(quad), Weight.radial_power(0.5).density(quad.z) * got
+    )
 
 
 def test_grid_file_rejects_negative(tmp_path):
@@ -495,13 +532,25 @@ def fsum_box_sum(quad, values, grid, level, position) -> float:
     return math.fsum((values[keep] * frac[keep]).tolist())
 
 
-@pytest.mark.parametrize("grid", GRIDS)
-def test_level_sums_match_an_fsum_oracle(grid):
-    quad = build_quadrature(8)
+@pytest.mark.parametrize(
+    ("grid", "quad_depth", "depth"),
+    # The oracle's shifted-grid fractions round to about 1e-12 of a cell
+    # at depth 14, so the deep case is on the plain grid only.
+    [
+        pytest.param(GRID_PLAIN, 8, 8, id=str(GRID_PLAIN)),
+        pytest.param(GRID_THIRD, 8, 8, id=str(GRID_THIRD)),
+        pytest.param(GRID_PLAIN, 14, 14, id=f"{GRID_PLAIN}-quad14"),
+        pytest.param(GRID_PLAIN, 8, 5, id=f"{GRID_PLAIN}-depth5"),
+        pytest.param(GRID_THIRD, 8, 5, id=f"{GRID_THIRD}-depth5"),
+    ],
+)
+def test_level_sums_match_an_fsum_oracle(grid, quad_depth, depth):
+    quad = build_quadrature(quad_depth)
     values = np.random.default_rng(SEED).uniform(0.5, 1.5, quad.n_cells) * quad.area
-    sums = box_level_sums(quad, values, grid, quad.depth)
+    sums = box_level_sums(quad, values, grid, depth)
+    assert len(sums) == depth + 1
     rng = np.random.default_rng(SEED + 1)
-    for level in range(quad.depth + 1):
+    for level in range(depth + 1):
         positions = {0, 2**level - 1, *rng.integers(0, 2**level, 3).tolist()}
         for m in sorted(positions):
             want = fsum_box_sum(quad, values, grid, level, m)
