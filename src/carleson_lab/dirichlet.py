@@ -206,7 +206,7 @@ def norm_check_stage(rep: NormCheckReport) -> tuple[bool | None, dict, dict]:
     for lv in rep.levels:
         for g, val in lv.dyadic_norms.items():
             consts[f"dyadic_{g:.4f}_depth_{lv.depth}"] = val
-    return rep.stabilized, consts, {"method": rep.method, "solver": rep.solver_status()}
+    return rep.stabilized, consts, {"method": "power-iteration", "solver": rep.solver_status()}
 
 
 @dataclass(frozen=True)
@@ -283,9 +283,7 @@ def theorem_pipeline(w: Weight, depth: int = 12, seed: int = 20260810) -> Pipeli
     run_stage("testing-constant", lambda: testing_constant_stage(
         two_weight_testing_constant(w, lebesgue, cfg, depth=depth, quad=quad, seed=seed)
     ))
-    run_stage("norm-check", lambda: norm_check_stage(
-        two_weight_norm_check(w, lebesgue, cfg, seed=seed)
-    ))
+    run_stage("norm-check", lambda: norm_check_stage(two_weight_norm_check(w, lebesgue, cfg)))
 
     def stage_carleson():
         c = carleson_constant(w)

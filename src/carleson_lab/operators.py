@@ -6,14 +6,14 @@ The two built-in kernel families are the fractional Cauchy kernels
 ``sum x**n / (n + 1)``; the latter reproduces the analytic functions with
 norm ``sum (n+1) |a_n|^2``.  Operators against a discrete measure are
 plain dense matrices.  Three routines serve the whole package:
-:func:`power_norm`, the one power iteration (on callables, so dense
-matrices and matrix-free operators alike); :func:`kernel_rows`, the one
-blocked loop over kernel rows behind every quadrature apply at arbitrary
-points and every dense kernel build; and :func:`cell_kernel_apply`, the
-exact kernel apply between quadrature cell centers, one FFT convolution
-per pair of radial sublayers, from a table that stores one block of each
-Hermitian pair (16.5 MiB at quadrature depth 10).  Dense eigensolves stay
-available as an oracle for small sizes.
+:func:`power_norm`, the one power method, for every ``l^p -> l^q`` norm
+(on callables, so dense matrices and matrix-free operators alike);
+:func:`kernel_rows`, the one blocked loop over kernel rows behind every
+quadrature apply at arbitrary points and every dense kernel build; and
+:func:`cell_kernel_apply`, the exact kernel apply between quadrature cell
+centers, one FFT convolution per pair of radial sublayers, from a table
+that stores one block of each Hermitian pair (16.5 MiB at quadrature
+depth 10).  Dense eigensolves stay available as an oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -159,6 +159,14 @@ class NormEstimate:
     converged: bool
 
 
+def _dual(x: np.ndarray, s: float) -> np.ndarray:
+    """``|x|**(s - 2) x``, zero where ``x`` is."""
+    if s == 2.0:  # the identity, so p = q = 2 keeps plain power iteration's arithmetic
+        return x
+    a = np.abs(x)
+    return np.power(a, s - 2.0, out=np.ones_like(a), where=a > 0) * x
+
+
 def power_norm(
     forward,
     adjoint,
@@ -166,28 +174,41 @@ def power_norm(
     tol: float = 1e-8,
     max_iter: int = 10_000,
     seed: int = 20260810,
+    p: float = 2.0,
+    q: float = 2.0,
 ) -> NormEstimate:
-    """Largest singular value of ``forward`` by power iteration on
-    ``adjoint(forward(.))`` over ``C^n``.
+    """The ``l^p -> l^q`` norm of ``forward`` on ``C^n`` by Boyd's power method.
 
-    The start vector is drawn from a seeded generator so runs are
-    reproducible; non-convergence is reported through the ``converged``
-    flag rather than raised.  A hermitian positive semidefinite operator
-    may pass the same callable twice.
+    Each step maps ``v`` (unit in ``l^p``) to ``y = forward(v)``,
+    ``z = adjoint(|y|**(q-2) y)`` and ``nz = ||z||_p'``, then to
+    ``sigma = nz**(1/q)`` and the next ``v = |z|**(p'-2) z / nz**(p'-1)``,
+    again unit in ``l^p``.  At ``p = q = 2`` this is power iteration on
+    ``adjoint(forward(.))``.  Every ``sigma`` is a lower bound on the norm:
+    ``sigma <= ||forward||`` by Holder's inequality and duality.  By the
+    same duality ``||forward(v)||_q <= sigma <= ||forward(v_next)||_q``,
+    so the figures never fall and climb towards a local maximum of the
+    ratio.  The start vector is drawn from a seeded generator so runs are
+    reproducible; iteration stops when ``sigma`` changes by at most
+    ``tol`` relative, and non-convergence is reported through the
+    ``converged`` flag rather than raised.  A hermitian operator may pass
+    the same callable twice.
     """
     if n == 0:
         return NormEstimate(0.0, 0, 0.0, True)
+    p_dual = p / (p - 1.0)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= np.linalg.norm(v, p)
     sigma_old = 0.0
     for it in range(1, max_iter + 1):
-        v = adjoint(forward(v))
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
+        z = adjoint(_dual(forward(v), q))
+        nz = np.linalg.norm(z, p_dual)
+        if nz == 0.0:
             return NormEstimate(0.0, it, 0.0, True)
-        v /= nv
-        sigma = float(np.sqrt(nv))
+        v = _dual(z, p_dual)
+        v /= np.power(nz, p_dual - 1.0)
+        # Unlike a float's **, np.power takes the q = 2 root as np.sqrt does.
+        sigma = float(np.power(nz, 1.0 / q))
         residual = abs(sigma - sigma_old) / max(sigma, 1e-300)
         if residual <= tol:
             return NormEstimate(sigma, it, residual, True)

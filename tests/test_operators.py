@@ -216,6 +216,99 @@ def test_power_norm_reports_exhausted_iterations():
     assert est.value <= 1.0
 
 
+def test_power_norm_at_two_two_against_eigvalsh():
+    rng = np.random.default_rng(SEED + 3)
+    b = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
+    est = power_norm(lambda v: b @ v, matrix_adjoint_apply(b), 9, tol=1e-12, p=2.0, q=2.0)
+    assert est == power_norm(lambda v: b @ v, matrix_adjoint_apply(b), 9, tol=1e-12)
+    top = np.linalg.eigvalsh(b.conj().T @ b).max()
+    assert est.value == pytest.approx(math.sqrt(top), rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_power_norm_keeps_zero_entries_at_zero(p):
+    # The dual maps raise |x| to negative powers away from p = 2.
+    d = np.diag([2.0, 0.0, 0.0])
+    est = power_norm(lambda v: d @ v, lambda v: d @ v, 3, p=p, q=p)
+    assert est.converged and est.value == pytest.approx(2.0, rel=1e-12)
+    zero = np.zeros((2, 3))
+    assert power_norm(lambda v: zero @ v, lambda u: zero.T @ u, 3, p=p, q=p).value == 0.0
+
+
+def grid_maximum(ratio, lo, hi, points=201, starts=8, rounds=14):
+    """Maximum of ``ratio`` (columns of parameters -> values) over a box:
+    a full grid, then 21-point grids zoomed five-fold per round around
+    each of the ``starts`` best grid points."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+
+    def mesh(axes):
+        return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+    grid = mesh([np.linspace(a, b, points) for a, b in zip(lo, hi)])
+    values = ratio(grid)
+    best = values.max()
+    for k in np.argsort(values)[-starts:]:
+        center, half = grid[:, k], 2.0 * (hi - lo) / (points - 1)
+        for _ in range(rounds):
+            axes = [np.linspace(c - h, c + h, 21) for c, h in zip(center, half)]
+            local = np.clip(mesh(axes), lo[:, None], hi[:, None])
+            v = ratio(local)
+            center, best, half = local[:, np.argmax(v)], max(best, v.max()), half / 5.0
+    return best
+
+
+def lp_ratio(a, p, q, vectors):
+    """``params -> ||a x||_q / ||x||_p`` for the columns ``x = vectors(params)``."""
+
+    def ratio(params):
+        x = vectors(params)
+        return np.linalg.norm(a @ x, q, axis=0) / np.linalg.norm(x, p, axis=0)
+
+    return ratio
+
+
+def nonnegative_directions(params):
+    """Nonnegative vectors of ``len(params) + 1`` entries, by polar angles."""
+    if len(params) == 1:
+        return np.stack([np.cos(params[0]), np.sin(params[0])])
+    t, s = params
+    return np.stack([np.cos(t) * np.cos(s), np.cos(t) * np.sin(s), np.sin(t)])
+
+
+def complex_directions(params):
+    """Every vector of ``C^2`` up to scale and a common phase."""
+    t, phase = params
+    return np.stack([np.cos(t) + 0j, np.sin(t) * np.exp(1j * phase)])
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (3, 3), (2, 3)])
+def test_power_norm_reaches_the_grid_maximum_of_a_nonnegative_matrix(p, shape):
+    # A nonnegative matrix attains its l^p -> l^p norm at a nonnegative vector.
+    rng = np.random.default_rng(SEED + shape[0] * 10 + shape[1])
+    for _ in range(4):
+        a = rng.uniform(0.0, 1.0, shape)
+        est = power_norm(lambda v: a @ v, matrix_adjoint_apply(a), shape[1], p=p, q=p)
+        dims = shape[1] - 1
+        best = grid_maximum(
+            lp_ratio(a, p, p, nonnegative_directions), [0.0] * dims, [np.pi / 2] * dims
+        )
+        assert est.converged
+        assert est.value == pytest.approx(best, abs=1e-6)
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_power_norm_of_a_complex_matrix_never_exceeds_the_grid_maximum(rows):
+    # Every figure is an attained lower bound, also where the ascent stops
+    # at a local maximum.
+    rng = np.random.default_rng(SEED + rows)
+    for _ in range(6):
+        a = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+        est = power_norm(lambda v: a @ v, matrix_adjoint_apply(a), 2, p=2.0, q=3.0)
+        best = grid_maximum(lp_ratio(a, 2.0, 3.0, complex_directions), [0.0, 0.0], [np.pi / 2, 2 * np.pi])
+        assert 0.0 < est.value <= best * (1.0 + 1e-12)
+
+
 def test_operator_norm_is_power_norm_on_the_weighted_matrix():
     rng = np.random.default_rng(SEED + 2)
     dm = DiscreteMeasure(random_points(rng, 50), rng.uniform(0.1, 1.0, 50))
