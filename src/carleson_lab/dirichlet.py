@@ -206,7 +206,12 @@ def norm_check_stage(rep: NormCheckReport) -> tuple[bool | None, dict, dict]:
     for lv in rep.levels:
         for g, val in lv.dyadic_norms.items():
             consts[f"dyadic_{g:.4f}_depth_{lv.depth}"] = val
-    return rep.stabilized, consts, {"method": "power-iteration", "solver": rep.solver_status()}
+    witness = {
+        "method": "power-iteration",
+        "solver": rep.solver_status(),
+        "starts": rep.start_status(),
+    }
+    return rep.stabilized, consts, witness
 
 
 @dataclass(frozen=True)

@@ -441,9 +441,12 @@ class NormCheckLevel:
     cells: int
     dense_norm: float
     dyadic_norms: dict
-    # The power-method solves behind the norms.
+    # The power-method solves behind the norms, and how each one started:
+    # "seeded", or "prolonged" from the previous depth's final iterate.
     dense_solve: NormEstimate
     dyadic_solves: dict
+    dense_start: str
+    dyadic_starts: dict
 
 
 @dataclass(frozen=True)
@@ -451,22 +454,56 @@ class NormCheckReport:
     levels: tuple[NormCheckLevel, ...]
     stabilized: bool | None  # None for p < q, where the ascent may stop at a local maximum
 
-    def solver_status(self) -> dict:
-        """Iterations and convergence of every solve, keyed like the norms
+    def _keyed(self, dense: str, dyadic: str) -> dict:
+        """A per-solve field of every level, keyed like the norms
         (``dense_depth_<d>``, ``dyadic_<grid>_depth_<d>``)."""
         out = {}
         for lv in self.levels:
-            solves = {
-                f"dense_depth_{lv.depth}": lv.dense_solve,
-                **{f"dyadic_{g:.4f}_depth_{lv.depth}": e for g, e in lv.dyadic_solves.items()},
-            }
-            for key, est in solves.items():
-                out[key] = {"iterations": est.iterations, "converged": est.converged}
+            out[f"dense_depth_{lv.depth}"] = getattr(lv, dense)
+            for g, x in getattr(lv, dyadic).items():
+                out[f"dyadic_{g:.4f}_depth_{lv.depth}"] = x
         return out
+
+    def solver_status(self) -> dict:
+        """Iterations and convergence of every solve."""
+        return {
+            key: {"iterations": est.iterations, "converged": est.converged}
+            for key, est in self._keyed("dense_solve", "dyadic_solves").items()
+        }
+
+    def start_status(self) -> dict:
+        """How every solve started: ``"seeded"`` or ``"prolonged"``."""
+        return self._keyed("dense_start", "dyadic_starts")
 
 
 # Power-method settings of the norm check.
 _NORM_SOLVE = {"tol": 1e-6, "max_iter": 500, "seed": 314159}
+
+
+def _prolongation(coarse: DiskQuadrature, coarse_root, fine: DiskQuadrature, fine_root):
+    """Map a final iterate on ``coarse`` to a start on ``fine``.
+
+    An iterate ``v`` unit in ``l^p`` stands for the function
+    ``v / (mu area)**(1/p)``, unit in ``L^p(mu)``; its value is copied to
+    every cell whose center the coarse cell holds and weighted back by the
+    fine ``(mu area)**(1/p)`` (``*_root``), zero where mu is.  A start
+    that vanishes everywhere is ``None``: the solve then draws its own.
+    """
+    parent = coarse.parent_index(fine)
+
+    def prolong(est: NormEstimate) -> np.ndarray | None:
+        f = np.divide(
+            est.vector, coarse_root, out=np.zeros(coarse.n_cells, dtype=complex),
+            where=coarse_root > 0,
+        )
+        v = f[parent] * fine_root
+        return v if np.any(v) else None
+
+    return prolong
+
+
+def _start_kind(start) -> str:
+    return "seeded" if start is None else "prolonged"
 
 
 def two_weight_norm_check(
@@ -481,9 +518,9 @@ def two_weight_norm_check(
 
     The kernel ``k_alpha`` is applied exactly between cell centers, one
     pair of radial sublayers at a time (:func:`cell_kernel_apply`), from a
-    table of ``O(cells * sublayers)`` entries instead of a dense ``n x n``
-    matrix; the table holds one block of each Hermitian pair of
-    sublayers, 16.5 MiB at the deepest default depth, 10.  Cell weights
+    real table of ``O(cells * sublayers)`` entries instead of a dense
+    ``n x n`` matrix; the table holds one block of each Hermitian pair of
+    sublayers, 8.25 MiB at the deepest default depth, 10.  Cell weights
     ``(nu area)**(1/q)`` on the left and ``area / (mu area)**(1/p)`` on
     the right turn each operator into a plain matrix whose ``l^p -> l^q``
     norm is the one sought, and Boyd's power method (:func:`power_norm`)
@@ -494,11 +531,18 @@ def two_weight_norm_check(
     ``p = q = 2`` the largest singular value.  For ``p = q`` the verdict
     asks the dense figures of the last two refinements to agree within
     ``stabilize_rtol``; for ``p < q`` it is ``None``, since the ascent
-    may stop at a local maximum there.
+    may stop at a local maximum there.  At ``p = q`` every depth after the
+    first starts each solve from the previous depth's final iterate,
+    prolonged through :meth:`DiskQuadrature.parent_index` (the function it
+    stands for is copied to the finer cells); the ascent from there reaches
+    the seeded solve's figure in two or three steps.  At ``p < q`` every
+    solve starts from the seeded draw, since a continuation start can
+    settle on a lower local maximum.  ``start_status`` names each start.
     """
     levels = []
     spec = KernelSpec.k_alpha(cfg.alpha)
     solve = {**_NORM_SOLVE, "p": cfg.p, "q": cfg.q}
+    warm = cfg.p == cfg.q
     for d in quad_depths:
         quad = build_quadrature(d)
         depth = min(d, quad.depth)
@@ -512,13 +556,21 @@ def two_weight_norm_check(
             return dyadic_apply(grid, cfg.alpha, f, quad, depth).values
 
         left = np.power(nu_d * quad.area, 1.0 / cfg.q)
-        right = np.where(mu_d > 0, quad.area / np.power(mu_d * quad.area, 1.0 / cfg.p), 0.0)
+        root = np.power(mu_d * quad.area, 1.0 / cfg.p)
+        right = np.divide(quad.area, root, out=np.zeros_like(root), where=mu_d > 0)
         inv_area = 1.0 / quad.area
+        if warm and levels:
+            prolong = _prolongation(coarse, coarse_root, quad, root)
+            dense_start = prolong(levels[-1].dense_solve)
+            dyadic_starts = {g: prolong(e) for g, e in levels[-1].dyadic_solves.items()}
+        else:
+            dense_start, dyadic_starts = None, dict.fromkeys(GRIDS)
         dense_solve = power_norm(
             lambda v: left * kernel(right * v),
             lambda u: right * kernel(left * u),
             n,
             **solve,
+            start=dense_start,
         )
         dyadic_solves = {
             g: power_norm(
@@ -526,11 +578,24 @@ def two_weight_norm_check(
                 lambda u, g=g: right * model(g, left * u * inv_area),
                 n,
                 **solve,
+                start=dyadic_starts[g],
             )
             for g in GRIDS
         }
         dyadic = {g: e.value for g, e in dyadic_solves.items()}
-        levels.append(NormCheckLevel(d, n, dense_solve.value, dyadic, dense_solve, dyadic_solves))
+        levels.append(
+            NormCheckLevel(
+                d,
+                n,
+                dense_solve.value,
+                dyadic,
+                dense_solve,
+                dyadic_solves,
+                _start_kind(dense_start),
+                {g: _start_kind(v) for g, v in dyadic_starts.items()},
+            )
+        )
+        coarse, coarse_root = quad, root
     stabilized = None
     if cfg.p == cfg.q:
         stabilized = False

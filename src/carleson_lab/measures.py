@@ -353,6 +353,23 @@ class DiskQuadrature:
     def n_cells(self) -> int:
         return self.z.size
 
+    def parent_index(self, finer: "DiskQuadrature") -> np.ndarray:
+        """For each cell of ``finer``, the index of the cell of this
+        quadrature that holds its center.
+
+        A center at level ``j`` lies in stratum ``min(j, depth)``, in the
+        sublayer found by ``searchsorted`` on that stratum's edges, and in
+        angle ``floor(theta / 2 pi * count)``.
+        """
+        out = np.empty(finer.n_cells, dtype=np.int64)
+        for f in finer.strata:
+            s = self.strata[min(f.level, self.depth)]
+            radii = f.rows(finer.r)[:, 0]
+            k = np.clip(np.searchsorted(s.edges, radii, side="right") - 1, 0, s.edges.size - 2)
+            m = np.minimum((f.rows(finer.theta)[0] / TAU * s.count).astype(np.int64), s.count - 1)
+            f.rows(out)[:] = s.start + k[:, None] * s.count + m[None, :]
+        return out
+
 
 def build_quadrature(
     depth: int, angular_base: int = 16, radial_refine: int | None = None

@@ -11,14 +11,15 @@ plain dense matrices.  Three routines serve the whole package:
 :func:`kernel_rows`, the one blocked loop over kernel rows behind every
 quadrature apply at arbitrary points and every dense kernel build; and
 :func:`cell_kernel_apply`, the exact kernel apply between quadrature cell
-centers, one FFT convolution per pair of radial sublayers, from a table
-that stores one block of each Hermitian pair (16.5 MiB at quadrature
-depth 10).  Dense eigensolves stay available as an oracle for small sizes.
+centers, one FFT convolution per pair of radial sublayers, from a real
+table that stores one block of each Hermitian pair, each evaluated on
+half its angles (8.25 MiB at quadrature depth 10).  Dense eigensolves
+stay available as an oracle for small sizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -74,15 +75,17 @@ def eval_kernel(spec: KernelSpec, z, w) -> np.ndarray | complex:
     """Kernel value at points (or arrays of points) strictly inside the disk."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    x = z * np.conj(w)
+    x = np.asarray(z * np.conj(w))  # a fresh array: k_alpha works in it in place
     if spec.kind == "k_alpha":
-        if spec.alpha == 1.0:
-            out = 1.0 / (1.0 - x)
-        elif spec.alpha == 2.0:
-            out = 1.0 / (1.0 - x)
-            out *= out
+        out = np.subtract(1.0, x, out=x)
+        if spec.alpha in (1.0, 2.0):
+            np.divide(1.0, out, out=out)
+            if spec.alpha == 2.0:
+                out *= out
         else:
-            out = np.exp(-spec.alpha * np.log(1.0 - x))
+            np.log(out, out=out)
+            out *= -spec.alpha
+            np.exp(out, out=out)
     elif spec.kind == "dirichlet":
         out = _dirichlet_values(x)
     else:
@@ -157,6 +160,8 @@ class NormEstimate:
     iterations: int
     residual: float
     converged: bool
+    # The final iterate, unit in l^p: a start for a related solve.
+    vector: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _dual(x: np.ndarray, s: float) -> np.ndarray:
@@ -176,6 +181,7 @@ def power_norm(
     seed: int = 20260810,
     p: float = 2.0,
     q: float = 2.0,
+    start: np.ndarray | None = None,
 ) -> NormEstimate:
     """The ``l^p -> l^q`` norm of ``forward`` on ``C^n`` by Boyd's power method.
 
@@ -187,33 +193,37 @@ def power_norm(
     ``sigma <= ||forward||`` by Holder's inequality and duality.  By the
     same duality ``||forward(v)||_q <= sigma <= ||forward(v_next)||_q``,
     so the figures never fall and climb towards a local maximum of the
-    ratio.  The start vector is drawn from a seeded generator so runs are
-    reproducible; iteration stops when ``sigma`` changes by at most
-    ``tol`` relative, and non-convergence is reported through the
-    ``converged`` flag rather than raised.  A hermitian operator may pass
-    the same callable twice.
+    ratio.  The start vector is ``start`` when given, else drawn from a
+    seeded generator so runs are reproducible; either is normalized in
+    ``l^p``, and the final iterate comes back as ``vector``.  Iteration
+    stops when ``sigma`` changes by at most ``tol`` relative, and
+    non-convergence is reported through the ``converged`` flag rather than
+    raised.  A hermitian operator may pass the same callable twice.
     """
     if n == 0:
         return NormEstimate(0.0, 0, 0.0, True)
     p_dual = p / (p - 1.0)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if start is None:
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        v = np.array(start, dtype=complex)
     v /= np.linalg.norm(v, p)
     sigma_old = 0.0
     for it in range(1, max_iter + 1):
         z = adjoint(_dual(forward(v), q))
         nz = np.linalg.norm(z, p_dual)
         if nz == 0.0:
-            return NormEstimate(0.0, it, 0.0, True)
+            return NormEstimate(0.0, it, 0.0, True, v)
         v = _dual(z, p_dual)
         v /= np.power(nz, p_dual - 1.0)
         # Unlike a float's **, np.power takes the q = 2 root as np.sqrt does.
         sigma = float(np.power(nz, 1.0 / q))
         residual = abs(sigma - sigma_old) / max(sigma, 1e-300)
         if residual <= tol:
-            return NormEstimate(sigma, it, residual, True)
+            return NormEstimate(sigma, it, residual, True, v)
         sigma_old = sigma
-    return NormEstimate(sigma, max_iter, residual, False)
+    return NormEstimate(sigma, max_iter, residual, False, v)
 
 
 def matrix_adjoint_apply(b: np.ndarray):
@@ -303,15 +313,24 @@ def cell_kernel_apply(spec: KernelSpec, quad: DiskQuadrature):
     The kernel is Hermitian, so the plan stores the FFT of that sequence
     only for pairs with ``P >= Q``: one table per source class, its rows
     the sublayers of every class at least as fine (``O(cells * sublayers)``
-    entries in all).  An apply takes one FFT per class and two batches of
-    matrix products per class, one inverse FFT per class.  A coarser
-    source's spectrum repeats every ``Q``
+    entries in all).  Every kernel family has real Taylor coefficients, so
+    ``k(conj x) = conj k(x)``: with ``r = P / Q`` and ``c = (1 - r) / 2``
+    the sequence ``g[d] = k(rho e^{2 pi i (d + c) / P})`` is conjugate
+    symmetric about ``d = -c`` and its FFT is ``e^{2 pi i K c / P} R[K]``
+    with ``R`` real.  The plan evaluates the kernel on half the angles and
+    stores ``R`` as ``float64`` (8.25 MiB at quadrature depth 10); the
+    apply multiplies it by each spectrum viewed as two real columns and
+    applies the phase per target frequency.  An apply takes one FFT per
+    class and two batches of matrix products per class, one inverse FFT
+    per class.  A coarser source's spectrum repeats every ``Q``
     frequencies (zero-insertion upsampling), so frequency ``k`` of the
     source meets every target frequency congruent to ``k``.  A coarser
     target keeps the mean of its ``r = Q / P`` aliases (decimation); with
     unnormalized FFTs its block at frequency ``k`` is the conjugate
     transpose of the stored block of the reverse pair divided by ``r``,
-    applied as ``conj(conj(s) @ T) / r`` on the folded spectrum ``s``.
+    applied as ``(s * conj(phase) / r) @ R`` on the folded spectrum ``s``.
+    The returned apply carries the tables, keyed by source class, as
+    ``apply.tables``.
     """
     classes: dict[int, list] = {}
     for s in quad.strata:
@@ -323,48 +342,68 @@ def cell_kernel_apply(spec: KernelSpec, quad: DiskQuadrature):
     }
     radii = {p: quad.r[c[::p]] for p, c in cells.items()}  # one per sublayer, its midpoint
     # table[q][k] stacks, for each class p >= q in ascending order, the rows
-    # (m, target) of target frequency m * q + k against the sources of q.
-    table, rows = {}, {}
+    # (m, target) of target frequency m * q + k against the sources of q;
+    # phase[q, p][k, m] is that frequency's phase (for p > q only).
+    table, rows, phase = {}, {}, {}
     for q in counts:
         finer = [p for p in counts if p >= q]
         sizes = [p // q * radii[p].size for p in finer]
         bounds = np.cumsum([0] + sizes)
-        table[q] = np.empty((q, bounds[-1], radii[q].size), dtype=complex)
+        table[q] = np.empty((q, bounds[-1], radii[q].size))
         rows[q] = {p: slice(lo, hi) for p, lo, hi in zip(finer, bounds[:-1], bounds[1:])}
         for p in finer:
             r = p // q
-            turns = (np.arange(p) + (1 - r) / 2) / p
-            x = np.multiply.outer(np.exp(TAU * 1j * turns), np.multiply.outer(radii[p], radii[q]))
-            g = _fold(np.fft.fft(eval_kernel(spec, x, 1.0), axis=0), r)  # (k, m, target, source)
-            table[q][:, rows[q][p]] = g.reshape(q, -1, radii[q].size)
+            rho = np.multiply.outer(radii[p], radii[q])[:, :, None]
+            if r == 1:
+                # c = 0: g[d] for d = 0 .. p/2, the rest its conjugate mirror.
+                half = eval_kernel(spec, np.exp(TAU * 1j * np.arange(p // 2 + 1) / p), rho)
+                real = np.fft.hfft(half, p)
+            else:
+                # c is a half-integer: the positions e = d + c > 0 are
+                # 1/2 .. p/2 - 1/2, and each -e adds the conjugate term, so
+                # R[K] = 2 Re(e^{-pi i K / p} sum_j g(j + 1/2) e^{-2 pi i K j / p}).
+                turns = (np.arange(p // 2) + 0.5) / p
+                half = eval_kernel(spec, np.exp(TAU * 1j * turns), rho)
+                spectrum = np.fft.fft(half, p)
+                spectrum *= 2.0 * np.exp(-TAU * 0.5j * np.arange(p) / p)
+                real = spectrum.real
+                c = (1 - r) / 2
+                phase[q, p] = _fold(np.exp(TAU * 1j * np.arange(p) * c / p), r)[:, :, None]
+            # real[target, source, m * q + k] is row (m, target) of table[q][k];
+            # block is a view, since the reshape only splits the row axis.
+            block = table[q][:, rows[q][p]].reshape(q, r, radii[p].size, radii[q].size)
+            block[...] = real.reshape(radii[p].size, radii[q].size, r, q).transpose(3, 2, 0, 1)
 
     def apply(fw: np.ndarray) -> np.ndarray:
         spectra = {q: np.fft.fft(fw[cells[q]].reshape(-1, q).T, axis=0) for q in counts}
         acc = dict.fromkeys(counts, 0.0)
         for q in counts:
-            h = (table[q] @ spectra[q][:, :, None])[:, :, 0]
+            h = (table[q] @ spectra[q][..., None].view(float)).view(complex)[..., 0]
             for p, block in rows[q].items():
-                acc[p] = acc[p] + h[:, block].reshape(q, p // q, -1).swapaxes(0, 1).reshape(p, -1)
-        conj_spectra = {q: np.conj(s) for q, s in spectra.items()}
+                h_p = h[:, block].reshape(q, p // q, -1)
+                if p > q:
+                    h_p = h_p * phase[q, p]
+                acc[p] = acc[p] + h_p.swapaxes(0, 1).reshape(p, -1)
         for p in counts[:-1]:
             # Finer sources reach p through the conjugate transpose of the
             # rows that table[p] stores for them as targets: fold each
             # source's aliases of frequency k and take their mean.
             folded = np.concatenate(
                 [
-                    _fold(conj_spectra[q], q // p).reshape(p, -1) / (q // p)
+                    (_fold(spectra[q], q // p) * (np.conj(phase[p, q]) / (q // p))).reshape(p, -1)
                     for q in counts
                     if q > p
                 ],
                 axis=1,
             )
-            coarse = table[p][:, rows[p][p].stop :]
-            acc[p] = acc[p] + np.conj(folded[:, None, :] @ coarse)[:, 0]
+            coarse = table[p][:, rows[p][p].stop :].swapaxes(1, 2)
+            acc[p] = acc[p] + (coarse @ folded[..., None].view(float)).view(complex)[..., 0]
         out = np.empty(quad.n_cells, dtype=complex)
         for p in counts:
             out[cells[p]] = np.fft.ifft(acc[p], axis=0).T.ravel()
         return out
 
+    apply.tables = table
     return apply
 
 

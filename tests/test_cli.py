@@ -185,9 +185,15 @@ def write_sampled_weight(path) -> str:
 @pytest.mark.parametrize("command", ["certify", "test-weight", "embedding", "two-weight"])
 @pytest.mark.parametrize("sampled", [False, True])
 def test_certify_times_each_stage(sampled, command, tmp_path):
-    # Every stage and setup step is timed: the keys sum to the total.
+    # Every stage and setup step is timed: the keys sum to the total.  The
+    # embedding runs at quadrature depth 16 (≈50 ms): at the default 10 it
+    # takes ≈5 ms, and one host interruption outside the timed blocks can
+    # exceed its 2 % budget.
     weight = write_sampled_weight(tmp_path / "w.grid") if sampled else "radial-power:1"
-    cfg = RunConfig(command=command, weight=weight, nu=weight, depth=8, seed=SEED)
+    quad_depth = 16 if command == "embedding" else RunConfig.quad_depth
+    cfg = RunConfig(
+        command=command, weight=weight, nu=weight, depth=8, quad_depth=quad_depth, seed=SEED
+    )
     _, rep = run(cfg)
     timings = json.loads(rep.to_json())["timings_ms"]
     setup = {"parse-weight", "quadrature"} if sampled else {"parse-weight"}
@@ -320,6 +326,20 @@ def test_norm_check_verdict_is_null_below_q(monkeypatch):
     assert stage["witness"]["method"] == "power-iteration"
     assert set(stage["witness"]["solver"]) == set(stage["constants"]) == keys
     assert all(s["converged"] for s in stage["witness"]["solver"].values())
+    assert stage["witness"]["starts"] == dict.fromkeys(stage["witness"]["solver"], "seeded")
+
+
+def test_norm_check_witness_names_each_start(monkeypatch):
+    # At p = q every depth after the first starts from the one before.
+    quick = functools.partial(cli.dyadic_mod.two_weight_norm_check, quad_depths=(4, 5, 6))
+    monkeypatch.setattr(cli.dyadic_mod, "two_weight_norm_check", quick)
+    code, rep = run(small_cfg(command="two-weight", nu="radial-power:1"))
+    assert code == 0
+    witness = rep.stages[1]["witness"]
+    assert list(witness["starts"]) == list(witness["solver"])
+    assert witness["starts"] == {
+        key: "seeded" if key.endswith("_depth_4") else "prolonged" for key in witness["solver"]
+    }
 
 
 def test_norm_check_at_three_three_holds_under_refinement(tmp_path):

@@ -41,7 +41,7 @@ from carleson_lab.measures import (
     build_quadrature,
     reverse_doubling_report,
 )
-from carleson_lab.operators import KernelSpec, eval_kernel, power_norm
+from carleson_lab.operators import KernelSpec, NormEstimate, eval_kernel, power_norm
 
 SEED = 20260810
 
@@ -733,6 +733,64 @@ def test_norm_check_below_q_matches_the_dense_oracles():
         )
         figure = rep.levels[-1].dense_norm if key == "dense" else rep.levels[-1].dyadic_norms[key]
         assert figure == pytest.approx(est.value, rel=1e-5)
+
+
+def sampled_weight() -> Weight:
+    """``(1 - r)(1 + cos(theta) / 2)`` on a 24 x 32 polar grid."""
+    r = np.linspace(0.02, 0.98, 24)
+    theta = (np.arange(32) + 0.5) * (TAU / 32)
+    return Weight.from_grid(r, theta, (1.0 - r)[:, None] * (1.0 + 0.5 * np.cos(theta))[None, :])
+
+
+def level_solves(lv) -> list:
+    return [lv.dense_solve, *(lv.dyadic_solves[g] for g in GRIDS)]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
+@pytest.mark.parametrize("weights", ["radial-power", "grid"])
+def test_warm_starts_match_seeded_solves(p, weights):
+    # At p = q each depth after the first starts from the previous depth's
+    # final iterates; the figures are the seeded solves', in fewer steps.
+    if weights == "radial-power":
+        nu, mu = Weight.radial_power(1), Weight.lebesgue()
+    else:
+        nu = mu = sampled_weight()
+    cfg = ExponentConfig(p, p, 1.0)
+    warm = two_weight_norm_check(nu, mu, cfg, quad_depths=(4, 5, 6))
+    assert warm.start_status() == {
+        key: "seeded" if key.endswith("_depth_4") else "prolonged" for key in warm.solver_status()
+    }
+    for lv in warm.levels:
+        cold = two_weight_norm_check(nu, mu, cfg, quad_depths=(lv.depth,)).levels[0]
+        for w, c in zip(level_solves(lv), level_solves(cold)):
+            assert w.converged
+            assert w.value == pytest.approx(c.value, rel=1e-6)
+            assert w.iterations <= c.iterations
+
+
+def test_every_start_is_seeded_below_q():
+    # At p < q a continuation start could settle on a lower local maximum.
+    cfg = ExponentConfig(2.0, 3.0, 1.0)
+    nu, mu = Weight.radial_power(1), Weight.lebesgue()
+    rep = two_weight_norm_check(nu, mu, cfg, quad_depths=(4, 5, 6))
+    assert set(rep.start_status().values()) == {"seeded"}
+    for lv in rep.levels:
+        cold = two_weight_norm_check(nu, mu, cfg, quad_depths=(lv.depth,)).levels[0]
+        assert level_solves(lv) == level_solves(cold)
+
+
+def test_prolongation_copies_the_function_and_falls_back_when_it_vanishes():
+    coarse, fine = build_quadrature(4), build_quadrature(5)
+    coarse_root = np.sqrt(coarse.area)
+    fine_root = np.sqrt(fine.area)
+    children = coarse.parent_index(fine) == 0
+    iterate = np.zeros(coarse.n_cells, dtype=complex)
+    iterate[0] = 2.0 * coarse_root[0]  # the function 2 on cell 0
+    prolong = dyadic._prolongation(coarse, coarse_root, fine, fine_root)
+    start = prolong(NormEstimate(1.0, 1, 0.0, True, iterate))
+    assert np.allclose(start, np.where(children, 2.0 * fine_root, 0.0), rtol=1e-15, atol=0)
+    vanishing = dyadic._prolongation(coarse, coarse_root, fine, np.where(children, 0.0, fine_root))
+    assert vanishing(NormEstimate(1.0, 1, 0.0, True, iterate)) is None
 
 
 def test_model_operator_norm_is_never_below_seeded_samples_on_the_dense_oracle():

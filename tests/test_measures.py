@@ -107,6 +107,23 @@ def test_strata_tile_the_cells(depth, angular_base):
     assert stop == quad.n_cells
 
 
+@pytest.mark.parametrize("coarse_depth, fine_depth", [(4, 6), (6, 8), (8, 10), (3, 11), (5, 5)])
+@pytest.mark.parametrize("angular_base", [4, 16])
+def test_parent_index_holds_every_fine_center(coarse_depth, fine_depth, angular_base):
+    coarse = build_quadrature(coarse_depth, angular_base=angular_base)
+    fine = build_quadrature(fine_depth, angular_base=angular_base)
+    parent = coarse.parent_index(fine)
+    assert parent.shape == (fine.n_cells,)
+    for s in coarse.strata:
+        mine = (parent >= s.cells.start) & (parent < s.cells.stop)
+        k, m = np.divmod(parent[mine] - s.start, s.count)
+        r, theta = fine.r[mine], fine.theta[mine]
+        assert np.all((s.edges[k] <= r) & (r < s.edges[k + 1]))
+        assert np.all((m * TAU / s.count <= theta) & (theta < (m + 1) * TAU / s.count))
+    if coarse_depth == fine_depth:
+        assert np.array_equal(parent, np.arange(fine.n_cells))
+
+
 @pytest.mark.parametrize("angular_base", [4, 16, 64])
 def test_cell_centers_are_r_exp_i_theta_bit_for_bit(angular_base):
     # One exp row per stratum gives the bits of the elementwise product.

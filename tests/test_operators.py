@@ -225,6 +225,35 @@ def test_power_norm_at_two_two_against_eigvalsh():
     assert est.value == pytest.approx(math.sqrt(top), rel=1e-10)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
+def test_power_norm_starts_from_a_given_vector(p):
+    rng = np.random.default_rng(SEED + 4)
+    b = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    forward, adjoint = (lambda v: b @ v), matrix_adjoint_apply(b)
+    seeded = power_norm(forward, adjoint, 5, p=p, q=p, seed=11)
+    draw = np.random.default_rng(11)
+    start = draw.standard_normal(5) + 1j * draw.standard_normal(5)
+    # The seeded draw, given as a start, is the seeded solve; at another
+    # scale it is normalized in l^p first.
+    kept = start.copy()
+    assert power_norm(forward, adjoint, 5, p=p, q=p, start=start) == seeded
+    assert np.array_equal(start, kept)
+    scaled = power_norm(forward, adjoint, 5, p=p, q=p, start=3.5 * start)
+    assert scaled.iterations == seeded.iterations
+    assert scaled.value == pytest.approx(seeded.value, rel=1e-14)
+    assert np.allclose(scaled.vector, seeded.vector, rtol=0, atol=1e-14)
+    assert np.linalg.norm(seeded.vector, p) == pytest.approx(1.0, rel=1e-12)
+    # From its own final iterate the solve stops at once, no lower.
+    again = power_norm(forward, adjoint, 5, p=p, q=p, start=seeded.vector)
+    assert again.iterations <= 3 and again.value >= seeded.value * (1.0 - 1e-12)
+
+
+def test_norm_estimates_compare_without_their_vector():
+    a = NormEstimate(1.0, 2, 0.0, True, np.ones(3))
+    assert a == NormEstimate(1.0, 2, 0.0, True) == NormEstimate(1.0, 2, 0.0, True, np.zeros(3))
+    assert "vector" not in repr(a)
+
+
 @pytest.mark.parametrize("p", [3.0, 1.5])
 def test_power_norm_keeps_zero_entries_at_zero(p):
     # The dual maps raise |x| to negative powers away from p = 2.
@@ -556,7 +585,8 @@ def test_cell_kernel_apply_is_hermitian(spec):
 
 def test_cell_kernel_apply_evaluates_one_table_per_hermitian_pair(monkeypatch):
     # Depth 10 has angular classes 16, ..., 1024; the plan evaluates the
-    # pairs with target count >= source count only (both orders: 1,737,216).
+    # pairs with target count >= source count only (both orders: 1,737,216),
+    # each on half its angles (all of them: 1,081,856).
     evaluated = []
 
     def counting(spec, z, w):
@@ -565,8 +595,10 @@ def test_cell_kernel_apply_evaluates_one_table_per_hermitian_pair(monkeypatch):
         return out
 
     monkeypatch.setattr(operators, "eval_kernel", counting)
-    cell_kernel_apply(KernelSpec.k_alpha(1.0), build_quadrature(10))
-    assert sum(evaluated) == 1_081_856
+    apply = cell_kernel_apply(KernelSpec.k_alpha(1.0), build_quadrature(10))
+    assert sum(evaluated) == 566_870
+    assert all(t.dtype == np.float64 for t in apply.tables.values())
+    assert sum(t.nbytes for t in apply.tables.values()) == 8_654_848  # 8.25 MiB
 
 
 def test_poly_eval_horner():
