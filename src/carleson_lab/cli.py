@@ -2,8 +2,10 @@
 
 Subcommands are the keys of :data:`COMMANDS`: ``test-weight``,
 ``embedding``, ``two-weight``, ``certify``, ``verify-lemma <name>`` (one of
-the keys of :data:`LEMMAS`) and ``bench``.  Their options and defaults
-are the fields of :class:`RunConfig`.  Reports are JSON (CSV for bench);
+the keys of :data:`LEMMAS`) and ``bench``.  Each command and each lemma
+names the :class:`RunConfig` fields it reads; those, ``--out`` and
+``--threads`` are its only options, and the report's ``config`` records
+them.  Reports are JSON (CSV for bench);
 identical configuration and seed produce byte-identical JSON apart from
 the timing block, which holds the total, each stage and each setup step.
 Stages that measure without testing carry a null verdict.  Exit codes: 0
@@ -32,13 +34,17 @@ SCHEMA_VERSION = 1
 DEFAULT_SEED = 20260810
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in text.split(",") if s.strip())
+
+
 @dataclasses.dataclass
 class RunConfig:
     """The settings of one invocation.
 
-    Every field but ``command``, ``lemma`` (the positional argument of
-    ``verify-lemma``) and ``sizes`` (``bench --sizes``, parsed) is the
-    option ``--<field>`` of every subcommand, with this default.
+    Every field but ``command`` and ``lemma`` (the positional argument of
+    ``verify-lemma``) is the option ``--<field>``, with this default, of
+    each command and lemma that names it (:func:`_options`).
     """
 
     command: str
@@ -56,10 +62,7 @@ class RunConfig:
     format: str = dataclasses.field(default="json", metadata={"choices": ("json", "csv")})
     threads: int = 0
     lemma: str = ""
-    sizes: tuple[int, ...] = ()
-
-
-_NOT_COMMON = ("command", "lemma", "sizes")
+    sizes: tuple[int, ...] = dataclasses.field(default=(1024, 4096), metadata={"type": _sizes})
 
 
 @dataclasses.dataclass
@@ -215,14 +218,15 @@ def _weak_type(cfg: RunConfig, rng):
     return failures == 0, {"trials": trials, "failures": failures, "c1_hat": emb.c1_hat}
 
 
+# Each lemma and the RunConfig fields it reads.
 LEMMAS = {
-    "mei-cover": _mei_cover,
-    "sandwich": _sandwich,
-    "gram-psd": _gram_psd,
-    "domination": _domination,
-    "k1-projection": _k1_projection,
-    "factorization": _factorization,
-    "weak-type": _weak_type,
+    "mei-cover": (_mei_cover, ("samples", "seed")),
+    "sandwich": (_sandwich, ("samples", "seed")),
+    "gram-psd": (_gram_psd, ("samples", "seed")),
+    "domination": (_domination, ("alpha", "depth", "samples", "seed")),
+    "k1-projection": (_k1_projection, ("quad_depth", "seed")),
+    "factorization": (_factorization, ("quad_depth", "seed")),
+    "weak-type": (_weak_type, ("weight", "p", "q", "depth", "quad_depth", "samples", "seed")),
 }
 
 
@@ -245,14 +249,15 @@ def _run_test_weight(cfg: RunConfig, timings: dict):
         dbl = measures.doubling_report(w, samples=min(cfg.samples, 500), seed=cfg.seed)
     return [
         _stage("reverse-doubling", *dirichlet_mod.reverse_doubling_stage(rev)),
-        _stage("doubling", None, {"C_hat": dbl.c_hat}, {"worst_radius": dbl.worst_radius}),
+        _stage("doubling", None, {"C_hat": dbl.c_hat},
+               {"worst_radius": dbl.worst_radius, "samples": dbl.samples}),
     ]
 
 
 def _run_embedding(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "parse-weight"):
         w = measures.parse_weight(cfg.weight)
-        econf = dyadic_mod.ExponentConfig(p=cfg.p, q=cfg.q, alpha=cfg.alpha)
+        econf = dyadic_mod.ExponentConfig(p=cfg.p, q=cfg.q, alpha=1.0)  # no figure reads alpha
     with dirichlet_mod.timed(timings, "quadrature"):
         quad = measures.build_quadrature(cfg.quad_depth)
         depth = min(cfg.depth, quad.depth)
@@ -318,12 +323,12 @@ def _run_verify_lemma(cfg: RunConfig, timings: dict):
     if cfg.lemma not in LEMMAS:
         raise WeightSpecError(f"unknown lemma {cfg.lemma!r}; choose from {tuple(LEMMAS)}")
     with dirichlet_mod.timed(timings, cfg.lemma):
-        return [_stage(cfg.lemma, *LEMMAS[cfg.lemma](cfg, np.random.default_rng(cfg.seed)))]
+        return [_stage(cfg.lemma, *LEMMAS[cfg.lemma][0](cfg, np.random.default_rng(cfg.seed)))]
 
 
 def _run_bench(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "bench"):
-        return [_stage("bench", True, {"rows": bench(cfg.sizes, cfg.seed)})]
+        return [_stage("bench", None, {"rows": bench(cfg.sizes, cfg.seed)})]
 
 
 def bench(sizes, seed: int = DEFAULT_SEED) -> list[dict]:
@@ -366,14 +371,21 @@ def _bench_csv(rows) -> str:
     return buf.getvalue()
 
 
+# Each command and the RunConfig fields it reads; verify-lemma's are its lemma's.
 COMMANDS = {
-    "test-weight": _run_test_weight,
-    "embedding": _run_embedding,
-    "two-weight": _run_two_weight,
-    "certify": _run_certify,
-    "verify-lemma": _run_verify_lemma,
-    "bench": _run_bench,
+    "test-weight": (_run_test_weight, ("weight", "depth", "quad_depth", "samples", "seed")),
+    "embedding": (_run_embedding, ("weight", "p", "q", "depth", "quad_depth", "seed")),
+    "two-weight": (_run_two_weight, ("nu", "mu", "p", "q", "alpha", "depth", "quad_depth", "seed")),
+    "certify": (_run_certify, ("weight", "depth", "seed")),
+    "verify-lemma": (_run_verify_lemma, ()),
+    "bench": (_run_bench, ("sizes", "seed", "format")),
 }
+
+
+def _options(command: str, lemma: str = "") -> tuple[str, ...]:
+    """The fields a command (or a lemma of ``verify-lemma``) offers as options."""
+    fields = LEMMAS[lemma][1] if command == "verify-lemma" else COMMANDS[command][1]
+    return (*fields, "out", "threads")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +412,7 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
         raise WeightSpecError(f"unknown command {cfg.command!r}")
     timings: dict[str, float] = {}
     try:
-        stages = COMMANDS[cfg.command](cfg, timings)
+        stages = COMMANDS[cfg.command][0](cfg, timings)
     except (WeightSpecError, ConfigError):
         raise
     except CarlesonLabError as exc:
@@ -408,9 +420,10 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
             _stage("error", False, {}, {"error": f"{type(exc).__name__}: {exc}"})
         ]
     elapsed_ms = (time.perf_counter() - t0) * 1e3
+    keys = ("command", "lemma") if cfg.command == "verify-lemma" else ("command",)
     report = Report(
         command=cfg.command,
-        config=dataclasses.asdict(cfg),
+        config={k: getattr(cfg, k) for k in (*keys, *_options(cfg.command, cfg.lemma))},
         stages=stages,
         timings_ms={**timings, "total": elapsed_ms},
     )
@@ -427,15 +440,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
         if name == "verify-lemma":
-            p.add_argument("lemma", choices=LEMMAS)
-        elif name == "bench":
-            p.add_argument("--sizes", default="1024,4096")
-        for f in dataclasses.fields(RunConfig):
-            if f.name not in _NOT_COMMON:
-                flag = "--" + f.name.replace("_", "-")
-                p.add_argument(flag, type=type(f.default), default=f.default, **f.metadata)
+            lemmas = sub.add_parser(name).add_subparsers(dest="lemma", required=True)
+            parsers = {lemma: lemmas.add_parser(lemma) for lemma in LEMMAS}
+        else:
+            parsers = {"": sub.add_parser(name)}
+        for lemma, p in parsers.items():
+            for f in dataclasses.fields(RunConfig):
+                if f.name in _options(name, lemma):
+                    flag = "--" + f.name.replace("_", "-")
+                    p.add_argument(flag, default=f.default, **{"type": type(f.default), **f.metadata})
     return parser
 
 
@@ -444,12 +458,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.command == "bench":
-        try:
-            args.sizes = tuple(int(s) for s in str(args.sizes).split(",") if s.strip())
-        except ValueError:
-            print(f"bad --sizes value {args.sizes!r}", file=sys.stderr)
-            return 2
     cfg = RunConfig(**vars(args))
     try:
         measures.cell_cap()  # a malformed cap is a usage error for every command

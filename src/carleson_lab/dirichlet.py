@@ -186,7 +186,12 @@ def reverse_doubling_stage(rep: ReverseDoublingReport) -> tuple[bool, dict, dict
     return (
         rep.verdict,
         {"delta_hat": rep.delta_hat, "margin": rep.margin},
-        {"worst_arc_start": rep.worst_arc.start, "worst_arc_length": rep.worst_arc.length},
+        {
+            "worst_arc_start": rep.worst_arc.start,
+            "worst_arc_length": rep.worst_arc.length,
+            "depth": rep.depth,
+            "random_arcs": rep.random_arcs,
+        },
     )
 
 
@@ -195,7 +200,7 @@ def testing_constant_stage(rep: TestingConstantReport) -> tuple[bool, dict, dict
     return (
         rep.verdict,
         {"sup_value": rep.sup_value},
-        {"worst": repr(rep.worst_box)},
+        {"worst": repr(rep.worst_box), "depth": rep.depth, "random_arcs": rep.random_arcs},
     )
 
 

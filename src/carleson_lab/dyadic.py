@@ -372,6 +372,8 @@ class TestingConstantReport:
     worst_box: DyadicIndex | Arc
     dual_spec: str
     verdict: bool
+    depth: int  # the finest level swept, after the quadrature cap
+    random_arcs: int
 
 
 def two_weight_testing_constant(
@@ -432,7 +434,8 @@ def two_weight_testing_constant(
             best = float(vals[k])
             worst = Arc(0.0, float(length[k]), start_turn=float(turn[k]))
     at_finest = isinstance(worst, DyadicIndex) and worst.level == depth
-    return TestingConstantReport(best, worst, dual.spec, math.isfinite(best) and not at_finest)
+    verdict = math.isfinite(best) and not at_finest
+    return TestingConstantReport(best, worst, dual.spec, verdict, depth, random_arcs)
 
 
 @dataclass(frozen=True)

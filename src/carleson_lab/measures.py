@@ -107,6 +107,10 @@ class Weight:
             )
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise WeightSpecError("grid densities must be finite and >= 0")
+        # The nearest-node search bisects, so the nodes must ascend.
+        for name, nodes in (("r", r), ("theta", theta)):
+            if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+                raise WeightSpecError(f"grid {name} nodes must be finite and strictly ascending")
         return Weight(
             kind="grid", grid_r=r, grid_theta=theta, grid_values=values, spec=spec
         )
@@ -124,9 +128,13 @@ class Weight:
                 f"grid file {path!r}: expected {r_count * theta_count} rows of "
                 f"'r theta density', got shape {data.shape}"
             )
-        r = data[::theta_count, 0]
-        theta = data[:theta_count, 1]
-        values = data[:, 2].reshape(r_count, theta_count)
+        r_col, theta_col, values = (data[:, c].reshape(r_count, theta_count) for c in range(3))
+        r, theta = r_col[:, 0], theta_col[0]
+        if np.any(r_col != r[:, None]) or np.any(theta_col != theta):
+            raise WeightSpecError(
+                f"grid file {path!r}: r must be constant within each block of "
+                f"{theta_count} rows, and theta the same in every block"
+            )
         return Weight.from_grid(r, theta, values, spec=f"grid:{path}")
 
     # -- structure flags ----------------------------------------------
@@ -632,6 +640,8 @@ class ReverseDoublingReport:
     worst_arc: Arc
     verdict: bool
     margin: float
+    depth: int  # the finest level swept, after the quadrature cap
+    random_arcs: int
 
 
 def reverse_doubling_report(
@@ -687,6 +697,8 @@ def reverse_doubling_report(
         worst_arc=worst,
         verdict=bool(delta < 1.0 - margin),
         margin=margin,
+        depth=depth,
+        random_arcs=random_arcs,
     )
 
 

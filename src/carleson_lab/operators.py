@@ -8,8 +8,10 @@ norm ``sum (n+1) |a_n|^2``.  Operators against a discrete measure are
 plain dense matrices.  Three routines serve the whole package:
 :func:`power_norm`, the one power method, for every ``l^p -> l^q`` norm
 (on callables, so dense matrices and matrix-free operators alike);
-:func:`kernel_rows`, the one blocked loop over kernel rows behind every
-quadrature apply at arbitrary points and every dense kernel build; and
+:func:`kernel_rows`, the one blocked loop over kernel rows, behind every
+quadrature apply at arbitrary points (the dense builds of
+:func:`assemble_operator`, :func:`gram_psd_check` and
+:func:`factorization_check` evaluate their kernel matrix unblocked); and
 :func:`cell_kernel_apply`, the exact kernel apply between quadrature cell
 centers, one FFT convolution per pair of radial sublayers, from a real
 table that stores one block of each Hermitian pair, each evaluated on
@@ -290,6 +292,9 @@ def kernel_rows(kernel, zs: np.ndarray, ws: np.ndarray, block: int = 1024):
 
     Yields ``(rows, values)`` with ``rows`` a slice of ``zs``, so at most
     ``block * ws.size`` entries (and their temporaries) are alive at once.
+    It serves :func:`quadrature_apply`; the dense kernel builds of
+    :func:`assemble_operator`, :func:`gram_psd_check` and
+    :func:`factorization_check` do not use it and evaluate in one piece.
     """
     for lo in range(0, zs.size, block):
         rows = slice(lo, min(lo + block, zs.size))

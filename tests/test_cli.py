@@ -309,6 +309,24 @@ def test_measuring_stages_carry_null_verdicts():
     code, rep = run(small_cfg(command="embedding", depth=6))
     assert code == 0
     assert [s["verdict"] for s in rep.stages] == [None, None, None]
+    code, rep = run(RunConfig(command="bench", sizes=(200,)))
+    assert code == 0
+    assert [s["verdict"] for s in rep.stages] == [None]
+
+
+def test_box_testers_state_what_they_swept(tmp_path):
+    # certify asks for depth 12; a sampled weight's quadrature caps it at 10.
+    weight = write_sampled_weight(tmp_path / "w.grid")
+    _, rep = run(RunConfig(command="certify", weight=weight))
+    witness = {s["name"]: s["witness"] for s in rep.stages}
+    assert witness["reverse-doubling"]["depth"] == witness["testing-constant"]["depth"] == 10
+    assert witness["reverse-doubling"]["random_arcs"] == 1000
+    assert witness["testing-constant"]["random_arcs"] == 512
+    # The doubling stage draws at most 500 balls, whatever --samples asks.
+    _, rep = run(RunConfig(command="test-weight", weight="radial-power:1", depth=8))
+    witness = {s["name"]: s["witness"] for s in rep.stages}
+    assert witness["reverse-doubling"]["depth"] == 8
+    assert witness["doubling"]["samples"] == 500
 
 
 def test_norm_check_verdict_is_null_below_q(monkeypatch):
@@ -402,10 +420,17 @@ def test_k1_projection_below_its_minimum_depth_carries_no_verdict(quad_depth, ve
     assert stage["witness"] == {"min_quad_depth": cli.K1_PROJECTION_MIN_QUAD_DEPTH} == {"min_quad_depth": 7}
 
 
+def flags(fields, values) -> list[str]:
+    """The command-line options setting each of ``fields`` found in ``values``."""
+    return [a for f in fields if f in values for a in ("--" + f.replace("_", "-"), values[f])]
+
+
 @pytest.mark.parametrize("lemma", list(cli.LEMMAS))
 def test_every_lemma_runs_through_main(lemma, tmp_path):
+    # Each lemma is passed only the options it offers.
     out = tmp_path / "report.json"
-    argv = ["verify-lemma", lemma, "--samples", "20", "--quad-depth", "7", "--depth", "6"]
+    small = {"samples": "20", "quad_depth": "7", "depth": "6"}
+    argv = ["verify-lemma", lemma, *flags(cli.LEMMAS[lemma][1], small)]
     assert main([*argv, "--out", str(out)]) == 0
     stages = json.loads(out.read_text())["stages"]
     assert [s["name"] for s in stages] == [lemma]
@@ -414,10 +439,67 @@ def test_every_lemma_runs_through_main(lemma, tmp_path):
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_subcommand_defaults_are_the_run_config_defaults(command):
-    positional = ["mei-cover"] if command == "verify-lemma" else []
-    args = vars(cli._build_parser().parse_args([command, *positional]))
-    common = [f.name for f in dataclasses.fields(RunConfig) if f.name not in cli._NOT_COMMON]
-    assert {k: args[k] for k in common} == {k: getattr(RunConfig(command), k) for k in common}
+    # Each command, and each lemma of verify-lemma, offers its own fields
+    # with RunConfig's defaults, and no other option.
+    for lemma in cli.LEMMAS if command == "verify-lemma" else [""]:
+        positional = [lemma] if lemma else []
+        args = vars(cli._build_parser().parse_args([command, *positional]))
+        expected = {k: getattr(RunConfig(command), k) for k in cli._options(command, lemma)}
+        assert args == {"command": command, **dict(zip(["lemma"], positional)), **expected}
+
+
+class RecordedReads:
+    """Stands in for a RunConfig and records the name of every field read."""
+
+    def __init__(self, cfg, reads: set):
+        self._cfg, self._reads = cfg, reads
+
+    def __getattr__(self, name):
+        self._reads.add(name)
+        return getattr(self._cfg, name)
+
+
+@pytest.mark.parametrize(
+    "command, lemma",
+    [(c, "") for c in cli.COMMANDS if c != "verify-lemma"]
+    + [("verify-lemma", lemma) for lemma in cli.LEMMAS],
+)
+def test_each_command_reads_exactly_the_fields_it_declares(command, lemma, tmp_path, monkeypatch):
+    # Every declared option is passed and read, and no other field is read.
+    spec = write_sampled_weight(tmp_path / "w.grid")
+    body, fields = cli.COMMANDS[command]
+    declared = cli.LEMMAS[lemma][1] if lemma else fields
+    reads: set[str] = set()
+    monkeypatch.setitem(
+        cli.COMMANDS, command, (lambda cfg, timings: body(RecordedReads(cfg, reads), timings), fields)
+    )
+    values = {"weight": spec, "nu": spec, "mu": "lebesgue", "p": "2", "q": "2", "alpha": "1",
+              "depth": "6", "quad_depth": "7", "samples": "20", "seed": "1", "sizes": "200",
+              "format": "json"}
+    out = tmp_path / "report.json"
+    positional = [lemma] if lemma else []
+    assert main([command, *positional, *flags(declared, values), "--out", str(out)]) == 0
+    assert len(flags(declared, values)) == 2 * len(declared)
+    # main, not the body, reads bench's --format to choose CSV.
+    assert reads - {"lemma"} == set(declared) - {"format"}
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == {"command", "out", "threads", *declared, *(["lemma"] if lemma else [])}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--quad-depth", "4"],
+        ["certify", "--mu", "lebesgue"],
+        ["embedding", "--alpha", "2"],
+        ["bench", "--depth", "3"],
+        ["verify-lemma", "mei-cover", "--quad-depth", "4"],
+    ],
+)
+def test_option_the_command_does_not_read_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
 
 
 @pytest.mark.parametrize(

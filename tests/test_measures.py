@@ -241,6 +241,45 @@ def test_grid_file_rejects_negative(tmp_path):
         parse_weight(f"grid:{path}")
 
 
+@pytest.mark.parametrize(
+    "r, theta",
+    [
+        ((0.75, 0.25), (4.0, 1.0)),  # both descending
+        ((0.25, 0.75), (4.0, 1.0)),
+        ((0.25, 0.25), (1.0, 4.0)),  # a repeated radius
+        ((0.25, math.nan), (1.0, 4.0)),
+        ((0.25, 0.75), (1.0, math.inf)),
+    ],
+)
+def test_grid_rejects_nodes_not_strictly_ascending(r, theta):
+    # The nearest-node search bisects: on the descending grid it would read
+    # densities [4, 4, 4] where the ascending one reads [1, 4, 2].
+    with pytest.raises(WeightSpecError, match="strictly ascending"):
+        Weight.from_grid(r, theta, [[2.0, 4.0], [4.0, 1.0]])
+    assert np.array_equal(
+        Weight.from_grid((0.25, 0.75), (1.0, 4.0), [[1.0, 4.0], [4.0, 2.0]]).density(
+            np.array([0.2, 0.7j, 0.8 * np.exp(4.1j)])
+        ),
+        [1.0, 4.0, 2.0],
+    )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["0.25 1 1", "0.75 4 4", "0.75 1 4", "0.75 4 2"],  # r changes within a block
+        ["0.25 1 1", "0.25 4 4", "0.75 1 4", "0.75 5 2"],  # theta differs between blocks
+    ],
+)
+def test_grid_file_rejects_inconsistent_node_columns(rows, tmp_path):
+    # The reader takes r from each block's first row and theta from the
+    # first block; a file that disagrees with them is an error, not ignored.
+    path = tmp_path / "bad.grid"
+    path.write_text("\n".join(["2 2", *rows]) + "\n")
+    with pytest.raises(WeightSpecError, match="constant within each block of 2 rows"):
+        parse_weight(f"grid:{path}")
+
+
 def test_radial_power_finiteness_flag():
     assert Weight.radial_power(-0.5).finite
     assert not Weight.radial_power(-1.0).finite
@@ -635,12 +674,12 @@ def one_arc_region_sum(cell_values, quad, r_in, arc):
 
 @st.composite
 def grid_weights(draw):
-    """Nearest-node grid weights with a few nodes and positive densities."""
+    """Nearest-node grid weights with a few distinct nodes and positive densities."""
     n_r = draw(st.integers(1, 6))
     n_theta = draw(st.integers(1, 6))
-    r = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=n_r, max_size=n_r)))
+    r = np.sort(draw(st.lists(st.floats(0.0, 1.0), min_size=n_r, max_size=n_r, unique=True)))
     theta = np.sort(
-        draw(st.lists(st.floats(0.0, TAU), min_size=n_theta, max_size=n_theta))
+        draw(st.lists(st.floats(0.0, TAU), min_size=n_theta, max_size=n_theta, unique=True))
     )
     values = draw(
         st.lists(
