@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (
+    STABILIZE_RTOL,
     ExponentConfig,
     NormCheckReport,
     TestingConstantReport,
@@ -140,9 +141,7 @@ def gram_ratio(gram: np.ndarray, weights) -> float:
     return float(np.linalg.eigvalsh(s[:, None] * gram * s[None, :])[-1])
 
 
-def carleson_constant(
-    w: Weight, quad_depths: tuple[int, ...] = (8, 10), stabilize_rtol: float = 0.05
-) -> CarlesonVerdict:
+def carleson_constant(w: Weight, quad_depths: tuple[int, ...] = (8, 10)) -> CarlesonVerdict:
     """The Carleson constant of ``w`` and a polynomial lower bound for it.
 
     The estimate is the norm of the logarithmic-kernel operator on
@@ -160,7 +159,7 @@ def carleson_constant(
     depth of ``quad_depths``.  The operator norm is the top eigenvalue of
     the Gram of the orthonormal basis ``z^n / sqrt(n+1)``: the estimate
     is the kernel-weighted ratio, traced over the depths; the verdict is
-    whether the last two agree within ``stabilize_rtol`` (``None`` after
+    whether the last two agree within ``STABILIZE_RTOL`` (``None`` after
     one depth).  The lower bound is the last Gram's derivative-weighted
     ratio.  The degree cap compresses the operator, so the estimate never
     exceeds the norm between cell centers and reads low for mass within
@@ -177,7 +176,7 @@ def carleson_constant(
         trace.append((d, gram_ratio(gram, kernel_weights)))
     last, verdict = trace[-1][1], None
     if len(trace) >= 2:
-        verdict = abs(last - trace[-2][1]) <= stabilize_rtol * max(abs(last), 1e-300)
+        verdict = abs(last - trace[-2][1]) <= STABILIZE_RTOL * max(abs(last), 1e-300)
     return CarlesonVerdict(last, gram_ratio(gram, derivative_weights), tuple(trace), verdict)
 
 
@@ -205,16 +204,17 @@ def testing_constant_stage(rep: TestingConstantReport) -> tuple[bool, dict, dict
 
 
 def norm_check_stage(rep: NormCheckReport) -> tuple[bool | None, dict, dict]:
-    """The ``(verdict, constants, witness)`` of a norm-check stage; constants
-    are keyed ``dense_depth_<d>`` and ``dyadic_<grid>_depth_<d>``."""
-    consts = {f"dense_depth_{lv.depth}": lv.dense_norm for lv in rep.levels}
-    for lv in rep.levels:
-        for g, val in lv.dyadic_norms.items():
-            consts[f"dyadic_{g:.4f}_depth_{lv.depth}"] = val
+    """The ``(verdict, constants, witness)`` of a norm-check stage; constants,
+    solves and starts are keyed by :func:`norm_check_key`, and ``cells``
+    pairs each quadrature depth with its cell count."""
+    keyed = rep.keyed()
+    # The dense figures, which decide the verdict, lead; the models follow depth by depth.
+    consts = {k: keyed[k][0].value for k in sorted(keyed, key=lambda k: k.startswith("dyadic_"))}
     witness = {
         "method": "power-iteration",
         "solver": rep.solver_status(),
-        "starts": rep.start_status(),
+        "starts": {key: start for key, (_, start) in keyed.items()},
+        "cells": [[lv.depth, lv.cells] for lv in rep.levels],
     }
     return rep.stabilized, consts, witness
 

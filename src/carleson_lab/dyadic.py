@@ -132,15 +132,14 @@ def dyadic_apply(
 
 
 def dense_abs_apply(
-    alpha: float, f: SampledFunction, quad: DiskQuadrature, eval_points=None,
-    block: int = 512,
+    alpha: float, f: SampledFunction, quad: DiskQuadrature, eval_points=None
 ) -> np.ndarray:
     """``integral of f(w) / |1 - z conj(w)|**alpha`` by quadrature."""
 
     def kernel(z, w):
         return np.abs(1.0 - z * np.conj(w)) ** (-alpha)
 
-    return quadrature_apply(kernel, np.real(f.values), quad, eval_points, block)
+    return quadrature_apply(kernel, np.real(f.values), quad, eval_points, 512)
 
 
 @dataclass(frozen=True)
@@ -442,14 +441,16 @@ def two_weight_testing_constant(
 class NormCheckLevel:
     depth: int
     cells: int
-    dense_norm: float
-    dyadic_norms: dict
-    # The power-method solves behind the norms, and how each one started:
-    # "seeded", or "prolonged" from the previous depth's final iterate.
-    dense_solve: NormEstimate
-    dyadic_solves: dict
-    dense_start: str
-    dyadic_starts: dict
+    # Keyed by operator, "dense" or a grid: the power-method solve behind
+    # each norm, and how it started: "seeded", or "prolonged" from the
+    # previous depth's final iterate.
+    solves: dict
+    starts: dict
+
+
+def norm_check_key(op, depth: int) -> str:
+    """The report key of operator ``op`` (``"dense"`` or a grid) at ``depth``."""
+    return f"dense_depth_{depth}" if op == "dense" else f"dyadic_{op:.4f}_depth_{depth}"
 
 
 @dataclass(frozen=True)
@@ -457,30 +458,27 @@ class NormCheckReport:
     levels: tuple[NormCheckLevel, ...]
     stabilized: bool | None  # None for p < q, where the ascent may stop at a local maximum
 
-    def _keyed(self, dense: str, dyadic: str) -> dict:
-        """A per-solve field of every level, keyed like the norms
-        (``dense_depth_<d>``, ``dyadic_<grid>_depth_<d>``)."""
-        out = {}
-        for lv in self.levels:
-            out[f"dense_depth_{lv.depth}"] = getattr(lv, dense)
-            for g, x in getattr(lv, dyadic).items():
-                out[f"dyadic_{g:.4f}_depth_{lv.depth}"] = x
-        return out
+    def keyed(self) -> dict:
+        """Every solve and how it started, as ``(solve, start)`` under its
+        :func:`norm_check_key`."""
+        return {
+            norm_check_key(op, lv.depth): (est, lv.starts[op])
+            for lv in self.levels
+            for op, est in lv.solves.items()
+        }
 
     def solver_status(self) -> dict:
         """Iterations and convergence of every solve."""
         return {
             key: {"iterations": est.iterations, "converged": est.converged}
-            for key, est in self._keyed("dense_solve", "dyadic_solves").items()
+            for key, (est, _) in self.keyed().items()
         }
-
-    def start_status(self) -> dict:
-        """How every solve started: ``"seeded"`` or ``"prolonged"``."""
-        return self._keyed("dense_start", "dyadic_starts")
 
 
 # Power-method settings of the norm check.
 _NORM_SOLVE = {"tol": 1e-6, "max_iter": 500, "seed": 314159}
+#: Relative agreement of the last two refinements behind a "stabilized" verdict.
+STABILIZE_RTOL = 0.05
 
 
 def _prolongation(coarse: DiskQuadrature, coarse_root, fine: DiskQuadrature, fine_root):
@@ -505,16 +503,11 @@ def _prolongation(coarse: DiskQuadrature, coarse_root, fine: DiskQuadrature, fin
     return prolong
 
 
-def _start_kind(start) -> str:
-    return "seeded" if start is None else "prolonged"
-
-
 def two_weight_norm_check(
     nu: Weight,
     mu: Weight,
     cfg: ExponentConfig,
     quad_depths: tuple[int, ...] = (6, 8, 10),
-    stabilize_rtol: float = 0.05,
 ) -> NormCheckReport:
     """Measured ``L^p(mu) -> L^q(nu)`` norms of the dense and dyadic
     operators across refinements.
@@ -523,24 +516,27 @@ def two_weight_norm_check(
     pair of radial sublayers at a time (:func:`cell_kernel_apply`), from a
     real table of ``O(cells * sublayers)`` entries instead of a dense
     ``n x n`` matrix; the table holds one block of each Hermitian pair of
-    sublayers, 8.25 MiB at the deepest default depth, 10.  Cell weights
-    ``(nu area)**(1/q)`` on the left and ``area / (mu area)**(1/p)`` on
-    the right turn each operator into a plain matrix whose ``l^p -> l^q``
-    norm is the one sought, and Boyd's power method (:func:`power_norm`)
-    measures it.  The kernel is Hermitian and the weights real, so the
-    adjoint swaps the two weights; the dyadic model operator counts a cell
-    in the boxes containing its center on both grids, so it is its own
-    adjoint.  Every figure is a lower bound on the discrete norm, and at
-    ``p = q = 2`` the largest singular value.  For ``p = q`` the verdict
-    asks the dense figures of the last two refinements to agree within
-    ``stabilize_rtol``; for ``p < q`` it is ``None``, since the ascent
-    may stop at a local maximum there.  At ``p = q`` every depth after the
-    first starts each solve from the previous depth's final iterate,
-    prolonged through :meth:`DiskQuadrature.parent_index` (the function it
-    stands for is copied to the finer cells); the ascent from there reaches
-    the seeded solve's figure in two or three steps.  At ``p < q`` every
-    solve starts from the seeded draw, since a continuation start can
-    settle on a lower local maximum.  ``start_status`` names each start.
+    sublayers, 8.25 MiB at the deepest default depth, 10.  The dyadic
+    model operator of each grid acts on the same weighted cell values,
+    divided by the cell areas first.  Cell weights ``(nu area)**(1/q)`` on
+    the left and ``area / (mu area)**(1/p)`` on the right turn each
+    operator into a plain matrix whose ``l^p -> l^q`` norm is the one
+    sought, and one loop measures every operator with Boyd's power method
+    (:func:`power_norm`).  The kernel is Hermitian and the weights real, so
+    the adjoint swaps the two weights; the dyadic model operator counts a
+    cell in the boxes containing its center on both grids, so it is its
+    own adjoint.  Every figure is a lower bound on the discrete norm, and
+    at ``p = q = 2`` the largest singular value.  For ``p = q`` the
+    verdict asks the dense figures of the last two refinements to agree
+    within ``STABILIZE_RTOL``; for ``p < q`` it is ``None``, since the
+    ascent may stop at a local maximum there.  At ``p = q`` every depth
+    after the first starts each solve from the previous depth's final
+    iterate, prolonged through :meth:`DiskQuadrature.parent_index` (the
+    function it stands for is copied to the finer cells); the ascent from
+    there reaches the seeded solve's figure in two or three steps.  At
+    ``p < q`` every solve starts from the seeded draw, since a
+    continuation start can settle on a lower local maximum.  Each level's
+    ``starts`` names how every solve began.
     """
     levels = []
     spec = KernelSpec.k_alpha(cfg.alpha)
@@ -551,58 +547,33 @@ def two_weight_norm_check(
         depth = min(d, quad.depth)
         nu_d = nu.cell_density(quad)
         mu_d = mu.cell_density(quad)
-        n = quad.n_cells
-        kernel = cell_kernel_apply(spec, quad)
-
-        def model(grid, values):
-            f = SampledFunction(quad, values)
-            return dyadic_apply(grid, cfg.alpha, f, quad, depth).values
-
+        inv_area = 1.0 / quad.area
+        ops = {"dense": cell_kernel_apply(spec, quad)}
+        for g in GRIDS:
+            ops[g] = lambda x, g=g: dyadic_apply(
+                g, cfg.alpha, SampledFunction(quad, x * inv_area), quad, depth
+            ).values
         left = np.power(nu_d * quad.area, 1.0 / cfg.q)
         root = np.power(mu_d * quad.area, 1.0 / cfg.p)
         right = np.divide(quad.area, root, out=np.zeros_like(root), where=mu_d > 0)
-        inv_area = 1.0 / quad.area
-        if warm and levels:
-            prolong = _prolongation(coarse, coarse_root, quad, root)
-            dense_start = prolong(levels[-1].dense_solve)
-            dyadic_starts = {g: prolong(e) for g, e in levels[-1].dyadic_solves.items()}
-        else:
-            dense_start, dyadic_starts = None, dict.fromkeys(GRIDS)
-        dense_solve = power_norm(
-            lambda v: left * kernel(right * v),
-            lambda u: right * kernel(left * u),
-            n,
-            **solve,
-            start=dense_start,
-        )
-        dyadic_solves = {
-            g: power_norm(
-                lambda v, g=g: left * model(g, right * v * inv_area),
-                lambda u, g=g: right * model(g, left * u * inv_area),
-                n,
+        prolong = _prolongation(coarse, coarse_root, quad, root) if warm and levels else None
+        solves, starts = {}, {}
+        for name, op in ops.items():
+            start = prolong(levels[-1].solves[name]) if prolong else None
+            solves[name] = power_norm(
+                lambda v: left * op(right * v),
+                lambda u: right * op(left * u),
+                quad.n_cells,
                 **solve,
-                start=dyadic_starts[g],
+                start=start,
             )
-            for g in GRIDS
-        }
-        dyadic = {g: e.value for g, e in dyadic_solves.items()}
-        levels.append(
-            NormCheckLevel(
-                d,
-                n,
-                dense_solve.value,
-                dyadic,
-                dense_solve,
-                dyadic_solves,
-                _start_kind(dense_start),
-                {g: _start_kind(v) for g, v in dyadic_starts.items()},
-            )
-        )
+            starts[name] = "seeded" if start is None else "prolonged"
+        levels.append(NormCheckLevel(d, quad.n_cells, solves, starts))
         coarse, coarse_root = quad, root
     stabilized = None
-    if cfg.p == cfg.q:
+    if warm:
         stabilized = False
         if len(levels) >= 2:
-            a, b = levels[-2].dense_norm, levels[-1].dense_norm
-            stabilized = abs(a - b) <= stabilize_rtol * max(abs(b), 1e-300)
+            a, b = (lv.solves["dense"].value for lv in levels[-2:])
+            stabilized = abs(a - b) <= STABILIZE_RTOL * max(abs(b), 1e-300)
     return NormCheckReport(levels=tuple(levels), stabilized=stabilized)

@@ -37,6 +37,8 @@ from .geometry import (
 DEFAULT_MAX_CELLS = 2_000_000
 GRID_DENSITY_BLOCK = 32_768  # points per block of a grid weight's density
 MAX_CELLS_ENV = "CARLESON_LAB_MAX_CELLS"
+#: How far below 1 a reverse-doubling ratio must stay.
+REVERSE_DOUBLING_MARGIN = 1e-6
 
 
 def cell_cap() -> int:
@@ -117,12 +119,15 @@ class Weight:
 
     @staticmethod
     def from_grid_file(path: str) -> "Weight":
-        with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise WeightSpecError(f"bad grid file header in {path!r}")
-            r_count, theta_count = int(header[0]), int(header[1])
-            data = np.loadtxt(fh, ndmin=2)
+        try:
+            with open(path) as fh:
+                counts = [int(h) if h.isdigit() else 0 for h in fh.readline().split()]
+                if len(counts) != 2 or min(counts) < 1:
+                    raise ValueError("the header must be two positive integer counts")
+                data = np.loadtxt(fh, ndmin=2)
+        except (OSError, ValueError) as exc:  # unreadable, a bad header, or a row not numbers
+            raise WeightSpecError(f"cannot read grid file {path!r}: {exc}") from exc
+        r_count, theta_count = counts
         if data.shape != (r_count * theta_count, 3):
             raise WeightSpecError(
                 f"grid file {path!r}: expected {r_count * theta_count} rows of "
@@ -650,16 +655,16 @@ def reverse_doubling_report(
     random_arcs: int = 1000,
     seed: int = 7,
     quad: DiskQuadrature | None = None,
-    margin: float = 1e-6,
 ) -> ReverseDoublingReport:
     """Largest observed ratio mass(top half) / mass(box) over many arcs.
 
     Sweeps every dyadic arc of both grids up to ``depth`` (the whole
     circle, level 0 of both, once) plus uniformly random arcs; the weight
-    is reverse doubling when the ratio stays bounded away from 1.  Box
-    masses come from :func:`box_mass_levels` and :func:`box_masses`:
-    closed form for a radial-power weight, cell sums over ``quad`` (which
-    also caps ``depth``) for any other.
+    is reverse doubling when the ratio stays below
+    ``1 - REVERSE_DOUBLING_MARGIN``.  Box masses come from
+    :func:`box_mass_levels` and :func:`box_masses`: closed form for a
+    radial-power weight, cell sums over ``quad`` (which also caps
+    ``depth``) for any other.
     """
     if not w.finite:
         raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
@@ -695,8 +700,8 @@ def reverse_doubling_report(
     return ReverseDoublingReport(
         delta_hat=delta,
         worst_arc=worst,
-        verdict=bool(delta < 1.0 - margin),
-        margin=margin,
+        verdict=bool(delta < 1.0 - REVERSE_DOUBLING_MARGIN),
+        margin=REVERSE_DOUBLING_MARGIN,
         depth=depth,
         random_arcs=random_arcs,
     )

@@ -429,23 +429,17 @@ def quadrature_apply(
 
 
 def apply_kernel(
-    spec: KernelSpec,
-    f: SampledFunction,
-    quad: DiskQuadrature,
-    eval_points=None,
-    block: int = 1024,
+    spec: KernelSpec, f: SampledFunction, quad: DiskQuadrature, eval_points=None
 ) -> np.ndarray:
     """Quadrature apply of an arbitrary kernel: ``sum_j k(z, u_j) f_j a_j``."""
     if f.quad is not quad:
         raise ValueError("sampled function does not live on the given quadrature")
-    return quadrature_apply(partial(eval_kernel, spec), f.values, quad, eval_points, block)
+    return quadrature_apply(partial(eval_kernel, spec), f.values, quad, eval_points)
 
 
-def apply_k1(
-    f: SampledFunction, quad: DiskQuadrature, eval_points=None, block: int = 1024
-) -> np.ndarray:
+def apply_k1(f: SampledFunction, quad: DiskQuadrature, eval_points=None) -> np.ndarray:
     """The Cauchy-area transform ``sum_j f(u_j) / (1 - z conj(u_j)) * area_j``."""
-    return apply_kernel(KernelSpec.k_alpha(1.0), f, quad, eval_points, block)
+    return apply_kernel(KernelSpec.k_alpha(1.0), f, quad, eval_points)
 
 
 def k1_projection_discrepancy(

@@ -358,6 +358,9 @@ def test_norm_check_witness_names_each_start(monkeypatch):
     assert witness["starts"] == {
         key: "seeded" if key.endswith("_depth_4") else "prolonged" for key in witness["solver"]
     }
+    # The resolution of each refinement, as carleson-constant's trace states it.
+    assert witness["cells"] == [[d, build_quadrature(d).n_cells] for d in (4, 5, 6)]
+    assert json.loads(rep.to_json())["stages"][1]["witness"]["cells"] == witness["cells"]
 
 
 def test_norm_check_at_three_three_holds_under_refinement(tmp_path):
@@ -527,6 +530,21 @@ def test_unknown_lemma_is_usage_error():
 
 def test_bad_weight_spec_is_usage_error():
     assert main(["certify", "--weight", "wat:1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "a b\n", "0 3\n", "2\n", "1 1\n0.5 abc 1.0\n"],
+    ids=["missing", "non-integer-header", "zero-count", "one-count", "unparsable-row"],
+)
+def test_bad_grid_file_is_usage_error(text, tmp_path, capsys):
+    path = tmp_path / "w.grid"
+    if text is not None:
+        path.write_text(text)
+    assert main(["certify", "--weight", f"grid:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("usage error: ")
 
 
 @pytest.mark.parametrize("raw", ["lots", "1e6", "-5", "0"])

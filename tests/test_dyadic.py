@@ -613,9 +613,10 @@ def test_norm_check_lebesgue_stabilizes_near_one():
         Weight.lebesgue(), Weight.lebesgue(), cfg, quad_depths=(6, 8)
     )
     assert rep.stabilized
-    assert rep.levels[-1].dense_norm == pytest.approx(1.0, rel=0.02)
+    solves = rep.levels[-1].solves
+    assert solves["dense"].value == pytest.approx(1.0, rel=0.02)
     for grid in GRIDS:
-        assert rep.levels[-1].dyadic_norms[grid] > rep.levels[-1].dense_norm
+        assert solves[grid].value > solves["dense"].value
 
 
 def test_norm_check_zero_target_weight():
@@ -624,7 +625,7 @@ def test_norm_check_zero_target_weight():
     nu = Weight.from_grid(r, theta, np.zeros((6, 5)))
     cfg = ExponentConfig(2.0, 2.0, 1.0)
     rep = two_weight_norm_check(nu, Weight.lebesgue(), cfg, quad_depths=(4, 5))
-    assert rep.levels[-1].dense_norm == 0.0
+    assert rep.levels[-1].solves["dense"].value == 0.0
 
 
 def former_dense_norm(nu, mu, quad):
@@ -662,15 +663,16 @@ def test_norm_check_dense_norm_equals_the_former_three_copy_solve():
     ):
         rep = two_weight_norm_check(nu, mu, cfg, quad_depths=(6,))
         # The kernel apply sums in a different order than the dense matrix.
-        assert rep.levels[0].dense_norm == pytest.approx(former_dense_norm(nu, mu, quad), rel=1e-12)
+        dense = rep.levels[0].solves["dense"].value
+        assert dense == pytest.approx(former_dense_norm(nu, mu, quad), rel=1e-12)
 
 
 def test_norm_check_keeps_each_solve():
     cfg = ExponentConfig(2.0, 2.0, 1.0)
     rep = two_weight_norm_check(Weight.lebesgue(), Weight.lebesgue(), cfg, quad_depths=(4, 5))
     for lv in rep.levels:
-        assert lv.dense_solve.value == lv.dense_norm and lv.dense_solve.converged
-        assert {g: e.value for g, e in lv.dyadic_solves.items()} == lv.dyadic_norms
+        assert list(lv.solves) == list(lv.starts) == ["dense", *GRIDS]
+        assert lv.solves["dense"].converged
     status = rep.solver_status()
     assert list(status) == [
         f"{kind}_depth_{d}"
@@ -696,10 +698,10 @@ def test_norm_check_sampled_lower_bound_path():
     # lower bound, the value of its own solve.
     cfg = ExponentConfig(2.0, 4.0, 1.0)
     rep = two_weight_norm_check(Weight.lebesgue(), Weight.lebesgue(), cfg, quad_depths=(4, 5))
-    assert rep.levels[-1].dense_norm > 0.0
+    assert rep.levels[-1].solves["dense"].value > 0.0
     for lv in rep.levels:
-        assert lv.dense_solve.value == lv.dense_norm
-        assert {g: e.value for g, e in lv.dyadic_solves.items()} == lv.dyadic_norms
+        assert list(lv.solves) == ["dense", *GRIDS]
+        assert all(e.value > 0.0 for e in lv.solves.values())
 
 
 def test_sampled_lower_bounds_carry_no_verdict():
@@ -712,8 +714,8 @@ def test_sampled_lower_bounds_carry_no_verdict():
     assert rep.stabilized is None
     assert len(rep.solver_status()) == 9
     for lv in rep.levels:
-        assert lv.dense_norm > 0.0
-        assert all(e.converged for e in (lv.dense_solve, *lv.dyadic_solves.values()))
+        assert lv.solves["dense"].value > 0.0
+        assert all(e.converged for e in lv.solves.values())
 
 
 def test_norm_check_below_q_matches_the_dense_oracles():
@@ -731,8 +733,7 @@ def test_norm_check_below_q_matches_the_dense_oracles():
         est = power_norm(
             lambda v: b @ v, lambda u: b.conj().T @ u, quad.n_cells, tol=1e-10, p=2.0, q=4.0
         )
-        figure = rep.levels[-1].dense_norm if key == "dense" else rep.levels[-1].dyadic_norms[key]
-        assert figure == pytest.approx(est.value, rel=1e-5)
+        assert rep.levels[-1].solves[key].value == pytest.approx(est.value, rel=1e-5)
 
 
 def sampled_weight() -> Weight:
@@ -743,7 +744,11 @@ def sampled_weight() -> Weight:
 
 
 def level_solves(lv) -> list:
-    return [lv.dense_solve, *(lv.dyadic_solves[g] for g in GRIDS)]
+    return [lv.solves[key] for key in ("dense", *GRIDS)]
+
+
+def start_status(rep) -> dict:
+    return {key: start for key, (_, start) in rep.keyed().items()}
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
@@ -757,7 +762,7 @@ def test_warm_starts_match_seeded_solves(p, weights):
         nu = mu = sampled_weight()
     cfg = ExponentConfig(p, p, 1.0)
     warm = two_weight_norm_check(nu, mu, cfg, quad_depths=(4, 5, 6))
-    assert warm.start_status() == {
+    assert start_status(warm) == {
         key: "seeded" if key.endswith("_depth_4") else "prolonged" for key in warm.solver_status()
     }
     for lv in warm.levels:
@@ -773,7 +778,7 @@ def test_every_start_is_seeded_below_q():
     cfg = ExponentConfig(2.0, 3.0, 1.0)
     nu, mu = Weight.radial_power(1), Weight.lebesgue()
     rep = two_weight_norm_check(nu, mu, cfg, quad_depths=(4, 5, 6))
-    assert set(rep.start_status().values()) == {"seeded"}
+    assert set(start_status(rep).values()) == {"seeded"}
     for lv in rep.levels:
         cold = two_weight_norm_check(nu, mu, cfg, quad_depths=(lv.depth,)).levels[0]
         assert level_solves(lv) == level_solves(cold)
@@ -809,7 +814,7 @@ def test_model_operator_norm_is_never_below_seeded_samples_on_the_dense_oracle()
             f /= np.sum(np.abs(f) ** 3 * quad.area) ** (1.0 / 3.0)
             img = s @ (f * quad.area)
             best = max(best, np.sum(np.abs(img) ** 3 * nu_d * quad.area) ** (1.0 / 3.0))
-        figure = rep.levels[0].dyadic_norms[grid]
+        figure = rep.levels[0].solves[grid].value
         assert figure >= best
         # Boyd's method on the dense oracle, weighted as the check weights it.
         left = np.cbrt(nu_d * quad.area)
