@@ -32,6 +32,14 @@ GRIDS = (GRID_PLAIN, GRID_THIRD)
 DEFAULT_MAX_DEPTH = 24
 
 _REL_TOL = 1e-12
+_ABS_TOL = 1e-15
+
+
+def _fits(end, size):
+    """Whether an arc ending ``end`` turns past a grid arc's start lies in
+    that arc of ``size`` turns, up to rounding slack: the one containment
+    tolerance, shared by :func:`mei_cover_batch` and :meth:`Arc.contains_arc`."""
+    return end <= size * (1.0 + _REL_TOL) + _ABS_TOL
 
 
 @dataclass(frozen=True)
@@ -74,8 +82,7 @@ class Arc:
         offset = (other.start_turn - self.start_turn) % 1.0
         if offset > 1.0 - 1e-12:
             offset = 0.0
-        slack = _REL_TOL * max(self.length, 1e-6)
-        return offset + other.length <= self.length + slack
+        return _fits(offset + other.length, self.length)
 
 
 @dataclass(frozen=True)
@@ -242,7 +249,7 @@ def mei_cover_batch(starts, lengths, max_depth: int = DEFAULT_MAX_DEPTH):
 
     def fits(grid, j, rows):
         m, offset = _grid_position(turns[rows], grid, j)
-        return m, offset + lengths[rows] <= 2.0**-j * (1.0 + _REL_TOL) + 1e-15
+        return m, _fits(offset + lengths[rows], 2.0**-j)
 
     return _finest_grid_arcs(j0, fits)
 

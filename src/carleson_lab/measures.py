@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,7 +125,10 @@ class Weight:
                 counts = [int(h) if h.isdigit() else 0 for h in fh.readline().split()]
                 if len(counts) != 2 or min(counts) < 1:
                     raise ValueError("the header must be two positive integer counts")
-                data = np.loadtxt(fh, ndmin=2)
+                with warnings.catch_warnings():
+                    # Rows absent after a header: the shape check below says so.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(fh, ndmin=2)
         except (OSError, ValueError) as exc:  # unreadable, a bad header, or a row not numbers
             raise WeightSpecError(f"cannot read grid file {path!r}: {exc}") from exc
         r_count, theta_count = counts

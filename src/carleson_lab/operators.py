@@ -14,9 +14,11 @@ quadrature apply at arbitrary points (the dense builds of
 :func:`factorization_check` evaluate their kernel matrix unblocked); and
 :func:`cell_kernel_apply`, the exact kernel apply between quadrature cell
 centers, one FFT convolution per pair of radial sublayers, from a real
-table that stores one block of each Hermitian pair, each evaluated on
-half its angles (8.25 MiB at quadrature depth 10).  Dense eigensolves
-stay available as an oracle for small sizes.
+table that stores one block of each Hermitian pair (8.25 MiB at
+quadrature depth 10).  For ``k_alpha`` at ``alpha = 1`` the table is a
+closed form, a geometric sum of the aliased Taylor terms; every other
+kernel fills it from samples on half the angles, one FFT per pair.
+Dense eigensolves stay available as an oracle for small sizes.
 """
 
 from __future__ import annotations
@@ -306,6 +308,107 @@ def _fold(a: np.ndarray, r: int) -> np.ndarray:
     return a.reshape(r, -1, *a.shape[1:]).swapaxes(0, 1)
 
 
+def _fft_fill(spec: KernelSpec, radii: dict):
+    """Fill a table block from kernel samples and one FFT per pair.
+
+    With ``r = P / Q`` and ``c = (1 - r) / 2`` the sequence
+    ``g[d] = k(rho e^{2 pi i (d + c) / P})`` is conjugate symmetric about
+    ``d = -c``, so the kernel is evaluated on half the angles.
+    """
+
+    def fill(block: np.ndarray, p: int, q: int) -> None:
+        r = p // q
+        rho = np.multiply.outer(radii[p], radii[q])[:, :, None]
+        if r == 1:
+            # c = 0: g[d] for d = 0 .. p/2, the rest its conjugate mirror.
+            half = eval_kernel(spec, np.exp(TAU * 1j * np.arange(p // 2 + 1) / p), rho)
+            real = np.fft.hfft(half, p)
+        else:
+            # c is a half-integer: the positions e = d + c > 0 are
+            # 1/2 .. p/2 - 1/2, and each -e adds the conjugate term, so
+            # R[K] = 2 Re(e^{-pi i K / p} sum_j g(j + 1/2) e^{-2 pi i K j / p}).
+            turns = (np.arange(p // 2) + 0.5) / p
+            half = eval_kernel(spec, np.exp(TAU * 1j * turns), rho)
+            spectrum = np.fft.fft(half, p)
+            spectrum *= 2.0 * np.exp(-TAU * 0.5j * np.arange(p) / p)
+            real = spectrum.real
+        # real[target, source, m * q + k] is block[k, m, target, source].
+        block[...] = real.reshape(radii[p].size, radii[q].size, r, q).transpose(3, 2, 0, 1)
+
+    return fill
+
+
+def _k1_fill(radii: dict):
+    """Fill a table block of ``k_1`` in closed form, evaluating no kernel.
+
+    ``k_1(x) = sum x**n``, so the FFT over ``P`` angles of ``g`` keeps the
+    Taylor terms ``n = K + j P``, each times ``P e^{2 pi i n c / P}``, which
+    is the phase ``e^{2 pi i K c / P}`` times ``P sigma**j`` with
+    ``sigma = e^{2 pi i c}``: ``+1`` for ``P = Q`` and ``-1`` for ``P > Q``,
+    where ``c`` is a half-integer.  The sum is geometric, so
+    ``R[K] = P rho**K / (1 - sigma rho**P)``.  ``rho**K = r_t**K r_s**K``
+    takes each sublayer's powers, computed once per class for ``K`` up to
+    the largest count.  A power that underflows to 0 stands for an entry
+    far below the FFT fill's rounding, and ``rho**P`` stays below
+    ``e**-1`` on every quadrature (the outermost sublayers approach it from
+    below), so the denominator does not cancel.
+    """
+    top = max(radii)
+    # r**K = r**(32 j) r**i for K = 32 j + i: two short power tables per
+    # class cost a sixth of one full table, at one more rounding.
+    high, low = np.arange(0, top + 1, 32)[:, None], np.arange(32)[:, None]
+    powers = {  # [K, sublayer]
+        c: (np.power(rad, high)[:, None] * np.power(rad, low)).reshape(-1, rad.size)[: top + 1]
+        for c, rad in radii.items()
+    }
+
+    def fill(block: np.ndarray, p: int, q: int) -> None:
+        r = p // q
+        np.multiply(
+            _fold(powers[p][:p], r)[:, :, :, None],
+            _fold(powers[q][:p], r)[:, :, None, :],
+            out=block,
+        )
+        sigma = 1.0 if r == 1 else -1.0
+        block *= p / (1.0 - sigma * np.multiply.outer(powers[p][p], powers[q][p]))
+
+    return fill
+
+
+def _cell_tables(quad: DiskQuadrature, make_fill):
+    """The classes' cells, and the tables, their row ranges and phases that
+    :func:`cell_kernel_apply` applies, each block filled by
+    ``make_fill(radii)`` (``radii`` keyed by class)."""
+    classes: dict[int, list] = {}
+    for s in quad.strata:
+        classes.setdefault(s.count, []).append(s)
+    counts = sorted(classes)
+    cells = {
+        p: np.concatenate([np.arange(s.cells.start, s.cells.stop) for s in strata])
+        for p, strata in classes.items()
+    }
+    radii = {p: quad.r[c[::p]] for p, c in cells.items()}  # one per sublayer, its midpoint
+    fill = make_fill(radii)
+    # table[q][k] stacks, for each class p >= q in ascending order, the rows
+    # (m, target) of target frequency m * q + k against the sources of q;
+    # phase[q, p][k, m] is that frequency's phase (for p > q only).
+    table, rows, phase = {}, {}, {}
+    for q in counts:
+        finer = [p for p in counts if p >= q]
+        sizes = [p // q * radii[p].size for p in finer]
+        bounds = np.cumsum([0] + sizes)
+        table[q] = np.empty((q, bounds[-1], radii[q].size))
+        rows[q] = {p: slice(lo, hi) for p, lo, hi in zip(finer, bounds[:-1], bounds[1:])}
+        for p in finer:
+            r = p // q
+            # A view, since the reshape only splits the row axis.
+            fill(table[q][:, rows[q][p]].reshape(q, r, radii[p].size, radii[q].size), p, q)
+            if r > 1:
+                c = (1 - r) / 2
+                phase[q, p] = _fold(np.exp(TAU * 1j * np.arange(p) * c / p), r)[:, :, None]
+    return cells, table, rows, phase
+
+
 def cell_kernel_apply(spec: KernelSpec, quad: DiskQuadrature):
     """The exact apply ``fw -> sum_j k(z_i, z_j) fw_j`` over the cell centers.
 
@@ -322,9 +425,13 @@ def cell_kernel_apply(spec: KernelSpec, quad: DiskQuadrature):
     ``k(conj x) = conj k(x)``: with ``r = P / Q`` and ``c = (1 - r) / 2``
     the sequence ``g[d] = k(rho e^{2 pi i (d + c) / P})`` is conjugate
     symmetric about ``d = -c`` and its FFT is ``e^{2 pi i K c / P} R[K]``
-    with ``R`` real.  The plan evaluates the kernel on half the angles and
-    stores ``R`` as ``float64`` (8.25 MiB at quadrature depth 10); the
-    apply multiplies it by each spectrum viewed as two real columns and
+    with ``R`` real, stored as ``float64`` (8.25 MiB at quadrature depth
+    10).  For ``k_alpha`` at ``alpha = 1`` the plan writes ``R`` in closed
+    form, ``R[K] = P rho**K / (1 - sigma rho**P)`` with ``sigma = +1`` for
+    ``P = Q`` and ``-1`` for ``P > Q`` (:func:`_k1_fill`), and evaluates no
+    kernel; for every other kernel it samples the kernel on half the
+    angles and takes one FFT per pair (:func:`_fft_fill`).  The apply
+    multiplies ``R`` by each spectrum viewed as two real columns and
     applies the phase per target frequency.  An apply takes one FFT per
     class and two batches of matrix products per class, one inverse FFT
     per class.  A coarser source's spectrum repeats every ``Q``
@@ -337,47 +444,9 @@ def cell_kernel_apply(spec: KernelSpec, quad: DiskQuadrature):
     The returned apply carries the tables, keyed by source class, as
     ``apply.tables``.
     """
-    classes: dict[int, list] = {}
-    for s in quad.strata:
-        classes.setdefault(s.count, []).append(s)
-    counts = sorted(classes)
-    cells = {
-        p: np.concatenate([np.arange(s.cells.start, s.cells.stop) for s in strata])
-        for p, strata in classes.items()
-    }
-    radii = {p: quad.r[c[::p]] for p, c in cells.items()}  # one per sublayer, its midpoint
-    # table[q][k] stacks, for each class p >= q in ascending order, the rows
-    # (m, target) of target frequency m * q + k against the sources of q;
-    # phase[q, p][k, m] is that frequency's phase (for p > q only).
-    table, rows, phase = {}, {}, {}
-    for q in counts:
-        finer = [p for p in counts if p >= q]
-        sizes = [p // q * radii[p].size for p in finer]
-        bounds = np.cumsum([0] + sizes)
-        table[q] = np.empty((q, bounds[-1], radii[q].size))
-        rows[q] = {p: slice(lo, hi) for p, lo, hi in zip(finer, bounds[:-1], bounds[1:])}
-        for p in finer:
-            r = p // q
-            rho = np.multiply.outer(radii[p], radii[q])[:, :, None]
-            if r == 1:
-                # c = 0: g[d] for d = 0 .. p/2, the rest its conjugate mirror.
-                half = eval_kernel(spec, np.exp(TAU * 1j * np.arange(p // 2 + 1) / p), rho)
-                real = np.fft.hfft(half, p)
-            else:
-                # c is a half-integer: the positions e = d + c > 0 are
-                # 1/2 .. p/2 - 1/2, and each -e adds the conjugate term, so
-                # R[K] = 2 Re(e^{-pi i K / p} sum_j g(j + 1/2) e^{-2 pi i K j / p}).
-                turns = (np.arange(p // 2) + 0.5) / p
-                half = eval_kernel(spec, np.exp(TAU * 1j * turns), rho)
-                spectrum = np.fft.fft(half, p)
-                spectrum *= 2.0 * np.exp(-TAU * 0.5j * np.arange(p) / p)
-                real = spectrum.real
-                c = (1 - r) / 2
-                phase[q, p] = _fold(np.exp(TAU * 1j * np.arange(p) * c / p), r)[:, :, None]
-            # real[target, source, m * q + k] is row (m, target) of table[q][k];
-            # block is a view, since the reshape only splits the row axis.
-            block = table[q][:, rows[q][p]].reshape(q, r, radii[p].size, radii[q].size)
-            block[...] = real.reshape(radii[p].size, radii[q].size, r, q).transpose(3, 2, 0, 1)
+    make_fill = _k1_fill if spec == KernelSpec.k_alpha(1.0) else partial(_fft_fill, spec)
+    cells, table, rows, phase = _cell_tables(quad, make_fill)
+    counts = sorted(cells)
 
     def apply(fw: np.ndarray) -> np.ndarray:
         spectra = {q: np.fft.fft(fw[cells[q]].reshape(-1, q).T, axis=0) for q in counts}

@@ -376,6 +376,25 @@ def test_norm_check_at_three_three_holds_under_refinement(tmp_path):
     assert set(stage["witness"]["solver"]) == set(stage["constants"])
 
 
+def test_certify_norm_check_figures_are_pinned():
+    # The closed-form kernel table agrees with the FFT fill to rounding, so
+    # the dense figures hold to 1e-12; the dyadic ones use no table at all.
+    code, rep = run(RunConfig(command="certify", weight="radial-power:1"))
+    assert code == 0
+    stage = next(s for s in rep.stages if s["name"] == "norm-check")
+    dense = {6: 0.5782599948241628, 8: 0.5780172530631004, 10: 0.5779570701948705}
+    for d, want in dense.items():
+        assert stage["constants"][f"dense_depth_{d}"] == pytest.approx(want, rel=1e-12, abs=0)
+    assert stage["constants"]["dyadic_0.0000_depth_10"] == 0.8360774586891113
+    assert stage["constants"]["dyadic_0.3333_depth_10"] == 0.8360774586891228
+    witness = stage["witness"]
+    for key, solve in witness["solver"].items():
+        depth = int(key.rsplit("_", 1)[1])
+        assert solve == {"iterations": 6 if depth == 6 else 2, "converged": True}
+        assert witness["starts"][key] == ("seeded" if depth == 6 else "prolonged")
+    assert len(witness["solver"]) == 9
+
+
 def test_embedding_constant_carries_no_verdict():
     # On radial-power:-0.9 the constant keeps growing with the depth, so a
     # finite sweep earns no verdict.
@@ -534,9 +553,10 @@ def test_bad_weight_spec_is_usage_error():
 
 @pytest.mark.parametrize(
     "text",
-    [None, "a b\n", "0 3\n", "2\n", "1 1\n0.5 abc 1.0\n"],
-    ids=["missing", "non-integer-header", "zero-count", "one-count", "unparsable-row"],
+    [None, "a b\n", "0 3\n", "2\n", "1 1\n0.5 abc 1.0\n", "2 2\n"],
+    ids=["missing", "non-integer-header", "zero-count", "one-count", "unparsable-row", "header-only"],
 )
+@pytest.mark.filterwarnings("error")  # a warning would print before the usage error
 def test_bad_grid_file_is_usage_error(text, tmp_path, capsys):
     path = tmp_path / "w.grid"
     if text is not None:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carleson_lab.errors import DepthError
@@ -219,6 +219,7 @@ def test_cover_property_seeded_sweep():
     start=st.floats(0.0, TAU, exclude_max=True, allow_nan=False),
     length=st.floats(1e-7, 1.0, allow_nan=False),
 )
+@example(start=1e-15, length=2.0**-14)  # covered by its own level-14 arc, up to rounding
 @settings(max_examples=300, deadline=None)
 def test_cover_property_hypothesis(start, length):
     j = Arc(start, length)

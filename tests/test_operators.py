@@ -583,10 +583,14 @@ def test_cell_kernel_apply_is_hermitian(spec):
     assert abs(left - right) <= 1e-12 * np.linalg.norm(apply(f)) * np.linalg.norm(g)
 
 
-def test_cell_kernel_apply_evaluates_one_table_per_hermitian_pair(monkeypatch):
-    # Depth 10 has angular classes 16, ..., 1024; the plan evaluates the
-    # pairs with target count >= source count only (both orders: 1,737,216),
-    # each on half its angles (all of them: 1,081,856).
+@pytest.mark.parametrize(
+    "alpha, entries", [(1.0, 0), (2.0, 566_870)], ids=["closed-form", "fft-fill"]
+)
+def test_cell_kernel_apply_evaluates_one_table_per_hermitian_pair(monkeypatch, alpha, entries):
+    # Depth 10 has angular classes 16, ..., 1024; the plan fills the pairs
+    # with target count >= source count only (both orders: 1,737,216).  The
+    # FFT fill evaluates each on half its angles (all of them: 1,081,856);
+    # the closed form at alpha = 1 evaluates none.
     evaluated = []
 
     def counting(spec, z, w):
@@ -595,10 +599,41 @@ def test_cell_kernel_apply_evaluates_one_table_per_hermitian_pair(monkeypatch):
         return out
 
     monkeypatch.setattr(operators, "eval_kernel", counting)
-    apply = cell_kernel_apply(KernelSpec.k_alpha(1.0), build_quadrature(10))
-    assert sum(evaluated) == 566_870
+    apply = cell_kernel_apply(KernelSpec.k_alpha(alpha), build_quadrature(10))
+    assert sum(evaluated) == entries
     assert all(t.dtype == np.float64 for t in apply.tables.values())
     assert sum(t.nbytes for t in apply.tables.values()) == 8_654_848  # 8.25 MiB
+
+
+@pytest.mark.parametrize("depth", [6, 8, 10])
+def test_k1_closed_form_tables_equal_the_fft_fill(depth):
+    quad = build_quadrature(depth)
+    spec = KernelSpec.k_alpha(1.0)
+    closed = cell_kernel_apply(spec, quad).tables
+    _, sampled, _, _ = operators._cell_tables(quad, partial(operators._fft_fill, spec))
+    assert closed.keys() == sampled.keys()
+    for q, table in closed.items():
+        scale = np.max(np.abs(sampled[q]))
+        assert np.max(np.abs(table - sampled[q])) <= 1e-14 * scale
+
+
+def test_k1_closed_form_keeps_tiny_entries():
+    # Target class 1024 against source class 16 at depth 10: the source
+    # sublayers nearest the origin give entries far below the FFT fill's
+    # rounding, which the closed form still carries to full relative precision.
+    mpmath = pytest.importorskip("mpmath")
+    quad = build_quadrature(10)
+    cells, table, rows, _ = operators._cell_tables(quad, operators._k1_fill)
+    p, q = 1024, 16
+    rt, rs = (quad.r[cells[c][::c]] for c in (p, q))
+    block = table[q][:, rows[q][p]].reshape(q, p // q, rt.size, rs.size)
+    k, m, t, s = np.nonzero((block > 1e-290) & (block < 1e-200))
+    assert k.size >= 5
+    for i in np.linspace(0, k.size - 1, 5).astype(int):
+        with mpmath.workdps(40):
+            rho = mpmath.mpf(rt[t[i]]) * mpmath.mpf(rs[s[i]])
+            want = float(p * rho ** int(m[i] * q + k[i]) / (1 + rho**p))
+        assert block[k[i], m[i], t[i], s[i]] == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_poly_eval_horner():
