@@ -15,16 +15,14 @@ from carleson_lab import (
     DyadicIndex,
     GRID_PLAIN,
     GRID_THIRD,
-    box_area,
     bridge_box,
-    dyadic_interval,
     mei_cover,
 )
 from carleson_lab.geometry import TAU
 
 print("== dyadic arcs ==")
 for grid, level, pos in ((GRID_PLAIN, 0, 0), (GRID_PLAIN, 3, 0), (GRID_THIRD, 1, 1)):
-    arc = dyadic_interval(grid, level, pos)
+    arc = DyadicIndex(grid, level, pos).arc
     print(
         f"grid {grid:5.3f}, level {level}, position {pos}: "
         f"start {arc.start:.4f} rad, length {arc.length:g} of the circle"
@@ -32,8 +30,8 @@ for grid, level, pos in ((GRID_PLAIN, 0, 0), (GRID_PLAIN, 3, 0), (GRID_THIRD, 1,
 
 print("\n== box areas (disk area normalized to 1) ==")
 for length in (1.0, 0.5, 0.125):
-    full = box_area(CarlesonBox(Arc(0.0, length)))
-    top = box_area(CarlesonBox(Arc(0.0, length), "top"))
+    full = CarlesonBox(Arc(0.0, length)).area
+    top = CarlesonBox(Arc(0.0, length), "top").area
     print(f"arc length {length:7g}: box {full:.6f}, top half {top:.6f}, ratio {top/full:.4f}")
 print("the ratio grows toward 3/4 as the arc grows; that 3/4 is the")
 print("reverse-doubling constant of area measure (see demo 02)")

@@ -72,6 +72,6 @@ for w in (Weight.lebesgue(), Weight.radial_power(1)):
 print("\n== end-to-end certification ==")
 rep = theorem_pipeline(Weight.radial_power(1), depth=10)
 for stage in rep.stages:
-    keys = {k: round(v, 5) for k, v in stage.constants.items() if isinstance(v, float)}
-    print(f"  {stage.name:18s} verdict={stage.verdict} {keys}")
+    keys = {k: round(v, 5) for k, v in stage["constants"].items() if isinstance(v, float)}
+    print(f"  {stage['name']:18s} verdict={stage['verdict']} {keys}")
 print(f"overall verdict: {rep.verdict}")

@@ -34,7 +34,6 @@ from .dyadic import (
 from .errors import (
     CarlesonLabError,
     DegenerateWeightError,
-    DepthError,
     InfiniteMassError,
     MemoryGuardError,
     ResolutionError,
@@ -46,17 +45,13 @@ from .geometry import (
     DyadicIndex,
     GRID_PLAIN,
     GRID_THIRD,
-    box_area,
-    box_children,
     bridge_box,
-    dyadic_interval,
     mei_cover,
 )
 from .measures import (
     DiskQuadrature,
     SampledFunction,
     Weight,
-    ball_mass,
     ball_masses,
     box_mass,
     box_masses,

@@ -28,6 +28,7 @@ import numpy as np
 from . import dirichlet as dirichlet_mod
 from . import dyadic as dyadic_mod
 from . import geometry, measures, operators
+from .dirichlet import stage
 from .errors import CarlesonLabError, ConfigError, WeightSpecError
 
 SCHEMA_VERSION = 1
@@ -44,7 +45,8 @@ class RunConfig:
 
     Every field but ``command`` and ``lemma`` (the positional argument of
     ``verify-lemma``) is the option ``--<field>``, with this default, of
-    each command and lemma that names it (:func:`_options`).
+    each command and lemma that names it (:func:`_options`).  A negative
+    depth or seed, or fewer than one sample, raises :class:`ConfigError`.
     """
 
     command: str
@@ -63,6 +65,11 @@ class RunConfig:
     threads: int = 0
     lemma: str = ""
     sizes: tuple[int, ...] = dataclasses.field(default=(1024, 4096), metadata={"type": _sizes})
+
+    def __post_init__(self) -> None:
+        for name, least in (("depth", 0), ("samples", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"--{name} must be at least {least}, got {getattr(self, name)}")
 
 
 @dataclasses.dataclass
@@ -87,15 +94,6 @@ def _jsonable(obj):
     if dataclasses.is_dataclass(obj):
         return dataclasses.asdict(obj)
     return repr(obj)
-
-
-def _stage(name, verdict, constants, witness=None):
-    return {
-        "name": name,
-        "verdict": verdict,
-        "constants": constants,
-        "witness": witness or {},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +246,9 @@ def _run_test_weight(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "doubling"):
         dbl = measures.doubling_report(w, samples=min(cfg.samples, 500), seed=cfg.seed)
     return [
-        _stage("reverse-doubling", *dirichlet_mod.reverse_doubling_stage(rev)),
-        _stage("doubling", None, {"C_hat": dbl.c_hat},
-               {"worst_radius": dbl.worst_radius, "samples": dbl.samples}),
+        stage("reverse-doubling", *dirichlet_mod.reverse_doubling_stage(rev)),
+        stage("doubling", None, {"C_hat": dbl.c_hat},
+              {"worst_radius": dbl.worst_radius, "samples": dbl.samples}),
     ]
 
 
@@ -273,15 +271,15 @@ def _run_embedding(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "embedding-constant"):
         exact = dyadic_mod.radial_mass_trees(w, depth) if w.is_radial_power else masses
         emb = dyadic_mod.carleson_embedding_constant(w, econf.t, exact)
-        stages = [_stage("embedding-constant", None,
-                         {"c1_hat": emb.c1_hat, "tail_estimate": emb.tail_estimate},
-                         {"worst_box": repr(emb.worst_box)})]
+        stages = [stage("embedding-constant", None,
+                        {"c1_hat": emb.c1_hat, "tail_estimate": emb.tail_estimate},
+                        {"worst_box": repr(emb.worst_box)})]
     with dirichlet_mod.timed(timings, "weak-norm"):
         weak = dyadic_mod.weak_type_norm(econf.t, f, trees)
-        stages.append(_stage("weak-norm", None, {"weak_type_norm": weak}))
+        stages.append(stage("weak-norm", None, {"weak_type_norm": weak}))
     with dirichlet_mod.timed(timings, "strong-ratio"):
         strong = dyadic_mod.strong_embedding_check(econf, f, density, trees, quad)
-        stages.append(_stage("strong-ratio", None, {"strong_ratio": strong}))
+        stages.append(stage("strong-ratio", None, {"strong_ratio": strong}))
         del quad, density, masses, f, trees, exact
     return stages
 
@@ -302,8 +300,8 @@ def _run_two_weight(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "norm-check"):
         norms = dyadic_mod.two_weight_norm_check(nu, mu, econf)
     return [
-        _stage("testing-constant", *dirichlet_mod.testing_constant_stage(testing)),
-        _stage("norm-check", *dirichlet_mod.norm_check_stage(norms)),
+        stage("testing-constant", *dirichlet_mod.testing_constant_stage(testing)),
+        stage("norm-check", *dirichlet_mod.norm_check_stage(norms)),
     ]
 
 
@@ -312,23 +310,19 @@ def _run_certify(cfg: RunConfig, timings: dict):
         w = measures.parse_weight(cfg.weight)
     report = dirichlet_mod.theorem_pipeline(w, depth=cfg.depth, seed=cfg.seed)
     timings.update(report.timings_ms)
-    return [
-        _stage(s.name, s.verdict, s.constants,
-               {**s.witness, "error": s.error} if s.error else s.witness)
-        for s in report.stages
-    ]
+    return list(report.stages)
 
 
 def _run_verify_lemma(cfg: RunConfig, timings: dict):
     if cfg.lemma not in LEMMAS:
         raise WeightSpecError(f"unknown lemma {cfg.lemma!r}; choose from {tuple(LEMMAS)}")
     with dirichlet_mod.timed(timings, cfg.lemma):
-        return [_stage(cfg.lemma, *LEMMAS[cfg.lemma][0](cfg, np.random.default_rng(cfg.seed)))]
+        return [stage(cfg.lemma, *LEMMAS[cfg.lemma][0](cfg, np.random.default_rng(cfg.seed)))]
 
 
 def _run_bench(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "bench"):
-        return [_stage("bench", None, {"rows": bench(cfg.sizes, cfg.seed)})]
+        return [stage("bench", None, {"rows": bench(cfg.sizes, cfg.seed)})]
 
 
 def bench(sizes, seed: int = DEFAULT_SEED) -> list[dict]:
@@ -416,9 +410,7 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
     except (WeightSpecError, ConfigError):
         raise
     except CarlesonLabError as exc:
-        stages = [
-            _stage("error", False, {}, {"error": f"{type(exc).__name__}: {exc}"})
-        ]
+        stages = [stage("error", False, {}, {"error": f"{type(exc).__name__}: {exc}"})]
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     keys = ("command", "lemma") if cfg.command == "verify-lemma" else ("command",)
     report = Report(
@@ -458,8 +450,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    cfg = RunConfig(**vars(args))
     try:
+        cfg = RunConfig(**vars(args))
         measures.cell_cap()  # a malformed cap is a usage error for every command
         code, report = run(cfg)
     except (WeightSpecError, ConfigError) as exc:

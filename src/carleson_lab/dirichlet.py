@@ -13,10 +13,13 @@ certification pipeline for a weight runs, in order: finiteness, the
 reverse-doubling tester, the two-weight testing constant against
 Lebesgue at ``p = q = 2`` and order one, the measured operator norms,
 and the Carleson constant.
-The ``*_stage`` functions map a report to its stage's
-``(verdict, constants, witness)``; the command line uses the same ones.
-The pipeline report also holds the wall milliseconds of each stage, and
-of the quadrature it built, if any (:class:`timed`).
+Every report stage, here and on the command line, is one shape: the
+dict ``{name, verdict, constants, witness}`` that :func:`stage` builds;
+a stage that raised carries ``{"error": "<Type>: <message>"}`` as its
+witness and no constants.  The ``*_stage`` functions map a report to its
+stage's ``(verdict, constants, witness)``; the command line uses the same
+ones.  The pipeline report also holds the wall milliseconds of each
+stage, and of the quadrature it built, if any (:class:`timed`).
 """
 
 from __future__ import annotations
@@ -219,27 +222,17 @@ def norm_check_stage(rep: NormCheckReport) -> tuple[bool | None, dict, dict]:
     return rep.stabilized, consts, witness
 
 
-@dataclass(frozen=True)
-class PipelineStage:
-    name: str
-    verdict: bool | None
-    constants: dict
-    witness: dict = field(default_factory=dict)
-    error: str = ""
+def stage(name: str, verdict: bool | None, constants: dict, witness: dict | None = None) -> dict:
+    """One report stage: ``{name, verdict, constants, witness}``."""
+    return {"name": name, "verdict": verdict, "constants": constants, "witness": witness or {}}
 
 
 @dataclass(frozen=True)
 class PipelineReport:
-    stages: tuple[PipelineStage, ...]
+    stages: tuple[dict, ...]  # each built by :func:`stage`
     verdict: bool
     # Wall milliseconds per stage name, plus "quadrature" when one was built.
     timings_ms: dict = field(default_factory=dict)
-
-    def stage(self, name: str) -> PipelineStage:
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
 
 class timed:
@@ -264,7 +257,7 @@ def theorem_pipeline(w: Weight, depth: int = 12, seed: int = 20260810) -> Pipeli
     trace.  Stage errors are captured in the report instead of raised, so a
     failing hypothesis still yields measurements for the later stages.
     """
-    stages: list[PipelineStage] = []
+    stages: list[dict] = []
     timings: dict[str, float] = {}
     quad = None
     if not w.is_radial_power:
@@ -274,12 +267,9 @@ def theorem_pipeline(w: Weight, depth: int = 12, seed: int = 20260810) -> Pipeli
     def run_stage(name, fn):
         with timed(timings, name):
             try:
-                verdict, constants, witness = fn()
-                stages.append(PipelineStage(name, verdict, constants, witness))
+                stages.append(stage(name, *fn()))
             except CarlesonLabError as exc:
-                stages.append(
-                    PipelineStage(name, False, {}, {}, f"{type(exc).__name__}: {exc}")
-                )
+                stages.append(stage(name, False, {}, {"error": f"{type(exc).__name__}: {exc}"}))
 
     def stage_finite():
         mass = w.disk_mass(quad)
@@ -308,5 +298,5 @@ def theorem_pipeline(w: Weight, depth: int = 12, seed: int = 20260810) -> Pipeli
 
     run_stage("carleson-constant", stage_carleson)
 
-    verdict = all(s.verdict for s in stages if s.verdict is not None)
+    verdict = all(s["verdict"] for s in stages if s["verdict"] is not None)
     return PipelineReport(stages=tuple(stages), verdict=verdict, timings_ms=timings)

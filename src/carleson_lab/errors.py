@@ -5,10 +5,6 @@ class CarlesonLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DepthError(CarlesonLabError):
-    """A dyadic level exceeded the configured maximum depth."""
-
-
 class ResolutionError(CarlesonLabError):
     """A box is finer than the quadrature can resolve."""
 

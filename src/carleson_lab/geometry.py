@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthError
-
 TAU = 2.0 * math.pi
 
 GRID_PLAIN = 0.0
@@ -151,7 +149,11 @@ class CarlesonBox:
 
     @property
     def area(self) -> float:
-        return box_area(self)
+        """Exact normalized area (disk area normalized to 1)."""
+        length = self.arc.length
+        if self.kind == "full":
+            return float(full_box_area(length))
+        return float(length * length * (1.0 - length / 4.0))
 
     def contains(self, z) -> np.ndarray | bool:
         """Membership of disk points (radius inclusive at the inner edge)."""
@@ -170,34 +172,6 @@ def full_box_area(length) -> np.ndarray | float:
     length = np.asarray(length, dtype=float)
     out = length * length * (2.0 - length)
     return float(out) if out.ndim == 0 else out
-
-
-def top_box_area(length) -> np.ndarray | float:
-    """Normalized area of the top half of the box over an arc."""
-    length = np.asarray(length, dtype=float)
-    out = length * length * (1.0 - length / 4.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def dyadic_interval(grid: float, level: int, position: int) -> Arc:
-    """The arc addressed by ``(grid, level, position)``."""
-    return DyadicIndex(grid, level, position).arc
-
-
-def box_area(box: CarlesonBox) -> float:
-    """Exact normalized area of a box (disk area normalized to 1)."""
-    if box.kind == "full":
-        return float(full_box_area(box.arc.length))
-    return float(top_box_area(box.arc.length))
-
-
-def box_children(index: DyadicIndex, max_depth: int = DEFAULT_MAX_DEPTH):
-    """The two next-level indices whose arcs partition the parent arc."""
-    if index.level >= max_depth:
-        raise DepthError(
-            f"children of level {index.level} exceed maximum depth {max_depth}"
-        )
-    return index.children()
 
 
 def _finest_grid_arcs(j0: np.ndarray, locate):

@@ -765,12 +765,6 @@ def ball_masses(w: Weight, centers, radii, nodes: int = 32) -> np.ndarray:
     return np.sum((dens * cell[:, :, None]).reshape(len(radii), -1), axis=1)
 
 
-def ball_mass(w: Weight, center: complex, radius: float, nodes: int = 32) -> float:
-    """Mass of ``B(center, radius)`` intersected with the disk; see
-    :func:`ball_masses`."""
-    return float(ball_masses(w, [center], [radius], nodes)[0])
-
-
 def doubling_report(
     w: Weight,
     samples: int = 200,

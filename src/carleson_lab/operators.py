@@ -8,8 +8,8 @@ norm ``sum (n+1) |a_n|^2``.  Operators against a discrete measure are
 plain dense matrices.  Three routines serve the whole package:
 :func:`power_norm`, the one power method, for every ``l^p -> l^q`` norm
 (on callables, so dense matrices and matrix-free operators alike);
-:func:`kernel_rows`, the one blocked loop over kernel rows, behind every
-quadrature apply at arbitrary points (the dense builds of
+:func:`quadrature_apply`, the one blocked loop over kernel rows, for
+every kernel sum over the cells at arbitrary points (the dense builds of
 :func:`assemble_operator`, :func:`gram_psd_check` and
 :func:`factorization_check` evaluate their kernel matrix unblocked); and
 :func:`cell_kernel_apply`, the exact kernel apply between quadrature cell
@@ -289,20 +289,6 @@ def gram_psd_check(points, spec: KernelSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def kernel_rows(kernel, zs: np.ndarray, ws: np.ndarray, block: int = 1024):
-    """The matrix ``kernel(zs[:, None], ws[None, :])`` one row block at a time.
-
-    Yields ``(rows, values)`` with ``rows`` a slice of ``zs``, so at most
-    ``block * ws.size`` entries (and their temporaries) are alive at once.
-    It serves :func:`quadrature_apply`; the dense kernel builds of
-    :func:`assemble_operator`, :func:`gram_psd_check` and
-    :func:`factorization_check` do not use it and evaluate in one piece.
-    """
-    for lo in range(0, zs.size, block):
-        rows = slice(lo, min(lo + block, zs.size))
-        yield rows, kernel(zs[rows, None], ws[None, :])
-
-
 def _fold(a: np.ndarray, r: int) -> np.ndarray:
     """Axis 0 of length ``r * b``, index ``m * b + k``, as axes ``(k, m)``."""
     return a.reshape(r, -1, *a.shape[1:]).swapaxes(0, 1)
@@ -488,12 +474,14 @@ def quadrature_apply(
 
     ``values`` has shape ``(n_cells,)`` or ``(n_cells, k)``; each kernel
     block is shared across the ``k`` stacked columns.  Evaluates at
-    ``eval_points`` (default: every cell center).
+    ``eval_points`` (default: every cell center), ``block`` points at a
+    time, so at most ``block * n_cells`` kernel values are alive at once.
     """
     zs = quad.z if eval_points is None else np.asarray(eval_points, dtype=complex).ravel()
     values = np.asarray(values)
     fw = values * (quad.area if values.ndim == 1 else quad.area[:, None])
-    parts = [k @ fw for _, k in kernel_rows(kernel, zs, quad.z, block)]
+    parts = [kernel(zs[lo : lo + block, None], quad.z[None, :]) @ fw
+             for lo in range(0, zs.size, block)]
     return np.concatenate(parts) if parts else np.empty((0,) + fw.shape[1:], dtype=complex)
 
 

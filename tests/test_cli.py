@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import os
@@ -12,6 +11,7 @@ import pytest
 import carleson_lab
 from carleson_lab import cli, dyadic, measures
 from carleson_lab.cli import Report, RunConfig, bench, main, run
+from carleson_lab.dirichlet import theorem_pipeline
 from carleson_lab.errors import ConfigError, WeightSpecError
 from carleson_lab.geometry import GRIDS
 from carleson_lab.measures import MAX_CELLS_ENV, build_quadrature
@@ -143,6 +143,22 @@ def test_certify_peak_memory_stays_under_the_ceiling(tmp_path):
     code, maxrss_kib = map(int, done.stdout.split())
     assert code == 0
     assert maxrss_kib / 1024 < CERTIFY_PEAK_RSS_CEILING_MB
+
+
+@pytest.mark.parametrize("spec", ["radial-power:1", "radial-power:-1"])
+def test_certify_reports_the_pipeline_stages_as_they_are(spec):
+    cfg = RunConfig("certify", weight=spec)
+    _, rep = run(cfg)
+    pipeline = theorem_pipeline(measures.parse_weight(spec), depth=cfg.depth, seed=cfg.seed)
+    assert rep.stages == list(pipeline.stages)
+    failed = [s for s in rep.stages if "error" in s["witness"]]
+    assert [s["name"] for s in failed] == (
+        [] if spec == "radial-power:1"
+        else ["finiteness", "reverse-doubling", "testing-constant", "carleson-constant"]
+    )
+    for s in failed:
+        assert (s["verdict"], s["constants"]) == (False, {})
+        assert s["witness"] == {"error": "InfiniteMassError: weight 'radial-power:-1.0' has infinite mass"}
 
 
 def test_certify_failing_weight_exits_one(tmp_path):
@@ -539,6 +555,35 @@ def test_out_of_range_option_is_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test-weight", "--weight", "lebesgue", "--depth", "-1"],
+        ["embedding", "--depth", "-1"],
+        ["certify", "--weight", "lebesgue", "--depth", "-3"],
+        ["two-weight", "--depth", "-2"],
+        ["test-weight", "--weight", "lebesgue", "--samples", "0"],
+        ["test-weight", "--weight", "lebesgue", "--samples", "-4"],
+        ["verify-lemma", "domination", "--samples", "0"],
+        ["verify-lemma", "domination", "--depth", "-1"],
+        ["verify-lemma", "mei-cover", "--samples", "0"],
+        ["certify", "--seed", "-1"],
+        ["test-weight", "--seed", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_negative_depth_or_seed_and_no_samples_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {argv[-2]} must be at least {int(argv[-2] == '--samples')}, got {argv[-1]}\n"
+
+
+def test_depth_and_seed_zero_and_one_sample_are_accepted(tmp_path):
+    argv = ["test-weight", "--depth", "0", "--samples", "1", "--seed", "0"]
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_unknown_lemma_is_usage_error():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carleson_lab.errors import DepthError
 from carleson_lab.geometry import (
     GRID_PLAIN,
     GRID_THIRD,
@@ -14,15 +13,11 @@ from carleson_lab.geometry import (
     Arc,
     CarlesonBox,
     DyadicIndex,
-    box_area,
-    box_children,
     bridge_box,
     bridge_box_batch,
-    dyadic_interval,
     full_box_area,
     mei_cover,
     mei_cover_batch,
-    top_box_area,
 )
 
 SEED = 20260810
@@ -34,24 +29,24 @@ BRIDGE_RATIO_HI = 3.92
 
 
 # ---------------------------------------------------------------------------
-# dyadic_interval
+# dyadic arcs
 # ---------------------------------------------------------------------------
 
 
 def test_level_zero_is_full_circle():
-    arc = dyadic_interval(GRID_PLAIN, 0, 0)
+    arc = DyadicIndex(GRID_PLAIN, 0, 0).arc
     assert arc.start == 0.0
     assert arc.length == 1.0
 
 
 def test_plain_grid_member():
-    arc = dyadic_interval(GRID_PLAIN, 3, 0)
+    arc = DyadicIndex(GRID_PLAIN, 3, 0).arc
     assert arc.start == 0.0
     assert arc.length == 0.125
 
 
 def test_shifted_grid_wraps():
-    arc = dyadic_interval(GRID_THIRD, 1, 1)
+    arc = DyadicIndex(GRID_THIRD, 1, 1).arc
     assert arc.length == 0.5
     assert math.isclose(arc.start, math.pi + TAU / 3.0)
     # the arc wraps through 0: it covers [5pi/3, 2pi) and [0, 2pi/3)
@@ -63,11 +58,11 @@ def test_shifted_grid_wraps():
 
 def test_position_out_of_range():
     with pytest.raises(ValueError):
-        dyadic_interval(GRID_PLAIN, 2, 4)
+        DyadicIndex(GRID_PLAIN, 2, 4)
     with pytest.raises(ValueError):
-        dyadic_interval(GRID_PLAIN, 2, -1)
+        DyadicIndex(GRID_PLAIN, 2, -1)
     with pytest.raises(ValueError):
-        dyadic_interval(0.5, 2, 0)
+        DyadicIndex(0.5, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +71,13 @@ def test_position_out_of_range():
 
 
 def test_full_disk_box():
-    assert box_area(CarlesonBox(Arc(0.0, 1.0))) == 1.0
+    assert CarlesonBox(Arc(0.0, 1.0)).area == 1.0
 
 
 def test_half_arc_areas():
     # polar integration: l^2 (2 - l) and l (1 - (1 - l/2)^2)
-    assert box_area(CarlesonBox(Arc(0.0, 0.5))) == pytest.approx(3.0 / 8.0, abs=1e-15)
-    assert box_area(CarlesonBox(Arc(0.0, 0.5), "top")) == pytest.approx(
+    assert CarlesonBox(Arc(0.0, 0.5)).area == pytest.approx(3.0 / 8.0, abs=1e-15)
+    assert CarlesonBox(Arc(0.0, 0.5), "top").area == pytest.approx(
         7.0 / 32.0, abs=1e-15
     )
 
@@ -96,26 +91,21 @@ def test_box_contains_points():
 
 def test_children_partition_parent():
     idx = DyadicIndex(GRID_PLAIN, 1, 1)
-    c1, c2 = box_children(idx)
+    c1, c2 = idx.children()
     assert (c1.level, c1.position) == (2, 2)
     assert (c2.level, c2.position) == (2, 3)
-    c1, c2 = box_children(DyadicIndex(GRID_PLAIN, 0, 0))
+    c1, c2 = DyadicIndex(GRID_PLAIN, 0, 0).children()
     assert (c1.position, c2.position) == (0, 1)
-    c1, c2 = box_children(DyadicIndex(GRID_THIRD, 0, 0))
+    c1, c2 = DyadicIndex(GRID_THIRD, 0, 0).children()
     assert c1.grid == GRID_THIRD and c2.grid == GRID_THIRD
     assert math.isclose(c1.arc.start, TAU / 3.0)
-
-
-def test_children_depth_overflow():
-    with pytest.raises(DepthError):
-        box_children(DyadicIndex(GRID_PLAIN, 24, 0), max_depth=24)
 
 
 def test_box_decomposition_identity():
     # children boxes tile the top half: areas match in closed form
     for length in (1.0, 0.5, 2.0**-7, 0.3):
         child = 2.0 * full_box_area(length / 2.0)
-        assert child == pytest.approx(top_box_area(length), rel=1e-14)
+        assert child == pytest.approx(CarlesonBox(Arc(0.0, length), "top").area, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +116,7 @@ def test_box_decomposition_identity():
 @pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("level", [0, 1, 3, 6])
 def test_level_partitions_circle(grid, level):
-    arcs = [dyadic_interval(grid, level, m) for m in range(2**level)]
+    arcs = [DyadicIndex(grid, level, m).arc for m in range(2**level)]
     assert sum(a.length for a in arcs) == pytest.approx(1.0, abs=1e-12)
     thetas = np.linspace(0.0, TAU, 4097, endpoint=False)
     membership = np.zeros(thetas.size, dtype=int)

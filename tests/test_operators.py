@@ -20,7 +20,6 @@ from carleson_lab.operators import (
     factorization_check,
     gram_psd_check,
     k1_projection_discrepancy,
-    kernel_rows,
     matrix_adjoint_apply,
     norm_sandwich_check,
     operator_norm,
@@ -557,9 +556,7 @@ CELL_KERNELS = (
 
 
 def dense_cell_apply(spec, quad, fw):
-    return np.concatenate(
-        [k @ fw for _, k in kernel_rows(partial(eval_kernel, spec), quad.z, quad.z)]
-    )
+    return eval_kernel(spec, quad.z[:, None], quad.z[None, :]) @ fw
 
 
 @pytest.mark.parametrize("spec", CELL_KERNELS, ids=lambda s: f"{s.kind}-{s.alpha}")
