@@ -52,7 +52,6 @@ from .measures import (
     DiskQuadrature,
     SampledFunction,
     Weight,
-    ball_masses,
     box_mass,
     box_masses,
     build_quadrature,

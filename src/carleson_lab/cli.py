@@ -244,11 +244,11 @@ def _run_test_weight(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "reverse-doubling"):
         rev = measures.reverse_doubling_report(w, depth=cfg.depth, seed=cfg.seed, quad=quad)
     with dirichlet_mod.timed(timings, "doubling"):
-        dbl = measures.doubling_report(w, samples=min(cfg.samples, 500), seed=cfg.seed)
+        dbl = measures.doubling_report(w, depth=cfg.depth, quad=quad)
     return [
         stage("reverse-doubling", *dirichlet_mod.reverse_doubling_stage(rev)),
-        stage("doubling", None, {"C_hat": dbl.c_hat},
-              {"worst_radius": dbl.worst_radius, "samples": dbl.samples}),
+        stage("doubling", dbl.verdict, {"C_hat": dbl.c_hat},
+              {"worst": None if dbl.worst is None else repr(dbl.worst), "depth": dbl.depth}),
     ]
 
 
@@ -367,7 +367,7 @@ def _bench_csv(rows) -> str:
 
 # Each command and the RunConfig fields it reads; verify-lemma's are its lemma's.
 COMMANDS = {
-    "test-weight": (_run_test_weight, ("weight", "depth", "quad_depth", "samples", "seed")),
+    "test-weight": (_run_test_weight, ("weight", "depth", "quad_depth", "seed")),
     "embedding": (_run_embedding, ("weight", "p", "q", "depth", "quad_depth", "seed")),
     "two-weight": (_run_two_weight, ("nu", "mu", "p", "q", "alpha", "depth", "quad_depth", "seed")),
     "certify": (_run_certify, ("weight", "depth", "seed")),

@@ -536,8 +536,11 @@ def two_weight_norm_check(
     there reaches the seeded solve's figure in two or three steps.  At
     ``p < q`` every solve starts from the seeded draw, since a
     continuation start can settle on a lower local maximum.  Each level's
-    ``starts`` names how every solve began.
+    ``starts`` names how every solve began.  A weight ``nu`` of infinite
+    mass raises :class:`InfiniteMassError` before any quadrature is built.
     """
+    if not nu.finite:
+        raise InfiniteMassError(f"weight {nu.spec!r} has infinite mass")
     levels = []
     spec = KernelSpec.k_alpha(cfg.alpha)
     solve = {**_NORM_SOLVE, "p": cfg.p, "q": cfg.q}

@@ -6,7 +6,8 @@ closed-form families (``lebesgue`` is the exponent-0 member of the
 masses for them bypass the quadrature entirely.  Everything else is
 integrated by midpoint sums over quadrature cells that are aligned with
 the plain dyadic grid; boxes of the shifted grid are handled by exact
-fractional overlap of the boundary cells.
+fractional overlap of the boundary cells.  The reverse-doubling and
+doubling testers read their ratios off these box masses.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .geometry import (
 )
 
 DEFAULT_MAX_CELLS = 2_000_000
-GRID_DENSITY_BLOCK = 32_768  # points per block of a grid weight's density
 MAX_CELLS_ENV = "CARLESON_LAB_MAX_CELLS"
 #: How far below 1 a reverse-doubling ratio must stay.
 REVERSE_DOUBLING_MARGIN = 1e-6
@@ -172,17 +172,10 @@ class Weight:
 
     def density(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        if self.kind == "grid":
-            if z.size <= GRID_DENSITY_BLOCK:
-                return self._grid_density(z)
-            # The nearest-node search holds about twenty temporaries the
-            # size of its input; blocks keep them to a few megabytes.
-            flat = z.ravel()
-            out = np.empty(flat.size, dtype=self.grid_values.dtype)
-            for lo in range(0, flat.size, GRID_DENSITY_BLOCK):
-                block = slice(lo, lo + GRID_DENSITY_BLOCK)
-                out[block] = self._grid_density(flat[block])
-            return out.reshape(z.shape)
+        if self.kind == "grid":  # the value at the nearest node in radius and in angle
+            i = _nearest_node(self.grid_r, np.abs(z))
+            k = _nearest_node(self.grid_theta, np.mod(np.angle(z), TAU))
+            return self.grid_values[i, k]
         r = np.abs(z)
         if self.kind == "radial-power":
             if self.a == 0.0:
@@ -190,12 +183,6 @@ class Weight:
             return np.power(np.maximum(1.0 - r, 0.0), self.a)
         w1, w2 = self.factors
         return w1.density(z) * w2.density(z)
-
-    def _grid_density(self, z: np.ndarray) -> np.ndarray:
-        """Value at the nearest grid node in radius and in angle."""
-        i = _nearest_node(self.grid_r, np.abs(z))
-        k = _nearest_node(self.grid_theta, np.mod(np.angle(z), TAU))
-        return self.grid_values[i, k]
 
     def cell_density(self, quad: "DiskQuadrature") -> np.ndarray:
         """The density at every cell center of ``quad``: for a grid, the
@@ -713,88 +700,44 @@ def reverse_doubling_report(
 
 @dataclass(frozen=True)
 class DoublingReport:
-    c_hat: float
-    worst_center: complex
-    worst_radius: float
-    samples: int
-
-
-def _unit_disk_ball_overlap(center: float, radius: float) -> float:
-    """Normalized area of ``B(c, radius)`` intersected with the unit disk."""
-    d = abs(center)
-    if d >= 1.0 + radius:
-        return 0.0
-    if d <= abs(1.0 - radius):
-        return min(1.0, radius * radius)
-    # Standard two-circle lens, divided by pi to normalize the disk area.
-    alpha = math.acos(np.clip((d * d + radius * radius - 1.0) / (2 * d * radius), -1, 1))
-    beta = math.acos(np.clip((d * d + 1.0 - radius * radius) / (2 * d), -1, 1))
-    tri = 0.5 * math.sqrt(
-        max(
-            (-d + radius + 1.0)
-            * (d + radius - 1.0)
-            * (d - radius + 1.0)
-            * (d + radius + 1.0),
-            0.0,
-        )
-    )
-    return (radius * radius * alpha + beta - tri) / math.pi
-
-
-def ball_masses(w: Weight, centers, radii, nodes: int = 32) -> np.ndarray:
-    """Masses of the balls ``B(centers[k], radii[k])`` intersected with the disk.
-
-    Lebesgue uses the exact two-circle lens area, ball by ball.  Other
-    weights are integrated on a polar midpoint grid native to each ball (a
-    fixed disk quadrature cannot resolve balls smaller than its local
-    cells), evaluating the density only at the nodes inside the disk.
-    """
-    centers = np.asarray(centers, dtype=complex)
-    radii = np.asarray(radii, dtype=float)
-    if w.is_radial_power and w.a == 0.0:
-        return np.array(
-            [_unit_disk_ball_overlap(abs(c), r) for c, r in zip(centers.tolist(), radii.tolist())]
-        )
-    rho = radii[:, None] * (np.arange(nodes) + 0.5) / nodes
-    phi = (np.arange(nodes) + 0.5) * (TAU / nodes)
-    pts = centers[:, None, None] + rho[:, :, None] * np.exp(1j * phi)
-    cell = rho * (radii[:, None] / nodes) * (TAU / nodes) / math.pi  # per ring cell
-    inside = np.abs(pts) < 1.0
-    dens = np.zeros(pts.shape)
-    dens[inside] = np.real(w.density(pts[inside]))
-    return np.sum((dens * cell[:, :, None]).reshape(len(radii), -1), axis=1)
+    c_hat: float | None  # None when no level was swept (depth below 2)
+    worst: DyadicIndex | None
+    verdict: bool | None
+    depth: int  # the finest level swept, after the quadrature cap
 
 
 def doubling_report(
-    w: Weight,
-    samples: int = 200,
-    seed: int = 11,
+    w: Weight, depth: int = 16, quad: DiskQuadrature | None = None
 ) -> DoublingReport:
-    """Sampled doubling constant: sup of mass(B(z,2r) n D) / mass(B(z,r) n D).
+    """Largest ratio of the mass of a box and its two same-level neighbours
+    to the mass of the box itself.
 
-    Balls are intersected with the disk; see :func:`ball_masses` for how
-    their masses are computed.
+    The three boxes lie in the box over the tripled arc, so a doubling
+    weight bounds the ratio at every level: this is a necessary condition
+    for doubling.  Levels 2 to ``depth`` of both grids are swept, where an
+    arc is shorter than a third of the circle and its neighbours are two
+    other arcs; coarse levels first, so a tie keeps the coarser box.  Box
+    masses come from :func:`box_mass_levels`, as for the other box
+    testers (``quad`` also caps ``depth``).  The verdict is false when the
+    supremum sits on the finest level swept, where it has not stopped
+    growing; below depth 2 nothing is swept and it is ``None``.
     """
     if not w.finite:
         raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
-    rng = np.random.default_rng(seed)
-    centers = np.sqrt(rng.uniform(0, 1, samples)) * np.exp(
-        1j * rng.uniform(0, TAU, samples)
-    )
-    radii = np.exp(rng.uniform(math.log(0.02), math.log(1.5), samples))
-
-    inner = ball_masses(w, centers, radii)
-    empty = np.flatnonzero(inner <= 0.0)
-    if empty.size:
-        k = empty[0]
-        raise DegenerateWeightError(
-            f"zero-mass inner ball at center {centers[k]}, radius {radii[k]}"
-        )
-    ratios = ball_masses(w, centers, 2.0 * radii) / inner
-    k = int(np.argmax(ratios))  # the first maximum, as a strict-> scan keeps
-    return DoublingReport(
-        c_hat=float(ratios[k]),
-        worst_center=complex(centers[k]),
-        worst_radius=float(radii[k]),
-        samples=samples,
-    )
+    if quad is not None:
+        depth = min(depth, quad.depth)
+    levels = {grid: box_mass_levels(w, quad, grid, depth) for grid in GRIDS}
+    best, worst = -math.inf, None
+    for j in range(2, depth + 1):
+        for grid in GRIDS:
+            m = levels[grid][j]
+            if np.any(m <= 0.0):
+                raise DegenerateWeightError(f"zero-mass box at grid {grid}, level {j}")
+            # 1 + (left + right) / m reads 3 exactly on equal masses.
+            ratios = 1.0 + (np.roll(m, 1) + np.roll(m, -1)) / m
+            k = int(np.argmax(ratios))
+            if ratios[k] > best:
+                best, worst = float(ratios[k]), DyadicIndex(grid, j, k)
+    if worst is None:
+        return DoublingReport(None, None, None, depth)
+    return DoublingReport(best, worst, worst.level < depth, depth)

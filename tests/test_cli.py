@@ -154,7 +154,7 @@ def test_certify_reports_the_pipeline_stages_as_they_are(spec):
     failed = [s for s in rep.stages if "error" in s["witness"]]
     assert [s["name"] for s in failed] == (
         [] if spec == "radial-power:1"
-        else ["finiteness", "reverse-doubling", "testing-constant", "carleson-constant"]
+        else ["finiteness", "reverse-doubling", "testing-constant", "norm-check", "carleson-constant"]
     )
     for s in failed:
         assert (s["verdict"], s["constants"]) == (False, {})
@@ -204,11 +204,13 @@ def test_certify_times_each_stage(sampled, command, tmp_path):
     # Every stage and setup step is timed: the keys sum to the total.  The
     # embedding runs at quadrature depth 16 (≈50 ms): at the default 10 it
     # takes ≈5 ms, and one host interruption outside the timed blocks can
-    # exceed its 2 % budget.
+    # exceed its 2 % budget.  For the same reason test-weight sweeps depth
+    # 18 (≈35 ms on a radial weight, ≈1.5 ms at depth 8).
     weight = write_sampled_weight(tmp_path / "w.grid") if sampled else "radial-power:1"
     quad_depth = 16 if command == "embedding" else RunConfig.quad_depth
+    depth = 18 if command == "test-weight" else 8
     cfg = RunConfig(
-        command=command, weight=weight, nu=weight, depth=8, quad_depth=quad_depth, seed=SEED
+        command=command, weight=weight, nu=weight, depth=depth, quad_depth=quad_depth, seed=SEED
     )
     _, rep = run(cfg)
     timings = json.loads(rep.to_json())["timings_ms"]
@@ -319,7 +321,8 @@ def test_two_weight_command():
 
 
 def test_measuring_stages_carry_null_verdicts():
-    code, rep = run(small_cfg(weight="radial-power:1"))
+    # At depth 1 the doubling stage sweeps no level: it has no verdict to earn.
+    code, rep = run(small_cfg(weight="radial-power:1", depth=1))
     assert code == 0
     assert [s["verdict"] for s in rep.stages] == [True, None]
     code, rep = run(small_cfg(command="embedding", depth=6))
@@ -338,11 +341,19 @@ def test_box_testers_state_what_they_swept(tmp_path):
     assert witness["reverse-doubling"]["depth"] == witness["testing-constant"]["depth"] == 10
     assert witness["reverse-doubling"]["random_arcs"] == 1000
     assert witness["testing-constant"]["random_arcs"] == 512
-    # The doubling stage draws at most 500 balls, whatever --samples asks.
-    _, rep = run(RunConfig(command="test-weight", weight="radial-power:1", depth=8))
+    # test-weight's quadrature caps both of its testers at depth 10 as well.
+    _, rep = run(RunConfig(command="test-weight", weight=weight))
     witness = {s["name"]: s["witness"] for s in rep.stages}
-    assert witness["reverse-doubling"]["depth"] == 8
-    assert witness["doubling"]["samples"] == 500
+    assert witness["reverse-doubling"]["depth"] == witness["doubling"]["depth"] == 10
+    code, rep = run(RunConfig(command="test-weight", weight="radial-power:1", depth=8))
+    stages = {s["name"]: s for s in rep.stages}
+    assert stages["reverse-doubling"]["witness"]["depth"] == 8
+    assert code == 0 and stages["doubling"] == {
+        "name": "doubling",
+        "verdict": True,
+        "constants": {"C_hat": 3.0},
+        "witness": {"worst": "DyadicIndex(grid=0.0, level=2, position=0)", "depth": 8},
+    }
 
 
 def test_norm_check_verdict_is_null_below_q(monkeypatch):
@@ -564,8 +575,8 @@ def test_out_of_range_option_is_usage_error(argv, capsys):
         ["embedding", "--depth", "-1"],
         ["certify", "--weight", "lebesgue", "--depth", "-3"],
         ["two-weight", "--depth", "-2"],
-        ["test-weight", "--weight", "lebesgue", "--samples", "0"],
-        ["test-weight", "--weight", "lebesgue", "--samples", "-4"],
+        ["verify-lemma", "sandwich", "--samples", "0"],
+        ["verify-lemma", "sandwich", "--samples", "-4"],
         ["verify-lemma", "domination", "--samples", "0"],
         ["verify-lemma", "domination", "--depth", "-1"],
         ["verify-lemma", "mei-cover", "--samples", "0"],
@@ -582,8 +593,14 @@ def test_negative_depth_or_seed_and_no_samples_are_usage_errors(argv, capsys):
 
 
 def test_depth_and_seed_zero_and_one_sample_are_accepted(tmp_path):
-    argv = ["test-weight", "--depth", "0", "--samples", "1", "--seed", "0"]
-    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    # Below depth 2 the doubling stage sweeps no level and carries no verdict.
+    out = tmp_path / "r.json"
+    for depth in ("0", "1"):
+        assert main(["test-weight", "--depth", depth, "--seed", "0", "--out", str(out)]) == 0
+        stages = {s["name"]: s for s in json.loads(out.read_text())["stages"]}
+        assert stages["doubling"]["verdict"] is None
+        assert stages["doubling"]["constants"] == {"C_hat": None}
+    assert main(["verify-lemma", "mei-cover", "--samples", "1", "--out", str(out)]) == 0
 
 
 def test_unknown_lemma_is_usage_error():

@@ -1,5 +1,6 @@
+import importlib.util
 import math
-import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from carleson_lab.measures import (
     Weight,
     _range_sums,
     arc_box_sums,
-    ball_masses,
     box_level_sums,
     box_mass,
     box_mass_levels,
@@ -182,7 +182,7 @@ def test_grid_file_roundtrip(tmp_path):
     assert w.density(0.75 * np.exp(5.0j)) == pytest.approx(6.0)
 
 
-def test_blocked_grid_density_is_the_nearest_node_value(monkeypatch):
+def test_grid_density_is_the_nearest_node_value():
     rng = np.random.default_rng(SEED)
     r = np.sort(rng.uniform(0.0, 1.0, 9))
     theta = np.sort(rng.uniform(0.0, 2 * math.pi, 11))
@@ -196,10 +196,7 @@ def test_blocked_grid_density_is_the_nearest_node_value(monkeypatch):
     dist_r = np.abs(r[None, :] - np.abs(z)[:, None])
     dist_t = np.abs(theta[None, :] - np.mod(np.angle(z), 2 * math.pi)[:, None])
     oracle = w.grid_values[np.argmin(dist_r, axis=1), np.argmin(dist_t, axis=1)]
-    one_pass = w.density(z)
-    monkeypatch.setattr(measures, "GRID_DENSITY_BLOCK", 7)
     assert np.array_equal(w.density(z), oracle)
-    assert np.array_equal(one_pass, oracle)
     square = z[:156].reshape(12, 13)
     assert np.array_equal(w.density(square), oracle[:156].reshape(12, 13))
     assert w.density(z[3]) == oracle[3]
@@ -486,62 +483,68 @@ def test_reverse_doubling_degenerate_weight():
 # ---------------------------------------------------------------------------
 
 
-def test_doubling_ball_inside_disk_scales_by_four():
-    w = Weight.lebesgue()
-    big, small = ball_masses(w, [0.1 + 0.1j] * 2, [0.1, 0.05])
-    assert big / small == pytest.approx(4.0, rel=1e-12)
-
-
 def test_doubling_report_lebesgue():
-    rep = doubling_report(Weight.lebesgue(), samples=200, seed=SEED)
-    assert rep.c_hat <= 4.0 + 1e-9
-    assert rep.c_hat > 3.0
+    # Equal masses at each level: the box and its two neighbours weigh three boxes.
+    rep = doubling_report(Weight.lebesgue(), depth=12)
+    assert rep.c_hat == 3.0
+    assert rep.worst == DyadicIndex(GRID_PLAIN, 2, 0)  # a tie keeps the coarsest box
+    assert (rep.verdict, rep.depth) == (True, 12)
 
 
 def test_doubling_report_radial_power():
-    rep = doubling_report(Weight.radial_power(1), samples=100, seed=SEED)
-    assert math.isfinite(rep.c_hat)
-    assert rep.c_hat < 100.0
+    for a in (1, 3, -0.5):
+        rep = doubling_report(Weight.radial_power(a), depth=16)
+        assert (rep.c_hat, rep.verdict) == (3.0, True)
 
 
-def test_doubling_report_evaluates_no_density_outside_the_disk():
-    # A negative exponent is infinite on the circle: nodes of a ball that
-    # leave the disk must not reach the density.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = doubling_report(Weight.radial_power(-0.7), samples=50, seed=SEED)
-    assert math.isfinite(rep.c_hat)
+def perfbench_seed1_weight(path) -> Weight:
+    """The perfbench seed-1 product weight, written as a grid file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    inputs.write_grid_file(str(path), inputs.product_weight(1))
+    return parse_weight(f"grid:{path}")
 
 
-def per_ball_mass(w, center, radius, nodes=32):
-    """The per-ball loop the batch replaced: the density on every node of
-    the ball's polar grid, masked to the disk afterwards."""
-    rho = radius * (np.arange(nodes) + 0.5) / nodes
-    phi = (np.arange(nodes) + 0.5) * (TAU / nodes)
-    pts = center + rho[:, None] * np.exp(1j * phi)[None, :]
-    cell = rho * (radius / nodes) * (TAU / nodes) / math.pi
-    dens = np.where(np.abs(pts) < 1.0, np.real(w.density(pts)), 0.0)
-    return float(np.sum(dens * cell[:, None]))
+def test_doubling_report_on_the_perfbench_grid(tmp_path):
+    # The quadrature caps depth 12 at 10; the supremum sits on level 4.
+    rep = doubling_report(perfbench_seed1_weight(tmp_path / "seed1.grid"), depth=12,
+                          quad=build_quadrature(10))
+    assert rep.c_hat == pytest.approx(3.5538, abs=1e-4)
+    assert rep.worst == DyadicIndex(GRID_PLAIN, 4, 5)
+    assert (rep.verdict, rep.depth) == (True, 10)
 
 
-@pytest.mark.parametrize("w", [thin_shell_weight(floor=0.3), Weight.radial_power(1.5)])
-def test_ball_masses_equal_the_per_ball_loop_bit_for_bit(w):
-    rng = np.random.default_rng(SEED)
-    centers = np.sqrt(rng.uniform(0, 1, 200)) * np.exp(1j * rng.uniform(0, TAU, 200))
-    radii = np.exp(rng.uniform(math.log(0.02), math.log(3.0), 200))
-    expected = [per_ball_mass(w, c, r) for c, r in zip(centers.tolist(), radii.tolist())]
-    assert ball_masses(w, centers, radii).tolist() == expected
+def test_doubling_report_fails_a_weight_that_vanishes_at_one_point():
+    # exp(-0.3/|theta|) on 1,024 angular nodes, constant in radius: the box
+    # next to theta = 0 outweighs it by a factor that grows without bound.
+    theta = (np.arange(1024) + 0.5) * (TAU / 1024)
+    values = np.exp(-0.3 / np.minimum(theta, TAU - theta))[None, :]
+    rep = doubling_report(Weight.from_grid([0.5], theta, values), depth=12,
+                          quad=build_quadrature(10))
+    assert rep.c_hat > 1e28
+    assert rep.worst.level == rep.depth == 10
+    assert rep.verdict is False
 
 
-def test_ball_mass_matches_lens_for_unit_grid():
-    # a sampled all-ones density behaves like Lebesgue
-    r = np.linspace(0.05, 0.95, 12)
-    theta = np.linspace(0.2, 6.1, 10)
-    w = Weight.from_grid(r, theta, np.ones((12, 10)))
-    centers, radii = [0.2 + 0.1j, 0.7j, -0.5], [0.3, 0.6, 1.2]
-    got = ball_masses(w, centers, radii, nodes=96)
-    exact = ball_masses(Weight.lebesgue(), centers, radii)
-    assert got == pytest.approx(exact, rel=2e-3)
+def test_doubling_report_degenerate_weight():
+    r = np.linspace(0.05, 0.95, 10)
+    theta = np.linspace(0.3, 6.0, 8)
+    values = np.ones((10, 8))
+    values[:, theta > 3.0] = 0.0  # half the circle carries no mass
+    with pytest.raises(DegenerateWeightError, match="zero-mass box"):
+        doubling_report(Weight.from_grid(r, theta, values), depth=6, quad=build_quadrature(8))
+
+
+def test_doubling_report_sweeps_nothing_below_level_two():
+    for depth in (0, 1):
+        assert doubling_report(Weight.lebesgue(), depth=depth) == (
+            measures.DoublingReport(None, None, None, depth)
+        )
+    with pytest.raises(InfiniteMassError):
+        doubling_report(Weight.radial_power(-1.0))
 
 
 # ---------------------------------------------------------------------------
