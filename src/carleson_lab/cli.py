@@ -242,9 +242,11 @@ def _run_test_weight(cfg: RunConfig, timings: dict):
         with dirichlet_mod.timed(timings, "quadrature"):
             quad = measures.build_quadrature(cfg.quad_depth)
     with dirichlet_mod.timed(timings, "reverse-doubling"):
-        rev = measures.reverse_doubling_report(w, depth=cfg.depth, seed=cfg.seed, quad=quad)
+        # Both testers read one pair of box-mass trees, timed with the first.
+        trees = measures.box_mass_trees(w, cfg.depth, quad)
+        rev = measures.reverse_doubling_report(w, seed=cfg.seed, quad=quad, trees=trees)
     with dirichlet_mod.timed(timings, "doubling"):
-        dbl = measures.doubling_report(w, depth=cfg.depth, quad=quad)
+        dbl = measures.doubling_report(w, quad=quad, trees=trees)
     return [
         stage("reverse-doubling", *dirichlet_mod.reverse_doubling_stage(rev)),
         stage("doubling", dbl.verdict, {"C_hat": dbl.c_hat},
@@ -273,7 +275,8 @@ def _run_embedding(cfg: RunConfig, timings: dict):
         emb = dyadic_mod.carleson_embedding_constant(w, econf.t, exact)
         stages = [stage("embedding-constant", None,
                         {"c1_hat": emb.c1_hat, "tail_estimate": emb.tail_estimate},
-                        {"worst_box": repr(emb.worst_box)})]
+                        {"worst_box": repr(emb.worst_box), "quad_depth": quad.depth,
+                         "cells": quad.n_cells, "depth": depth})]
     with dirichlet_mod.timed(timings, "weak-norm"):
         weak = dyadic_mod.weak_type_norm(econf.t, f, trees)
         stages.append(stage("weak-norm", None, {"weak_type_norm": weak}))

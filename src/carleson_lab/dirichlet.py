@@ -123,6 +123,7 @@ class CarlesonVerdict:
     lower_bound: float  # max of integral |f|^2 w / derivative norm, degree <= 64
     trace: tuple[tuple[int, float], ...]  # (quadrature depth used, estimate)
     verdict: bool | None  # None when one depth has refined nothing
+    cells: tuple[tuple[int, int], ...] = ()  # (quadrature depth, cell count), as traced
 
 
 def monomial_gram(z: np.ndarray, mass: np.ndarray, degree: int) -> np.ndarray:
@@ -171,16 +172,19 @@ def carleson_constant(w: Weight, quad_depths: tuple[int, ...] = (8, 10)) -> Carl
     if w.is_radial_power:
         mass = w.disk_mass()
         return CarlesonVerdict(mass, mass, (), True)
-    trace = []
+    trace, cells = [], []
     for d in dict.fromkeys(quad_depths):
         quad = build_quadrature(d)
         mass = w.cell_density(quad) * quad.area
         gram = monomial_gram(quad.z, mass, LOWER_BOUND_DEGREE)
         trace.append((d, gram_ratio(gram, kernel_weights)))
+        cells.append((d, quad.n_cells))
     last, verdict = trace[-1][1], None
     if len(trace) >= 2:
         verdict = abs(last - trace[-2][1]) <= STABILIZE_RTOL * max(abs(last), 1e-300)
-    return CarlesonVerdict(last, gram_ratio(gram, derivative_weights), tuple(trace), verdict)
+    return CarlesonVerdict(
+        last, gram_ratio(gram, derivative_weights), tuple(trace), verdict, tuple(cells)
+    )
 
 
 def reverse_doubling_stage(rep: ReverseDoublingReport) -> tuple[bool, dict, dict]:
@@ -293,7 +297,7 @@ def theorem_pipeline(w: Weight, depth: int = 12, seed: int = 20260810) -> Pipeli
                 "operator_norm_estimate": c.constant_estimate,
                 "polynomial_lower_bound": c.lower_bound,
             },
-            {"trace": c.trace},
+            {"trace": c.trace, "cells": c.cells},
         )
 
     run_stage("carleson-constant", stage_carleson)

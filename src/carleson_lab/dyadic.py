@@ -513,10 +513,11 @@ def two_weight_norm_check(
     operators across refinements.
 
     The kernel ``k_alpha`` is applied exactly between cell centers, one
-    pair of radial sublayers at a time (:func:`cell_kernel_apply`), from a
-    real table of ``O(cells * sublayers)`` entries instead of a dense
-    ``n x n`` matrix; the table holds one block of each Hermitian pair of
-    sublayers, 8.25 MiB at the deepest default depth, 10.  The dyadic
+    pair of radial sublayers at a time (:func:`cell_kernel_apply`), from
+    real blocks stored for one of each Hermitian pair of sublayers instead
+    of a dense ``n x n`` matrix: at the deepest default depth, 10, the
+    closed-form factors at ``alpha = 1`` take 0.49 MiB and the full table
+    of any other ``alpha`` 8.25 MiB.  The dyadic
     model operator of each grid acts on the same weighted cell values,
     divided by the cell areas first.  Cell weights ``(nu area)**(1/q)`` on
     the left and ``area / (mu area)**(1/p)`` on the right turn each

@@ -544,6 +544,16 @@ def box_mass_levels(
     return box_level_sums(quad, w.cell_density(quad) * quad.area, grid, depth)
 
 
+def box_mass_trees(w: Weight, depth: int, quad: DiskQuadrature | None = None) -> dict:
+    """:func:`box_mass_levels` on both grids, keyed by grid, up to ``depth``
+    capped by ``quad``'s: the trees that a weight's box testers share."""
+    if not w.finite:
+        raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
+    if quad is not None:
+        depth = min(depth, quad.depth)
+    return {grid: box_mass_levels(w, quad, grid, depth) for grid in GRIDS}
+
+
 def arc_box_sums(
     cell_values: np.ndarray, quad: DiskQuadrature, r_in, start_turn, length
 ) -> np.ndarray:
@@ -646,6 +656,7 @@ def reverse_doubling_report(
     random_arcs: int = 1000,
     seed: int = 7,
     quad: DiskQuadrature | None = None,
+    trees: dict | None = None,
 ) -> ReverseDoublingReport:
     """Largest observed ratio mass(top half) / mass(box) over many arcs.
 
@@ -653,19 +664,19 @@ def reverse_doubling_report(
     circle, level 0 of both, once) plus uniformly random arcs; the weight
     is reverse doubling when the ratio stays below
     ``1 - REVERSE_DOUBLING_MARGIN``.  Box masses come from
-    :func:`box_mass_levels` and :func:`box_masses`: closed form for a
+    :func:`box_mass_trees` and :func:`box_masses`: closed form for a
     radial-power weight, cell sums over ``quad`` (which also caps
-    ``depth``) for any other.
+    ``depth``) for any other.  Trees from :func:`box_mass_trees` for the
+    same weight and quadrature may be passed in, and then set the depth.
     """
-    if not w.finite:
-        raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
+    if trees is None:
+        trees = box_mass_trees(w, depth, quad)
+    depth = len(trees[GRID_PLAIN]) - 1
     rng = np.random.default_rng(seed)
-    if quad is not None:
-        depth = min(depth, quad.depth)
     delta = -math.inf
     worst = Arc(0.0, 1.0)
     for grid in GRIDS:
-        masses = box_mass_levels(w, quad, grid, depth)
+        masses = trees[grid]
         # Level 0 is the whole circle on both grids: sweep it once.
         for j in range(0 if grid == GRID_PLAIN else 1, depth):
             q = masses[j]
@@ -707,7 +718,7 @@ class DoublingReport:
 
 
 def doubling_report(
-    w: Weight, depth: int = 16, quad: DiskQuadrature | None = None
+    w: Weight, depth: int = 16, quad: DiskQuadrature | None = None, trees: dict | None = None
 ) -> DoublingReport:
     """Largest ratio of the mass of a box and its two same-level neighbours
     to the mass of the box itself.
@@ -717,20 +728,19 @@ def doubling_report(
     for doubling.  Levels 2 to ``depth`` of both grids are swept, where an
     arc is shorter than a third of the circle and its neighbours are two
     other arcs; coarse levels first, so a tie keeps the coarser box.  Box
-    masses come from :func:`box_mass_levels`, as for the other box
-    testers (``quad`` also caps ``depth``).  The verdict is false when the
-    supremum sits on the finest level swept, where it has not stopped
-    growing; below depth 2 nothing is swept and it is ``None``.
+    masses come from :func:`box_mass_trees`, as for the other box testers
+    (``quad`` also caps ``depth``), or from ``trees`` when passed in.  The
+    verdict is false when the supremum sits on the finest level swept,
+    where it has not stopped growing; below depth 2 nothing is swept and
+    it is ``None``.
     """
-    if not w.finite:
-        raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
-    if quad is not None:
-        depth = min(depth, quad.depth)
-    levels = {grid: box_mass_levels(w, quad, grid, depth) for grid in GRIDS}
+    if trees is None:
+        trees = box_mass_trees(w, depth, quad)
+    depth = len(trees[GRID_PLAIN]) - 1
     best, worst = -math.inf, None
     for j in range(2, depth + 1):
         for grid in GRIDS:
-            m = levels[grid][j]
+            m = trees[grid][j]
             if np.any(m <= 0.0):
                 raise DegenerateWeightError(f"zero-mass box at grid {grid}, level {j}")
             # 1 + (left + right) / m reads 3 exactly on equal masses.

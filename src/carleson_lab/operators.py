@@ -13,11 +13,12 @@ every kernel sum over the cells at arbitrary points (the dense builds of
 :func:`assemble_operator`, :func:`gram_psd_check` and
 :func:`factorization_check` evaluate their kernel matrix unblocked); and
 :func:`cell_kernel_apply`, the exact kernel apply between quadrature cell
-centers, one FFT convolution per pair of radial sublayers, from a real
-table that stores one block of each Hermitian pair (8.25 MiB at
-quadrature depth 10).  For ``k_alpha`` at ``alpha = 1`` the table is a
-closed form, a geometric sum of the aliased Taylor terms; every other
-kernel fills it from samples on half the angles, one FFT per pair.
+centers, one FFT convolution per pair of radial sublayers, from real
+blocks stored for one of each Hermitian pair.  For ``k_alpha`` at
+``alpha = 1`` those blocks are the factors of a closed form, a geometric
+sum of the aliased Taylor terms (0.49 MiB at quadrature depth 10); every
+other kernel fills a full table from samples on half the angles, one FFT
+per pair (8.25 MiB at depth 10).
 Dense eigensolves stay available as an oracle for small sizes.
 """
 
@@ -294,77 +295,9 @@ def _fold(a: np.ndarray, r: int) -> np.ndarray:
     return a.reshape(r, -1, *a.shape[1:]).swapaxes(0, 1)
 
 
-def _fft_fill(spec: KernelSpec, radii: dict):
-    """Fill a table block from kernel samples and one FFT per pair.
-
-    With ``r = P / Q`` and ``c = (1 - r) / 2`` the sequence
-    ``g[d] = k(rho e^{2 pi i (d + c) / P})`` is conjugate symmetric about
-    ``d = -c``, so the kernel is evaluated on half the angles.
-    """
-
-    def fill(block: np.ndarray, p: int, q: int) -> None:
-        r = p // q
-        rho = np.multiply.outer(radii[p], radii[q])[:, :, None]
-        if r == 1:
-            # c = 0: g[d] for d = 0 .. p/2, the rest its conjugate mirror.
-            half = eval_kernel(spec, np.exp(TAU * 1j * np.arange(p // 2 + 1) / p), rho)
-            real = np.fft.hfft(half, p)
-        else:
-            # c is a half-integer: the positions e = d + c > 0 are
-            # 1/2 .. p/2 - 1/2, and each -e adds the conjugate term, so
-            # R[K] = 2 Re(e^{-pi i K / p} sum_j g(j + 1/2) e^{-2 pi i K j / p}).
-            turns = (np.arange(p // 2) + 0.5) / p
-            half = eval_kernel(spec, np.exp(TAU * 1j * turns), rho)
-            spectrum = np.fft.fft(half, p)
-            spectrum *= 2.0 * np.exp(-TAU * 0.5j * np.arange(p) / p)
-            real = spectrum.real
-        # real[target, source, m * q + k] is block[k, m, target, source].
-        block[...] = real.reshape(radii[p].size, radii[q].size, r, q).transpose(3, 2, 0, 1)
-
-    return fill
-
-
-def _k1_fill(radii: dict):
-    """Fill a table block of ``k_1`` in closed form, evaluating no kernel.
-
-    ``k_1(x) = sum x**n``, so the FFT over ``P`` angles of ``g`` keeps the
-    Taylor terms ``n = K + j P``, each times ``P e^{2 pi i n c / P}``, which
-    is the phase ``e^{2 pi i K c / P}`` times ``P sigma**j`` with
-    ``sigma = e^{2 pi i c}``: ``+1`` for ``P = Q`` and ``-1`` for ``P > Q``,
-    where ``c`` is a half-integer.  The sum is geometric, so
-    ``R[K] = P rho**K / (1 - sigma rho**P)``.  ``rho**K = r_t**K r_s**K``
-    takes each sublayer's powers, computed once per class for ``K`` up to
-    the largest count.  A power that underflows to 0 stands for an entry
-    far below the FFT fill's rounding, and ``rho**P`` stays below
-    ``e**-1`` on every quadrature (the outermost sublayers approach it from
-    below), so the denominator does not cancel.
-    """
-    top = max(radii)
-    # r**K = r**(32 j) r**i for K = 32 j + i: two short power tables per
-    # class cost a sixth of one full table, at one more rounding.
-    high, low = np.arange(0, top + 1, 32)[:, None], np.arange(32)[:, None]
-    powers = {  # [K, sublayer]
-        c: (np.power(rad, high)[:, None] * np.power(rad, low)).reshape(-1, rad.size)[: top + 1]
-        for c, rad in radii.items()
-    }
-
-    def fill(block: np.ndarray, p: int, q: int) -> None:
-        r = p // q
-        np.multiply(
-            _fold(powers[p][:p], r)[:, :, :, None],
-            _fold(powers[q][:p], r)[:, :, None, :],
-            out=block,
-        )
-        sigma = 1.0 if r == 1 else -1.0
-        block *= p / (1.0 - sigma * np.multiply.outer(powers[p][p], powers[q][p]))
-
-    return fill
-
-
-def _cell_tables(quad: DiskQuadrature, make_fill):
-    """The classes' cells, and the tables, their row ranges and phases that
-    :func:`cell_kernel_apply` applies, each block filled by
-    ``make_fill(radii)`` (``radii`` keyed by class)."""
+def _cell_layout(quad: DiskQuadrature):
+    """The classes' cells and sublayer radii, and the row ranges and phases
+    through which :func:`cell_kernel_apply` applies what its plan stores."""
     classes: dict[int, list] = {}
     for s in quad.strata:
         classes.setdefault(s.count, []).append(s)
@@ -374,25 +307,119 @@ def _cell_tables(quad: DiskQuadrature, make_fill):
         for p, strata in classes.items()
     }
     radii = {p: quad.r[c[::p]] for p, c in cells.items()}  # one per sublayer, its midpoint
-    fill = make_fill(radii)
-    # table[q][k] stacks, for each class p >= q in ascending order, the rows
-    # (m, target) of target frequency m * q + k against the sources of q;
-    # phase[q, p][k, m] is that frequency's phase (for p > q only).
-    table, rows, phase = {}, {}, {}
+    # Source class q's rows stack, for each class p >= q in ascending order,
+    # the rows (m, target) of target frequency m * q + k; phase[q, p][k, m]
+    # is that frequency's phase (for p > q only).
+    rows, phase = {}, {}
     for q in counts:
         finer = [p for p in counts if p >= q]
-        sizes = [p // q * radii[p].size for p in finer]
-        bounds = np.cumsum([0] + sizes)
-        table[q] = np.empty((q, bounds[-1], radii[q].size))
+        bounds = np.cumsum([0] + [p // q * radii[p].size for p in finer])
         rows[q] = {p: slice(lo, hi) for p, lo, hi in zip(finer, bounds[:-1], bounds[1:])}
-        for p in finer:
+        for p in finer[1:]:
+            c = (1 - p // q) / 2
+            phase[q, p] = _fold(np.exp(TAU * 1j * np.arange(p) * c / p), p // q)[:, :, None]
+    return cells, radii, rows, phase
+
+
+def _fft_fill(spec: KernelSpec, radii: dict, rows: dict) -> dict:
+    """Each source class's full table, ``table[q][k]`` holding ``R[m q + k]``
+    in the rows ``rows[q][p]``, from kernel samples on half the angles and
+    one FFT per pair (see :func:`cell_kernel_apply`)."""
+    table = {}
+    for q, blocks in rows.items():
+        table[q] = np.empty((q, blocks[max(blocks)].stop, radii[q].size))
+        for p, block in blocks.items():
             r = p // q
-            # A view, since the reshape only splits the row axis.
-            fill(table[q][:, rows[q][p]].reshape(q, r, radii[p].size, radii[q].size), p, q)
-            if r > 1:
-                c = (1 - r) / 2
-                phase[q, p] = _fold(np.exp(TAU * 1j * np.arange(p) * c / p), r)[:, :, None]
-    return cells, table, rows, phase
+            rho = np.multiply.outer(radii[p], radii[q])[:, :, None]
+            if r == 1:
+                # c = 0: g[d] for d = 0 .. p/2, the rest its conjugate mirror.
+                half = eval_kernel(spec, np.exp(TAU * 1j * np.arange(p // 2 + 1) / p), rho)
+                real = np.fft.hfft(half, p)
+            else:
+                # c is a half-integer: the positions e = d + c > 0 are
+                # 1/2 .. p/2 - 1/2, and each -e adds the conjugate term, so
+                # R[K] = 2 Re(e^{-pi i K / p} sum_j g(j + 1/2) e^{-2 pi i K j / p}).
+                turns = (np.arange(p // 2) + 0.5) / p
+                half = eval_kernel(spec, np.exp(TAU * 1j * turns), rho)
+                spectrum = np.fft.fft(half, p)
+                spectrum *= 2.0 * np.exp(-TAU * 0.5j * np.arange(p) / p)
+                real = spectrum.real
+            # real[target, source, m * q + k] is table[q][k, (m, target), source];
+            # the reshape only splits the row axis, so it is a view.
+            table[q][:, block].reshape(q, r, radii[p].size, radii[q].size)[...] = (
+                real.reshape(radii[p].size, radii[q].size, r, q).transpose(3, 2, 0, 1)
+            )
+    return table
+
+
+def _k1_factors(radii: dict, rows: dict) -> tuple[dict, dict]:
+    """Each source class's ``B`` in the rows ``rows[q][p]``, and each
+    class's powers ``r**k`` for ``k`` below its count: the factors of
+    ``k_1``'s closed form (see :func:`cell_kernel_apply`).  A power that
+    underflows to 0 stands for an entry far below the FFT fill's rounding,
+    and ``rho**P`` stays below ``e**-1`` on every quadrature, so the
+    denominator does not cancel."""
+    powers = {c: np.power(rad, np.arange(c)[:, None]) for c, rad in radii.items()}
+    factors = {}
+    for q, blocks in rows.items():
+        rs = radii[q]
+        factors[q] = np.empty((blocks[max(blocks)].stop, rs.size))
+        for p, block in blocks.items():
+            rt, sigma = radii[p], 1.0 if p == q else -1.0
+            aliases = np.power(rs, q * np.arange(p // q)[:, None])[:, None, :]  # [m, 1, s]
+            np.divide(
+                p * aliases,
+                1.0 - sigma * np.multiply.outer(np.power(rt, p), np.power(rs, p)),
+                out=factors[q][block].reshape(p // q, rt.size, rs.size),
+            )
+    return factors, powers
+
+
+def _real_product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m[k] @ x[k]`` for each frequency ``k``, or one shared matrix ``m``
+    when it is 2-D, with ``x`` complex viewed as two real columns so ``m``
+    needs no complex copy; ``x`` is ``(frequencies, columns)``, as is the result."""
+    if m.ndim == 2:
+        return (m @ np.ascontiguousarray(x.T).view(float)).view(complex).T
+    return (m @ x[..., None].view(float)).view(complex)[..., 0]
+
+
+def _cell_apply(n_cells: int, layout: tuple, tables: dict, powers: dict):
+    """The apply over a :func:`_cell_layout` of a plan's tables and powers
+    (none for a full table), all keyed by class."""
+    cells, _, rows, phase = layout
+    counts = sorted(cells)
+
+    def apply(fw: np.ndarray) -> np.ndarray:
+        spectra = {
+            q: np.fft.fft(fw[cells[q]].reshape(-1, q).T, axis=0) * powers.get(q, 1.0)
+            for q in counts
+        }
+        acc = dict.fromkeys(counts, 0.0)
+        for q in counts:
+            h = _real_product(tables[q], spectra[q])
+            for p, block in rows[q].items():
+                h_p = h[:, block].reshape(q, p // q, -1)
+                if p > q:
+                    h_p = h_p * phase[q, p]
+                acc[p] = acc[p] + h_p.swapaxes(0, 1).reshape(p, -1)
+        for p in counts[:-1]:
+            # Finer sources reach p through the transpose of the rows that
+            # tables[p] stores for them as targets: fold each source's
+            # aliases of frequency k and take their mean.
+            folded = np.concatenate([
+                (_fold(spectra[q], q // p) * (np.conj(phase[p, q]) / (q // p))).reshape(p, -1)
+                for q in counts if q > p
+            ], axis=1)
+            coarse = tables[p][..., rows[p][p].stop :, :].swapaxes(-1, -2)
+            acc[p] = acc[p] + _real_product(coarse, folded)
+        out = np.empty(n_cells, dtype=complex)
+        for p in counts:
+            out[cells[p]] = np.fft.ifft(acc[p] * powers.get(p, 1.0), axis=0).T.ravel()
+        return out
+
+    apply.tables, apply.powers = tables, powers
+    return apply
 
 
 def cell_kernel_apply(spec: KernelSpec, quad: DiskQuadrature):
@@ -405,66 +432,48 @@ def cell_kernel_apply(spec: KernelSpec, quad: DiskQuadrature):
     angles; the half-cell offset between the two grids sits in the first
     row of the convolving sequence.  The strata of one count form a class.
     The kernel is Hermitian, so the plan stores the FFT of that sequence
-    only for pairs with ``P >= Q``: one table per source class, its rows
-    the sublayers of every class at least as fine (``O(cells * sublayers)``
-    entries in all).  Every kernel family has real Taylor coefficients, so
-    ``k(conj x) = conj k(x)``: with ``r = P / Q`` and ``c = (1 - r) / 2``
-    the sequence ``g[d] = k(rho e^{2 pi i (d + c) / P})`` is conjugate
-    symmetric about ``d = -c`` and its FFT is ``e^{2 pi i K c / P} R[K]``
-    with ``R`` real, stored as ``float64`` (8.25 MiB at quadrature depth
-    10).  For ``k_alpha`` at ``alpha = 1`` the plan writes ``R`` in closed
-    form, ``R[K] = P rho**K / (1 - sigma rho**P)`` with ``sigma = +1`` for
-    ``P = Q`` and ``-1`` for ``P > Q`` (:func:`_k1_fill`), and evaluates no
-    kernel; for every other kernel it samples the kernel on half the
-    angles and takes one FFT per pair (:func:`_fft_fill`).  The apply
-    multiplies ``R`` by each spectrum viewed as two real columns and
-    applies the phase per target frequency.  An apply takes one FFT per
-    class and two batches of matrix products per class, one inverse FFT
-    per class.  A coarser source's spectrum repeats every ``Q``
-    frequencies (zero-insertion upsampling), so frequency ``k`` of the
-    source meets every target frequency congruent to ``k``.  A coarser
-    target keeps the mean of its ``r = Q / P`` aliases (decimation); with
-    unnormalized FFTs its block at frequency ``k`` is the conjugate
-    transpose of the stored block of the reverse pair divided by ``r``,
-    applied as ``(s * conj(phase) / r) @ R`` on the folded spectrum ``s``.
-    The returned apply carries the tables, keyed by source class, as
-    ``apply.tables``.
+    only for pairs with ``P >= Q``, keyed by source class, its rows the
+    sublayers of every class at least as fine.  Every kernel family has
+    real Taylor coefficients, so ``k(conj x) = conj k(x)``: with
+    ``r = P / Q`` and ``c = (1 - r) / 2`` the sequence
+    ``g[d] = k(rho e^{2 pi i (d + c) / P})`` is conjugate symmetric about
+    ``d = -c`` and its FFT is ``e^{2 pi i K c / P} R[K]`` with ``R`` real.
+
+    For ``k_alpha`` at ``alpha = 1`` the plan evaluates no kernel:
+    ``k_1(x) = sum x**n``, so ``R[K]`` keeps the Taylor terms
+    ``n = K + j P``, each times ``P sigma**j`` with ``sigma = e^{2 pi i c}``
+    (``+1`` for ``P = Q``, ``-1`` for ``P > Q``), a geometric sum:
+    ``R[K] = P rho**K / (1 - sigma rho**P)``.  With ``K = m Q + k`` and
+    ``k < Q`` it factors as ``R[K]_ts = r_t**K B[m]_ts r_s**k``, where
+    ``B[m]_ts = P r_s**(m Q) / (1 - sigma (r_t r_s)**P)`` does not depend
+    on ``k``.  The plan stores ``B`` and each class's powers ``r**k`` for
+    ``k`` below its count (:func:`_k1_factors`; 0.49 MiB and 48 KiB at
+    quadrature depth 10).  Every other kernel is sampled on half the
+    angles, one FFT per pair, into a full table of ``R``
+    (:func:`_fft_fill`, 8.25 MiB at depth 10), the only full table.
+
+    An apply takes one FFT per class, then per class one product of the
+    spectrum, viewed as two real columns, with its stored rows, applying
+    the phase per target frequency, then one inverse FFT per class.  A
+    full table takes one matrix per frequency ``k``; ``B`` serves every
+    ``k`` in one matrix product, with the source powers applied to the
+    spectra and the target powers to the sums.  A coarser source's spectrum repeats every ``Q`` frequencies
+    (zero-insertion upsampling), so frequency ``k`` of the source meets
+    every target frequency congruent to ``k``.  A coarser target keeps
+    the mean of its ``r = Q / P`` aliases (decimation); with unnormalized
+    FFTs its block at frequency ``k`` is the conjugate transpose of the
+    stored block of the reverse pair divided by ``r``, applied as
+    ``(s * conj(phase) / r) @ R`` on the folded spectrum ``s``.  The
+    apply carries what the plan stores as ``apply.tables`` and
+    ``apply.powers``, keyed by class.
     """
-    make_fill = _k1_fill if spec == KernelSpec.k_alpha(1.0) else partial(_fft_fill, spec)
-    cells, table, rows, phase = _cell_tables(quad, make_fill)
-    counts = sorted(cells)
-
-    def apply(fw: np.ndarray) -> np.ndarray:
-        spectra = {q: np.fft.fft(fw[cells[q]].reshape(-1, q).T, axis=0) for q in counts}
-        acc = dict.fromkeys(counts, 0.0)
-        for q in counts:
-            h = (table[q] @ spectra[q][..., None].view(float)).view(complex)[..., 0]
-            for p, block in rows[q].items():
-                h_p = h[:, block].reshape(q, p // q, -1)
-                if p > q:
-                    h_p = h_p * phase[q, p]
-                acc[p] = acc[p] + h_p.swapaxes(0, 1).reshape(p, -1)
-        for p in counts[:-1]:
-            # Finer sources reach p through the conjugate transpose of the
-            # rows that table[p] stores for them as targets: fold each
-            # source's aliases of frequency k and take their mean.
-            folded = np.concatenate(
-                [
-                    (_fold(spectra[q], q // p) * (np.conj(phase[p, q]) / (q // p))).reshape(p, -1)
-                    for q in counts
-                    if q > p
-                ],
-                axis=1,
-            )
-            coarse = table[p][:, rows[p][p].stop :].swapaxes(1, 2)
-            acc[p] = acc[p] + (coarse @ folded[..., None].view(float)).view(complex)[..., 0]
-        out = np.empty(quad.n_cells, dtype=complex)
-        for p in counts:
-            out[cells[p]] = np.fft.ifft(acc[p], axis=0).T.ravel()
-        return out
-
-    apply.tables = table
-    return apply
+    layout = _cell_layout(quad)
+    _, radii, rows, _ = layout
+    if spec == KernelSpec.k_alpha(1.0):
+        tables, powers = _k1_factors(radii, rows)
+    else:
+        tables, powers = _fft_fill(spec, radii, rows), {}
+    return _cell_apply(quad.n_cells, layout, tables, powers)
 
 
 def quadrature_apply(

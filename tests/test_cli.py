@@ -295,7 +295,9 @@ def test_embedding_stages_equal_the_per_stage_computation(tmp_path, sampled, q):
         strong.append(float(np.sum(m**t * e**q) ** (1.0 / q)) / right)
     constants = [stage["constants"] for stage in rep.stages]
     assert constants[0] == {"c1_hat": emb.c1_hat, "tail_estimate": emb.tail_estimate}
-    assert rep.stages[0]["witness"] == {"worst_box": repr(emb.worst_box)}
+    assert rep.stages[0]["witness"] == {
+        "worst_box": repr(emb.worst_box), "quad_depth": 8, "cells": quad.n_cells, "depth": depth
+    }
     assert constants[1] == {"weak_type_norm": max(weak)}
     assert constants[2] == {"strong_ratio": max(strong)}
 
@@ -354,6 +356,41 @@ def test_box_testers_state_what_they_swept(tmp_path):
         "constants": {"C_hat": 3.0},
         "witness": {"worst": "DyadicIndex(grid=0.0, level=2, position=0)", "depth": 8},
     }
+
+
+def test_test_weight_builds_its_box_trees_once(monkeypatch, tmp_path):
+    # Both testers read one tree per grid and report what each reads alone.
+    weight = write_sampled_weight(tmp_path / "w.grid")
+    cfg = RunConfig(command="test-weight", weight=weight)
+    grids, levels = [], measures.box_mass_levels
+    monkeypatch.setattr(
+        measures, "box_mass_levels", lambda w, quad, grid, depth: grids.append(grid)
+        or levels(w, quad, grid, depth)
+    )
+    _, rep = run(cfg)
+    assert grids == list(GRIDS)
+    monkeypatch.undo()
+    w, quad = measures.parse_weight(weight), build_quadrature(cfg.quad_depth)
+    rev = measures.reverse_doubling_report(w, depth=cfg.depth, seed=cfg.seed, quad=quad)
+    dbl = measures.doubling_report(w, depth=cfg.depth, quad=quad)
+    stages = {s["name"]: s for s in rep.stages}
+    assert stages["reverse-doubling"]["constants"]["delta_hat"] == rev.delta_hat
+    assert stages["reverse-doubling"]["witness"]["worst_arc_start"] == rev.worst_arc.start
+    assert stages["doubling"]["constants"]["C_hat"] == dbl.c_hat
+    assert stages["doubling"]["witness"] == {"worst": repr(dbl.worst), "depth": dbl.depth}
+
+
+def test_resolution_witnesses_state_depths_and_cells(tmp_path):
+    # The embedding caps depth 20 at its quadrature depth, 8, and says so.
+    _, rep = run(RunConfig(command="embedding", weight="radial-power:1", depth=20, quad_depth=8))
+    witness = rep.stages[0]["witness"]
+    assert (witness["quad_depth"], witness["cells"], witness["depth"]) == (8, 1792, 8)
+    # The Carleson constant lists the cells of each depth it traced.
+    _, rep = run(RunConfig(command="certify", weight=write_sampled_weight(tmp_path / "w.grid")))
+    carleson = json.loads(rep.to_json())["stages"][-1]
+    assert carleson["name"] == "carleson-constant"
+    assert carleson["witness"]["cells"] == [[8, 1792], [10, 6144]]
+    assert [d for d, _ in carleson["witness"]["trace"]] == [8, 10]
 
 
 def test_norm_check_verdict_is_null_below_q(monkeypatch):

@@ -581,13 +581,18 @@ def test_cell_kernel_apply_is_hermitian(spec):
 
 
 @pytest.mark.parametrize(
-    "alpha, entries", [(1.0, 0), (2.0, 566_870)], ids=["closed-form", "fft-fill"]
+    "alpha, entries, stored",
+    [(1.0, 0, 509_728), (2.0, 566_870, 8_654_848)],
+    ids=["closed-form", "fft-fill"],
 )
-def test_cell_kernel_apply_evaluates_one_table_per_hermitian_pair(monkeypatch, alpha, entries):
+def test_cell_kernel_apply_evaluates_one_table_per_hermitian_pair(
+    monkeypatch, alpha, entries, stored
+):
     # Depth 10 has angular classes 16, ..., 1024; the plan fills the pairs
     # with target count >= source count only (both orders: 1,737,216).  The
-    # FFT fill evaluates each on half its angles (all of them: 1,081,856);
-    # the closed form at alpha = 1 evaluates none.
+    # FFT fill evaluates each on half its angles (all of them: 1,081,856)
+    # into a full table (8.25 MiB); the closed form at alpha = 1 evaluates
+    # none and stores the factors B (0.49 MiB) and one power per cell.
     evaluated = []
 
     def counting(spec, z, w):
@@ -596,34 +601,63 @@ def test_cell_kernel_apply_evaluates_one_table_per_hermitian_pair(monkeypatch, a
         return out
 
     monkeypatch.setattr(operators, "eval_kernel", counting)
-    apply = cell_kernel_apply(KernelSpec.k_alpha(alpha), build_quadrature(10))
+    quad = build_quadrature(10)
+    apply = cell_kernel_apply(KernelSpec.k_alpha(alpha), quad)
     assert sum(evaluated) == entries
     assert all(t.dtype == np.float64 for t in apply.tables.values())
-    assert sum(t.nbytes for t in apply.tables.values()) == 8_654_848  # 8.25 MiB
+    assert sum(t.nbytes for t in apply.tables.values()) == stored
+    powers = sum(t.nbytes for t in apply.powers.values())
+    assert powers == (8 * quad.n_cells if alpha == 1.0 else 0)
 
 
-@pytest.mark.parametrize("depth", [6, 8, 10])
+def closed_form_blocks(quad):
+    """``(p, q, block)`` for each stored pair of the alpha = 1 plan, with
+    ``block[k, m, t, s] = r_t**K B[m]_ts r_s**k`` rebuilt from its factors."""
+    _, radii, rows, _ = operators._cell_layout(quad)
+    factors, powers = operators._k1_factors(radii, rows)
+    for q, blocks in rows.items():
+        for p, rows_p in blocks.items():
+            b = factors[q][rows_p].reshape(p // q, radii[p].size, radii[q].size)
+            target = operators._fold(powers[p], p // q)[:, :, :, None]  # [k, m, t, 1]
+            yield p, q, target * b * powers[q][:, None, None, :]
+
+
+@pytest.mark.parametrize("depth", [6, 8, 10, 12])
 def test_k1_closed_form_tables_equal_the_fft_fill(depth):
+    # The factored apply against the FFT fill's table apply, and against the
+    # apply of the closed-form table that the factors stand for.  At depth
+    # 12 the FFT fill's own table departs from the closed form by 2.1e-14
+    # of its largest entry, and its apply by 1.1-1.4e-14 of the largest
+    # output over seeds 0-5, so the bound there is the FFT fill's rounding;
+    # the closed-form table apply stays within 3.4e-16 at every depth.
+    fft_tol = 3e-14 if depth == 12 else 1e-14
     quad = build_quadrature(depth)
     spec = KernelSpec.k_alpha(1.0)
-    closed = cell_kernel_apply(spec, quad).tables
-    _, sampled, _, _ = operators._cell_tables(quad, partial(operators._fft_fill, spec))
-    assert closed.keys() == sampled.keys()
-    for q, table in closed.items():
-        scale = np.max(np.abs(sampled[q]))
-        assert np.max(np.abs(table - sampled[q])) <= 1e-14 * scale
+    layout = operators._cell_layout(quad)
+    _, radii, rows, _ = layout
+    full = {q: np.empty((q, max(b.stop for b in rows[q].values()), radii[q].size)) for q in rows}
+    for p, q, block in closed_form_blocks(quad):
+        full[q][:, rows[q][p]] = block.reshape(q, -1, radii[q].size)
+    sampled = operators._fft_fill(spec, radii, rows)
+    rng = np.random.default_rng(SEED + depth)
+    fw = rng.standard_normal(quad.n_cells) + 1j * rng.standard_normal(quad.n_cells)
+    got = cell_kernel_apply(spec, quad)(fw)
+    for tables, tol in ((sampled, fft_tol), (full, 1e-14)):
+        want = operators._cell_apply(quad.n_cells, layout, tables, {})(fw)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 def test_k1_closed_form_keeps_tiny_entries():
     # Target class 1024 against source class 16 at depth 10: the source
     # sublayers nearest the origin give entries far below the FFT fill's
-    # rounding, which the closed form still carries to full relative precision.
+    # rounding, which the factors r_t**K, B and r_s**k still carry to full
+    # relative precision, every factor a normal float in this range.
     mpmath = pytest.importorskip("mpmath")
     quad = build_quadrature(10)
-    cells, table, rows, _ = operators._cell_tables(quad, operators._k1_fill)
+    _, radii, _, _ = operators._cell_layout(quad)
     p, q = 1024, 16
-    rt, rs = (quad.r[cells[c][::c]] for c in (p, q))
-    block = table[q][:, rows[q][p]].reshape(q, p // q, rt.size, rs.size)
+    rt, rs = radii[p], radii[q]
+    block = next(b for pp, qq, b in closed_form_blocks(quad) if (pp, qq) == (p, q))
     k, m, t, s = np.nonzero((block > 1e-290) & (block < 1e-200))
     assert k.size >= 5
     for i in np.linspace(0, k.size - 1, 5).astype(int):
