@@ -42,6 +42,7 @@ from .errors import CarlesonLabError
 from .measures import (
     ReverseDoublingReport,
     Weight,
+    box_mass_trees,
     build_quadrature,
     reverse_doubling_report,
 )
@@ -280,13 +281,18 @@ def theorem_pipeline(w: Weight, depth: int = 12, seed: int = 20260810) -> Pipeli
         return bool(w.finite and math.isfinite(mass)), {"disk_mass": mass}, {}
 
     run_stage("finiteness", stage_finite)
-    run_stage("reverse-doubling", lambda: reverse_doubling_stage(
-        reverse_doubling_report(w, depth=depth, quad=quad, seed=seed)
-    ))
+    # Both box testers read w's box-mass trees, built and timed with the first.
+    trees: dict = {}
+
+    def stage_reverse():
+        trees.update(box_mass_trees(w, depth, quad))
+        return reverse_doubling_stage(reverse_doubling_report(w, seed=seed, quad=quad, trees=trees))
+
+    run_stage("reverse-doubling", stage_reverse)
     cfg, lebesgue = ExponentConfig(p=2.0, q=2.0, alpha=1.0), Weight.lebesgue()
-    run_stage("testing-constant", lambda: testing_constant_stage(
-        two_weight_testing_constant(w, lebesgue, cfg, depth=depth, quad=quad, seed=seed)
-    ))
+    run_stage("testing-constant", lambda: testing_constant_stage(two_weight_testing_constant(
+        w, lebesgue, cfg, depth=depth, quad=quad, seed=seed, trees=trees or None
+    )))
     run_stage("norm-check", lambda: norm_check_stage(two_weight_norm_check(w, lebesgue, cfg)))
 
     def stage_carleson():

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateWeightError, InfiniteMassError, ResolutionError
 from .geometry import (
+    GRID_PLAIN,
     GRIDS,
     TAU,
     Arc,
@@ -39,6 +40,7 @@ from .measures import (
     Weight,
     box_level_sums,
     box_mass_levels,
+    box_mass_trees,
     box_masses,
     build_quadrature,
     draw_arcs,
@@ -219,7 +221,8 @@ def tree_averages(
     over the level-j, position-m box, divided by its mass.  Given the masses
     of the same density, a constant function averages to exactly 1.
     """
-    values = np.asarray(f.values) * density * quad.area
+    values = np.asarray(f.values) * density
+    values *= quad.area  # in place: the same left-to-right product, one array fewer
     integrals = box_level_sums(quad, values, masses.grid, masses.depth)
     avgs = []
     for j, (mass_j, int_j) in enumerate(zip(masses.levels, integrals)):
@@ -310,23 +313,24 @@ def weak_type_norm(t: float, f: SampledFunction, trees: list, per_grid: bool = F
     ``trees`` holds one ``(averages, masses)`` pair of ``f`` per grid.
     Computes ``sup over lambda of lambda * (sum of mass(Q)**t over boxes
     with average > lambda)**(1/t)``; the supremum over the attained
-    averages is taken as the left limit at each level set.
+    averages is taken as the left limit at each level set.  Boxes are sorted
+    once, by descending average, so the positive ones lead; one buffer takes
+    their ``mass**t``, its running sum and the products in turn.
     """
     if np.any(np.real(f.values) < 0):
         raise ValueError("weak-type norm expects a nonnegative function")
     results = {}
     for avgs, masses in trees:
         e = np.real(avgs.flat())
-        m = masses.flat()
         order = np.argsort(-e)
-        e_sorted = e[order]
-        prefix = np.cumsum(m[order] ** t)
-        positive = e_sorted > 0
-        if not positive.any():
-            results[avgs.grid] = 0.0
-            continue
-        values = e_sorted[positive] * prefix[positive] ** (1.0 / t)
-        results[avgs.grid] = float(np.max(values))
+        e = e[order]
+        positive = np.count_nonzero(e > 0)
+        buf = masses.flat()[order[:positive]]
+        buf **= t
+        np.cumsum(buf, out=buf)
+        buf **= 1.0 / t
+        buf *= e[:positive]
+        results[avgs.grid] = float(np.max(buf, initial=0.0))  # 0 when no average is positive
     if per_grid:
         return results
     return max(results.values())
@@ -383,6 +387,7 @@ def two_weight_testing_constant(
     quad: DiskQuadrature | None = None,
     random_arcs: int = 512,
     seed: int = 5,
+    trees: dict | None = None,
 ) -> TestingConstantReport:
     """Supremum of ``mass_nu(Q)**(1/q) mass_dual(Q)**(1/p') / area(Q)**(alpha/2)``.
 
@@ -390,7 +395,8 @@ def two_weight_testing_constant(
     weight of ``mu`` must have finite mass.  Box masses come from
     :func:`box_mass_levels` and :func:`box_masses`: closed form for a
     radial-power weight, cell sums over ``quad`` (which also caps
-    ``depth``) for any other.  The verdict is false when the supremum sits
+    ``depth``) for any other; trees of ``nu`` from :func:`box_mass_trees`,
+    passed in, set the depth.  The verdict is false when the supremum sits
     on a dyadic box of the finest level swept, where it has not stopped growing.
     """
     dual = dual_weight(mu, cfg.p)
@@ -399,15 +405,14 @@ def two_weight_testing_constant(
             f"dual weight {dual.spec!r} has infinite mass; the testing constant "
             "is undefined"
         )
-    if not nu.finite:
-        raise InfiniteMassError(f"weight {nu.spec!r} has infinite mass")
     rng = np.random.default_rng(seed)
-    if quad is not None:
-        depth = min(depth, quad.depth)
+    if trees is None:  # raises on a weight nu of infinite mass
+        trees = box_mass_trees(nu, depth, quad)
+    depth = len(trees[GRID_PLAIN]) - 1
     best = -math.inf
     worst: DyadicIndex | Arc = DyadicIndex(GRIDS[0], 0, 0)
     for grid in GRIDS:
-        m_nu = box_mass_levels(nu, quad, grid, depth)
+        m_nu = trees[grid]
         m_du = box_mass_levels(dual, quad, grid, depth)
         for j in range(depth + 1):
             area = full_box_area(2.0**-j)

@@ -16,6 +16,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -187,14 +188,14 @@ class Weight:
     def cell_density(self, quad: "DiskQuadrature") -> np.ndarray:
         """The density at every cell center of ``quad``: for a grid, the
         nearest radial node of each sublayer and angular node of each
-        stratum angle, from the exact ``quad.r`` and ``quad.theta``."""
+        stratum angle, from each stratum's exact ``radii`` and ``angles``."""
         if self.kind == "product":
             w1, w2 = self.factors
             return w1.cell_density(quad) * w2.cell_density(quad)
         if self.kind != "grid":
             return self.density(quad.z)
-        radii = [s.rows(quad.r)[:, 0] for s in quad.strata]
-        angles = [s.rows(quad.theta)[0] for s in quad.strata]
+        radii = [s.radii for s in quad.strata]
+        angles = [s.angles for s in quad.strata]
         i = _nearest_node(self.grid_r, np.concatenate(radii))
         k = _nearest_node(self.grid_theta, np.concatenate(angles))
         cuts = np.cumsum([(a.size, b.size) for a, b in zip(radii, angles)], axis=0)[:-1]
@@ -327,6 +328,16 @@ class Stratum:
     def cells(self) -> slice:
         return slice(self.start, self.start + (self.edges.size - 1) * self.count)
 
+    @property
+    def radii(self) -> np.ndarray:
+        """Each sublayer's midpoint radius: the radius of its cells."""
+        return 0.5 * (self.edges[:-1] + self.edges[1:])
+
+    @property
+    def angles(self) -> np.ndarray:
+        """Each angle's midpoint, shared by every sublayer."""
+        return (np.arange(self.count) + 0.5) * (TAU / self.count)
+
     def rows(self, values: np.ndarray) -> np.ndarray:
         """The ``(sublayers, count)`` view of a cell array on this stratum."""
         return values[self.cells].reshape(-1, self.count)
@@ -342,20 +353,29 @@ class DiskQuadrature:
     every level ``j`` arc of the plain grid bounds cells exactly, and into
     radial sublayers that share them, so the midpoint rule keeps
     converging under depth refinement.
+
+    Only ``area`` is stored per cell.  The cell centers ``z``, their
+    radii ``r`` and angles ``theta``, and each cell's ``stratum`` level are
+    built from each stratum's ``radii`` and ``angles`` on first read and
+    kept; whole-stratum readers take those two rows instead.
     """
 
     depth: int
     angular_base: int
     strata: tuple[Stratum, ...]
-    z: np.ndarray = field(repr=False)
     area: np.ndarray = field(repr=False)
-    r: np.ndarray = field(repr=False)
-    theta: np.ndarray = field(repr=False)
-    stratum: np.ndarray = field(repr=False)
+
+    r = cached_property(lambda self: _fill(self.strata, float, lambda s: s.radii[:, None]))
+    theta = cached_property(lambda self: _fill(self.strata, float, lambda s: s.angles))
+    # One complex exp row per stratum: the bits of ``r * exp(1j * theta)``.
+    z = cached_property(lambda self: _fill(
+        self.strata, complex, lambda s: s.radii[:, None] * np.exp(1j * s.angles)
+    ))
+    stratum = cached_property(lambda self: _fill(self.strata, np.int64, lambda s: s.level))
 
     @property
     def n_cells(self) -> int:
-        return self.z.size
+        return self.area.size
 
     def parent_index(self, finer: "DiskQuadrature") -> np.ndarray:
         """For each cell of ``finer``, the index of the cell of this
@@ -368,9 +388,8 @@ class DiskQuadrature:
         out = np.empty(finer.n_cells, dtype=np.int64)
         for f in finer.strata:
             s = self.strata[min(f.level, self.depth)]
-            radii = f.rows(finer.r)[:, 0]
-            k = np.clip(np.searchsorted(s.edges, radii, side="right") - 1, 0, s.edges.size - 2)
-            m = np.minimum((f.rows(finer.theta)[0] / TAU * s.count).astype(np.int64), s.count - 1)
+            k = np.clip(np.searchsorted(s.edges, f.radii, side="right") - 1, 0, s.edges.size - 2)
+            m = np.minimum((f.angles / TAU * s.count).astype(np.int64), s.count - 1)
             f.rows(out)[:] = s.start + k[:, None] * s.count + m[None, :]
         return out
 
@@ -382,10 +401,9 @@ def build_quadrature(
 
     ``radial_refine`` caps how many radial sublayers a stratum receives
     (default ``2**ceil(depth/2)``, which makes midpoint moment errors
-    shrink by about 16x for every two extra levels of depth).  Each
-    stratum is filled with whole-array operations; edges are squared by
-    ``np.float_power``, libm ``pow`` as Python's ``**`` on floats; ``z``
-    by one complex ``exp`` row per stratum.
+    shrink by about 16x for every two extra levels of depth).  Cell areas
+    take one row per stratum, the edges squared by ``np.float_power``
+    (libm ``pow``, as Python's ``**`` on floats).
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
@@ -408,30 +426,16 @@ def build_quadrature(
             f"(set {MAX_CELLS_ENV} to raise it)"
         )
 
-    r = np.empty(total)
-    theta = np.empty(total)
-    area = np.empty(total)
-    z = np.empty(total, dtype=complex)
-    stratum = np.empty(total, dtype=np.int64)
+    area = _fill(strata, float, lambda s: (np.diff(np.float_power(s.edges, 2.0)) / s.count)[:, None])
+    return DiskQuadrature(depth, angular_base, tuple(strata), area)
+
+
+def _fill(strata, dtype, row) -> np.ndarray:
+    """The cell array whose rows on each stratum ``s`` are ``row(s)``."""
+    out = np.empty(strata[-1].cells.stop, dtype=dtype)
     for s in strata:
-        sq = np.float_power(s.edges, 2.0)
-        mid = (0.5 * (s.edges[:-1] + s.edges[1:]))[:, None]
-        angles = (np.arange(s.count) + 0.5) * (TAU / s.count)
-        s.rows(r)[:] = mid
-        s.rows(theta)[:] = angles
-        s.rows(z)[:] = mid * np.exp(1j * angles)
-        s.rows(area)[:] = ((sq[1:] - sq[:-1]) / s.count)[:, None]
-        stratum[s.cells] = s.level
-    return DiskQuadrature(
-        depth=depth,
-        angular_base=angular_base,
-        strata=tuple(strata),
-        z=z,
-        area=area,
-        r=r,
-        theta=theta,
-        stratum=stratum,
-    )
+        s.rows(out)[:] = row(s)
+    return out
 
 
 @dataclass(frozen=True)

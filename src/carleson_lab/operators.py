@@ -306,7 +306,7 @@ def _cell_layout(quad: DiskQuadrature):
         p: np.concatenate([np.arange(s.cells.start, s.cells.stop) for s in strata])
         for p, strata in classes.items()
     }
-    radii = {p: quad.r[c[::p]] for p, c in cells.items()}  # one per sublayer, its midpoint
+    radii = {p: np.concatenate([s.radii for s in strata]) for p, strata in classes.items()}
     # Source class q's rows stack, for each class p >= q in ascending order,
     # the rows (m, target) of target frequency m * q + k; phase[q, p][k, m]
     # is that frequency's phase (for p > q only).

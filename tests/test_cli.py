@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import carleson_lab
-from carleson_lab import cli, dyadic, measures
+from carleson_lab import cli, dirichlet, dyadic, measures
 from carleson_lab.cli import Report, RunConfig, bench, main, run
 from carleson_lab.dirichlet import theorem_pipeline
 from carleson_lab.errors import ConfigError, WeightSpecError
@@ -378,6 +379,47 @@ def test_test_weight_builds_its_box_trees_once(monkeypatch, tmp_path):
     assert stages["reverse-doubling"]["witness"]["worst_arc_start"] == rev.worst_arc.start
     assert stages["doubling"]["constants"]["C_hat"] == dbl.c_hat
     assert stages["doubling"]["witness"] == {"worst": repr(dbl.worst), "depth": dbl.depth}
+
+
+def test_certify_builds_its_box_trees_once(monkeypatch, tmp_path):
+    # Reverse doubling and the testing constant read one tree per grid of the
+    # weight, and report what each reads alone.
+    weight = write_sampled_weight(tmp_path / "w.grid")
+    cfg = RunConfig(command="certify", weight=weight)
+    grids, levels = [], measures.box_mass_levels
+
+    def counted(w, quad, grid, depth):
+        if w.spec == weight:
+            grids.append(grid)
+        return levels(w, quad, grid, depth)
+
+    for module in (measures, dyadic):
+        monkeypatch.setattr(module, "box_mass_levels", counted)
+    _, rep = run(cfg)
+    assert grids == list(GRIDS)
+    monkeypatch.undo()
+    w, quad = measures.parse_weight(weight), build_quadrature(min(cfg.depth, 10))
+    rev = measures.reverse_doubling_report(w, depth=cfg.depth, seed=cfg.seed, quad=quad)
+    exps, leb = dyadic.ExponentConfig(2.0, 2.0, 1.0), measures.Weight.lebesgue()
+    test = dyadic.two_weight_testing_constant(w, leb, exps, cfg.depth, quad, seed=cfg.seed)
+    stages = {s["name"]: (s["verdict"], s["constants"], s["witness"]) for s in rep.stages}
+    assert stages["reverse-doubling"] == dirichlet.reverse_doubling_stage(rev)
+    assert stages["testing-constant"] == dirichlet.testing_constant_stage(test)
+
+
+def test_embedding_peak_traced_memory_stays_small(tmp_path):
+    # At quadrature depth 14 the embedding stores one cell array of the
+    # quadrature (the areas) and keeps few cell-sized temporaries alive.
+    cfg = RunConfig(command="embedding", weight=write_sampled_weight(tmp_path / "w.grid"),
+                    quad_depth=14, depth=14)
+    run(cfg)  # first-call caches stay out of the traced peak
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 def test_resolution_witnesses_state_depths_and_cells(tmp_path):

@@ -34,6 +34,7 @@ from carleson_lab.geometry import (
     full_box_area,
 )
 from carleson_lab import dirichlet, dyadic
+from carleson_lab.dyadic import TreeFunction
 from carleson_lab.measures import (
     SampledFunction,
     Weight,
@@ -430,6 +431,35 @@ def test_weak_norm_rejects_negative():
         weak_norm(Weight.lebesgue(), 1.0, f, 5, quad)
 
 
+def brute_weak_norm(t: float, avgs: TreeFunction, masses: TreeFunction) -> float:
+    """``sup over lambda`` level set by level set: just below each positive
+    attained average ``a``, the boxes above the level are those with
+    average at least ``a``."""
+    e, m = avgs.flat(), masses.flat()
+    return max([a * float(np.sum(m[e >= a] ** t)) ** (1.0 / t) for a in set(e[e > 0])], default=0.0)
+
+
+@pytest.mark.parametrize("t", [1.0, 1.5, 3.0])
+def test_weak_norm_equals_the_sup_over_level_sets(t):
+    # Averages drawn from {0, 1/2, 1, 2}: ties at every value, zeros among them.
+    rng = np.random.default_rng(SEED)
+    depth = 5
+    quad = build_quadrature(depth)
+    f = SampledFunction(quad, np.zeros(quad.n_cells))
+    trees, want = [], {}
+    for g in GRIDS:
+        avgs = TreeFunction(g, depth, tuple(rng.choice([0.0, 0.5, 1.0, 2.0], 2**j) for j in range(depth + 1)))
+        masses = TreeFunction(g, depth, tuple(rng.uniform(0.1, 1.0, 2**j) * 2.0**-j for j in range(depth + 1)))
+        trees.append((avgs, masses))
+        want[g] = brute_weak_norm(t, avgs, masses)
+    got = weak_type_norm(t, f, trees, per_grid=True)
+    assert got == pytest.approx(want, rel=1e-13)
+    # An all-zero f averages to zero on every box: no level set is above 0.
+    zero_trees = weighted_trees(np.ones(quad.n_cells), f, [m for _, m in trees], quad)
+    assert weak_type_norm(t, f, zero_trees, per_grid=True) == {g: 0.0 for g in GRIDS}
+    assert all(brute_weak_norm(t, a, m) == 0.0 for a, m in zero_trees)
+
+
 @pytest.mark.parametrize(
     "weight,t",
     [(Weight.lebesgue(), 1.0), (Weight.lebesgue(), 2.0), (Weight.radial_power(1), 1.0)],
@@ -446,6 +476,23 @@ def test_weak_norm_bounded_by_embedding_times_l1(weight, t):
         weak = weak_type_norm(t, f, weighted_trees(density, f, masses, quad))
         l1 = float(np.sum(f.values * density * quad.area))
         assert weak <= emb.c1_hat ** (1.0 / t) * l1 * (1 + 1e-9)
+
+
+def test_embedding_chain_on_a_grid_weight_builds_no_cell_arrays():
+    # The chain reads each stratum's radii and angles and the cell areas only.
+    r = np.linspace(0.05, 0.95, 12)
+    theta = (np.arange(16) + 0.5) * (TAU / 16)
+    w = Weight.from_grid(r, theta, 1.0 + np.outer(r, np.cos(theta)))
+    depth = 8
+    quad = build_quadrature(depth)
+    density = w.cell_density(quad)
+    masses = cell_mass_trees(density, depth, quad)
+    f = SampledFunction(quad, np.random.default_rng(SEED).uniform(0.0, 1.0, quad.n_cells))
+    trees = weighted_trees(density, f, masses, quad)
+    carleson_embedding_constant(w, 1.0, masses)
+    weak_type_norm(1.0, f, trees)
+    strong_embedding_check(ExponentConfig(2.0, 2.0, 1.0), f, density, trees, quad)
+    assert not {"z", "r", "theta", "stratum"} & vars(quad).keys()
 
 
 # ---------------------------------------------------------------------------

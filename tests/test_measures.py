@@ -132,6 +132,29 @@ def test_cell_centers_are_r_exp_i_theta_bit_for_bit(angular_base):
         assert quad.z.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), depth
 
 
+@pytest.mark.parametrize("radial_refine", [None, 1])
+def test_lazy_cell_arrays_equal_an_eager_build(radial_refine):
+    # Cell by cell from the stored edges: sublayer midpoints, angle midpoints.
+    names = ("r", "theta", "z", "stratum")
+    for depth in range(1, 11):
+        quad = build_quadrature(depth, radial_refine=radial_refine)
+        assert not set(names) & vars(quad).keys()  # nothing but area is built
+        eager = {name: [] for name in names}
+        for s in quad.strata:
+            mid = 0.5 * (s.edges[:-1] + s.edges[1:])
+            angles = (np.arange(s.count) + 0.5) * (TAU / s.count)
+            eager["r"].append(np.repeat(mid, s.count))
+            eager["theta"].append(np.tile(angles, mid.size))
+            eager["z"].append((mid[:, None] * np.exp(1j * angles)).ravel())
+            eager["stratum"].append(np.full(mid.size * s.count, s.level, dtype=np.int64))
+        for name in names:
+            want = np.concatenate(eager[name])
+            got = getattr(quad, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (depth, name)
+            assert getattr(quad, name) is got  # built once, then kept
+        assert quad.n_cells == quad.area.size == quad.z.size
+
+
 def test_boxes_are_exact_cell_unions_at_depth_ten():
     # every plain-grid box is a union of whole cells: the cells inside it,
     # selected geometrically, reproduce its area exactly
