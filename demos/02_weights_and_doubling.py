@@ -41,7 +41,7 @@ for w in (leb, rp1, Weight.radial_power(3)):
 r = np.linspace(0.025, 0.975, 20)
 theta = np.linspace(0.1, 6.2, 16)
 shell = Weight.from_grid(r, theta, np.where(r[:, None] > 0.95, 1.0, 1e-9) * np.ones((20, 16)))
-rep = reverse_doubling_report(shell, depth=8, quad=build_quadrature(10), random_arcs=100)
+rep = reverse_doubling_report(shell, depth=8, quad=build_quadrature(10))
 print(f"boundary shell    : delta_hat = {rep.delta_hat:.6f} -> verdict {rep.verdict}")
 
 print("\n== doubling (a box with its two neighbours, over the box) ==")

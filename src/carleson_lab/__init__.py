@@ -53,7 +53,6 @@ from .measures import (
     SampledFunction,
     Weight,
     box_mass,
-    box_masses,
     build_quadrature,
     doubling_report,
     dual_weight,

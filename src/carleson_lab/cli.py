@@ -244,7 +244,7 @@ def _run_test_weight(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "reverse-doubling"):
         # Both testers read one pair of box-mass trees, timed with the first.
         trees = measures.box_mass_trees(w, cfg.depth, quad)
-        rev = measures.reverse_doubling_report(w, seed=cfg.seed, quad=quad, trees=trees)
+        rev = measures.reverse_doubling_report(w, quad=quad, trees=trees)
     with dirichlet_mod.timed(timings, "doubling"):
         dbl = measures.doubling_report(w, quad=quad, trees=trees)
     return [
@@ -297,9 +297,7 @@ def _run_two_weight(cfg: RunConfig, timings: dict):
         with dirichlet_mod.timed(timings, "quadrature"):
             quad = measures.build_quadrature(cfg.quad_depth)
     with dirichlet_mod.timed(timings, "testing-constant"):
-        testing = dyadic_mod.two_weight_testing_constant(
-            nu, mu, econf, depth=cfg.depth, quad=quad, seed=cfg.seed
-        )
+        testing = dyadic_mod.two_weight_testing_constant(nu, mu, econf, depth=cfg.depth, quad=quad)
     with dirichlet_mod.timed(timings, "norm-check"):
         norms = dyadic_mod.two_weight_norm_check(nu, mu, econf)
     return [
@@ -311,7 +309,7 @@ def _run_two_weight(cfg: RunConfig, timings: dict):
 def _run_certify(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "parse-weight"):
         w = measures.parse_weight(cfg.weight)
-    report = dirichlet_mod.theorem_pipeline(w, depth=cfg.depth, seed=cfg.seed)
+    report = dirichlet_mod.theorem_pipeline(w, depth=cfg.depth)
     timings.update(report.timings_ms)
     return list(report.stages)
 
@@ -370,10 +368,10 @@ def _bench_csv(rows) -> str:
 
 # Each command and the RunConfig fields it reads; verify-lemma's are its lemma's.
 COMMANDS = {
-    "test-weight": (_run_test_weight, ("weight", "depth", "quad_depth", "seed")),
+    "test-weight": (_run_test_weight, ("weight", "depth", "quad_depth")),
     "embedding": (_run_embedding, ("weight", "p", "q", "depth", "quad_depth", "seed")),
-    "two-weight": (_run_two_weight, ("nu", "mu", "p", "q", "alpha", "depth", "quad_depth", "seed")),
-    "certify": (_run_certify, ("weight", "depth", "seed")),
+    "two-weight": (_run_two_weight, ("nu", "mu", "p", "q", "alpha", "depth", "quad_depth")),
+    "certify": (_run_certify, ("weight", "depth")),
     "verify-lemma": (_run_verify_lemma, ()),
     "bench": (_run_bench, ("sizes", "seed", "format")),
 }

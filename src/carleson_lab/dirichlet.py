@@ -197,7 +197,7 @@ def reverse_doubling_stage(rep: ReverseDoublingReport) -> tuple[bool, dict, dict
             "worst_arc_start": rep.worst_arc.start,
             "worst_arc_length": rep.worst_arc.length,
             "depth": rep.depth,
-            "random_arcs": rep.random_arcs,
+            "window_arcs": rep.window_arcs,
         },
     )
 
@@ -207,7 +207,7 @@ def testing_constant_stage(rep: TestingConstantReport) -> tuple[bool, dict, dict
     return (
         rep.verdict,
         {"sup_value": rep.sup_value},
-        {"worst": repr(rep.worst_box), "depth": rep.depth, "random_arcs": rep.random_arcs},
+        {"worst": repr(rep.worst_box), "depth": rep.depth, "window_arcs": rep.window_arcs},
     )
 
 
@@ -254,7 +254,7 @@ class timed:
         self.timings[self.name] = (time.perf_counter() - self.t0) * 1e3
 
 
-def theorem_pipeline(w: Weight, depth: int = 12, seed: int = 20260810) -> PipelineReport:
+def theorem_pipeline(w: Weight, depth: int = 12) -> PipelineReport:
     """Certify numerically that a finite reverse-doubling weight embeds.
 
     The last stage reports one :func:`carleson_constant` call: the
@@ -286,12 +286,12 @@ def theorem_pipeline(w: Weight, depth: int = 12, seed: int = 20260810) -> Pipeli
 
     def stage_reverse():
         trees.update(box_mass_trees(w, depth, quad))
-        return reverse_doubling_stage(reverse_doubling_report(w, seed=seed, quad=quad, trees=trees))
+        return reverse_doubling_stage(reverse_doubling_report(w, quad=quad, trees=trees))
 
     run_stage("reverse-doubling", stage_reverse)
     cfg, lebesgue = ExponentConfig(p=2.0, q=2.0, alpha=1.0), Weight.lebesgue()
     run_stage("testing-constant", lambda: testing_constant_stage(two_weight_testing_constant(
-        w, lebesgue, cfg, depth=depth, quad=quad, seed=seed, trees=trees or None
+        w, lebesgue, cfg, depth=depth, quad=quad, trees=trees or None
     )))
     run_stage("norm-check", lambda: norm_check_stage(two_weight_norm_check(w, lebesgue, cfg)))
 

@@ -41,10 +41,9 @@ from .measures import (
     box_level_sums,
     box_mass_levels,
     box_mass_trees,
-    box_masses,
     build_quadrature,
-    draw_arcs,
     dual_weight,
+    window_masses,
 )
 from .operators import (
     KernelSpec,
@@ -376,7 +375,7 @@ class TestingConstantReport:
     dual_spec: str
     verdict: bool
     depth: int  # the finest level swept, after the quadrature cap
-    random_arcs: int
+    window_arcs: int  # windows swept besides the grid boxes
 
 
 def two_weight_testing_constant(
@@ -385,19 +384,19 @@ def two_weight_testing_constant(
     cfg: ExponentConfig,
     depth: int = 16,
     quad: DiskQuadrature | None = None,
-    random_arcs: int = 512,
-    seed: int = 5,
     trees: dict | None = None,
 ) -> TestingConstantReport:
     """Supremum of ``mass_nu(Q)**(1/q) mass_dual(Q)**(1/p') / area(Q)**(alpha/2)``.
 
-    The sweep covers both grids up to ``depth`` plus random arcs; the dual
-    weight of ``mu`` must have finite mass.  Box masses come from
-    :func:`box_mass_levels` and :func:`box_masses`: closed form for a
-    radial-power weight, cell sums over ``quad`` (which also caps
-    ``depth``) for any other; trees of ``nu`` from :func:`box_mass_trees`,
-    passed in, set the depth.  The verdict is false when the supremum sits
-    on a dyadic box of the finest level swept, where it has not stopped growing.
+    Sweeps both grids up to ``depth``, then, unless both weights are
+    radial, the windows of :func:`window_masses` at levels 1 to ``depth``,
+    which replace the worst box only when strictly larger.  The dual weight
+    of ``mu`` must have finite mass.  Box masses come from
+    :func:`box_mass_levels`: closed form for a radial-power weight, cell
+    sums over ``quad`` (which also caps ``depth``) for any other; trees of
+    ``nu`` from :func:`box_mass_trees`, passed in, set the depth.  The
+    verdict is false when the supremum sits on an arc of the finest length
+    swept, where it has not stopped growing.
     """
     dual = dual_weight(mu, cfg.p)
     if not dual.finite:
@@ -405,41 +404,38 @@ def two_weight_testing_constant(
             f"dual weight {dual.spec!r} has infinite mass; the testing constant "
             "is undefined"
         )
-    rng = np.random.default_rng(seed)
     if trees is None:  # raises on a weight nu of infinite mass
         trees = box_mass_trees(nu, depth, quad)
     depth = len(trees[GRID_PLAIN]) - 1
+
+    def quantity(m_nu, m_du, j):
+        area = full_box_area(2.0**-j)
+        return m_nu ** (1.0 / cfg.q) * m_du ** (1.0 / cfg.p_prime) / area ** (cfg.alpha / 2.0)
+
     best = -math.inf
     worst: DyadicIndex | Arc = DyadicIndex(GRIDS[0], 0, 0)
     for grid in GRIDS:
         m_nu = trees[grid]
         m_du = box_mass_levels(dual, quad, grid, depth)
         for j in range(depth + 1):
-            area = full_box_area(2.0**-j)
-            vals = (
-                m_nu[j] ** (1.0 / cfg.q)
-                * m_du[j] ** (1.0 / cfg.p_prime)
-                / area ** (cfg.alpha / 2.0)
-            )
+            vals = quantity(m_nu[j], m_du[j], j)
             k = int(np.argmax(vals))
             if vals[k] > best:
                 best = float(vals[k])
                 worst = DyadicIndex(grid, j, k)
-    turn, length = draw_arcs(rng, random_arcs, 2.0**-depth)
-    if length.size:
-        # float_power is libm pow, as Python's ``**`` on floats.
-        vals = (
-            np.float_power(box_masses(nu, turn, length, quad), 1.0 / cfg.q)
-            * np.float_power(box_masses(dual, turn, length, quad), 1.0 / cfg.p_prime)
-            / np.float_power(full_box_area(length), cfg.alpha / 2.0)
-        )
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            worst = Arc(0.0, float(length[k]), start_turn=float(turn[k]))
-    at_finest = isinstance(worst, DyadicIndex) and worst.level == depth
-    verdict = math.isfinite(best) and not at_finest
-    return TestingConstantReport(best, worst, dual.spec, verdict, depth, random_arcs)
+    windows = 0
+    if not (nu.is_radial_power and dual.is_radial_power):
+        for (grid, j, m_nu, _), (_, _, m_du, _) in zip(
+            window_masses(nu, quad, depth), window_masses(dual, quad, depth)
+        ):
+            vals = quantity(m_nu, m_du, j)
+            k = int(np.argmax(vals))
+            windows += vals.size
+            if vals[k] > best:
+                best = float(vals[k])
+                worst = Arc(0.0, 2.0**-j, start_turn=grid + k / vals.size)
+    verdict = math.isfinite(best) and worst.length != 2.0**-depth
+    return TestingConstantReport(best, worst, dual.spec, verdict, depth, windows)
 
 
 @dataclass(frozen=True)

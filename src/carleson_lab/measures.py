@@ -7,7 +7,8 @@ masses for them bypass the quadrature entirely.  Everything else is
 integrated by midpoint sums over quadrature cells that are aligned with
 the plain dyadic grid; boxes of the shifted grid are handled by exact
 fractional overlap of the boundary cells.  The reverse-doubling and
-doubling testers read their ratios off these box masses.
+doubling testers read their ratios off these box masses, reverse doubling
+also off the box over every dyadic-length arc from each finest angle.
 """
 
 from __future__ import annotations
@@ -463,30 +464,6 @@ class SampledFunction:
 # ---------------------------------------------------------------------------
 
 
-def _range_sums(values_cumsum, count, a_pos, width):
-    """Angular window sums ``[a, a + width)`` on rows of ``count`` cells.
-
-    ``values_cumsum`` holds each row's cumsum, with a leading zero, along
-    its last axis; every row answers every window.  Positions are measured
-    in cells (fractions allowed); fractional ends weight the boundary cell
-    by its covered angle, which is exact for integrands constant on cells.
-    Windows longer than a row wrap once.
-    """
-
-    def interp(x):
-        i = np.minimum(np.floor(x).astype(np.int64), count - 1)
-        i = np.maximum(i, 0)
-        frac = np.clip(x - i, 0.0, 1.0)
-        lo = values_cumsum[..., i]
-        return lo + frac * (values_cumsum[..., i + 1] - lo)
-
-    a = np.mod(a_pos, count)
-    b = a + width
-    over = np.maximum(b - count, 0.0)
-    main = interp(np.minimum(b, count)) - interp(a)
-    return main + np.where(over > 0.0, interp(over), 0.0)
-
-
 def box_level_sums(
     quad: DiskQuadrature, cell_values: np.ndarray, grid: float, depth: int
 ) -> list[np.ndarray]:
@@ -558,85 +535,77 @@ def box_mass_trees(w: Weight, depth: int, quad: DiskQuadrature | None = None) ->
     return {grid: box_mass_levels(w, quad, grid, depth) for grid in GRIDS}
 
 
-def arc_box_sums(
-    cell_values: np.ndarray, quad: DiskQuadrature, r_in, start_turn, length
-) -> np.ndarray:
-    """Sums of a cellwise quantity over the regions ``{r >= r_in} x arc``.
+def box_mass(w: Weight, box: CarlesonBox, quad: DiskQuadrature | None = None) -> float:
+    """Mass of one box under a weight.
 
-    Takes equal-shaped float arrays, one entry per region.  Each stratum
-    takes one cumsum along its rows and answers the whole batch on every
-    sublayer with one window sum; sublayers straddling ``r_in`` count the
-    covered fraction of their area.  Sublayers are added in quadrature
-    order, so every entry equals the sum taken one region at a time.
+    A radial-power weight takes the exact closed form (the angular factor
+    is the arc length).  Any other weight sums its cell masses over
+    ``quad``, each weighted by the fraction of its ``r**2`` above the box's
+    inner radius and of its angle inside the arc: every term is
+    nonnegative, so a tiny box keeps its digits.
     """
-    r_in_sq = np.float_power(r_in, 2.0)  # libm pow, as Python's ``**`` on floats
-    total = np.zeros(r_in.shape)
-    for s in quad.strata:
-        edges = s.edges.reshape((-1,) + (1,) * r_in.ndim)  # one row per sublayer
-        lo, hi = edges[:-1], edges[1:]
-        inside = hi > r_in
-        if not inside.any():
-            continue
-        lo_sq, hi_sq = np.float_power(lo, 2.0), np.float_power(hi, 2.0)
-        radial_frac = np.where(lo < r_in, (hi_sq - r_in_sq) / (hi_sq - lo_sq), 1.0)
-        cs = np.zeros((lo.size, s.count + 1))
-        np.cumsum(s.rows(cell_values), axis=1, out=cs[:, 1:])
-        sums = _range_sums(cs, s.count, start_turn * s.count, length * s.count)
-        for part, keep in zip(radial_frac * sums, inside):
-            np.add(total, part, out=total, where=keep)
-    return total
-
-
-def box_masses(
-    w: Weight,
-    start_turn,
-    length,
-    quad: DiskQuadrature | None = None,
-    kind: str = "full",
-) -> np.ndarray:
-    """Masses of the boxes (``kind="full"``) or top halves over a batch of arcs.
-
-    The arcs are given as equal-shaped arrays of start turns and lengths.
-    Radial-power weights take the exact closed form (the angular factor is
-    the arc length); every other weight sums its cells over ``quad`` with
-    :func:`arc_box_sums`.
-    """
-    length = np.asarray(length, dtype=float)
+    length = box.arc.length
     if w.is_radial_power:
-        return length * w.outer_radial_mass(length if kind == "full" else length / 2.0)
+        return length * w.outer_radial_mass(length if box.kind == "full" else length / 2.0)
     if quad is None:
         raise ValueError("box masses of a sampled weight need a quadrature")
-    fine = length < 2.0**-quad.depth * (1.0 - 1e-12)
-    if fine.any():
+    if length < 2.0**-quad.depth * (1.0 - 1e-12):
         raise ResolutionError(
-            f"box of arc length {length[fine][0]} is finer than quadrature depth {quad.depth}"
+            f"box of arc length {length} is finer than quadrature depth {quad.depth}"
         )
-    r_in = 1.0 - length if kind == "full" else 1.0 - length / 2.0
-    return arc_box_sums(
-        w.cell_density(quad) * quad.area, quad, r_in, np.asarray(start_turn, dtype=float), length
-    )
+    values, r_in_sq, total = w.cell_density(quad) * quad.area, box.inner_radius**2, 0.0
+    for s in quad.strata:
+        sq, k = s.edges**2, np.arange(s.count)
+        radial = np.clip((sq[1:] - r_in_sq) / np.diff(sq), 0.0, 1.0)
+        a = box.arc.start_turn * s.count
+        b = a + length * s.count
+        # Each angle's covered fraction; the arc wraps at most once.
+        cover = sum(
+            np.clip(np.minimum(k + 1, b - c) - np.maximum(k, a - c), 0, 1) for c in (0, s.count)
+        )
+        total += radial @ s.rows(values) @ cover
+    return float(total)
 
 
-def box_mass(w: Weight, box: CarlesonBox, quad: DiskQuadrature | None = None) -> float:
-    """Mass of one box under a weight; see :func:`box_masses`."""
-    turn, length = np.array([box.arc.start_turn]), np.array([box.arc.length])
-    return float(box_masses(w, turn, length, quad, box.kind)[0])
+def window_masses(w: Weight, quad: DiskQuadrature | None, depth: int):
+    """Masses of the box, and its top half, above every arc of length
+    ``2**-j`` that starts a whole number of finest angles past either grid:
+    yields ``(grid, j, full, top)`` for each grid and ``j`` from ``depth``
+    down to 1, entry ``k`` for the arc from ``grid + k / n`` turns (``n``
+    the finest stratum's angle count), so every grid box is among them.  A
+    radial-power weight is rotation invariant: one closed-form mass a level.
 
-
-def draw_arcs(
-    rng: np.random.Generator, count: int, min_length: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` uniformly random arcs as arrays ``(start_turn, length)``.
-
-    Each arc is drawn as its length, then its start angle: one draw of
-    ``2 * count`` uniforms, interleaved, is the same stream as ``2 * count``
-    scalar ``rng.uniform`` calls.  The start turn is the one :class:`Arc`
-    derives from that angle.
+    Any other weight sums its cell masses over ``quad``: each stratum's
+    row (sublayers added) is split evenly onto the ``n`` angles, exactly
+    as ``n / count`` is a power of two, and added to the finer strata's,
+    so row ``j`` spans a level-``j`` box's radii and row ``j + 1`` its top
+    half's (none at the quadrature depth).  Off the plain grid an angle
+    takes the covered fractions of the two it straddles.  Windows of
+    ``n >> j`` angles are built by doubling; as no term is a difference,
+    a tiny window keeps its digits.
     """
-    u = rng.random(2 * count)
-    length = min_length + (1.0 - min_length) * u[0::2]
-    start_turn = np.mod(TAU * u[1::2] / TAU, 1.0)
-    return start_turn, length
+    if w.is_radial_power:
+        for grid in GRIDS:
+            for j in range(depth, 0, -1):
+                full, top = (np.array([2.0**-j * w.outer_radial_mass(2.0**-i)]) for i in (j, j + 1))
+                yield grid, j, full, top
+        return
+    values, n = w.cell_density(quad) * quad.area, quad.strata[-1].count
+    rows = np.zeros((quad.depth + 2, n))
+    for s in reversed(quad.strata):
+        split = n // s.count
+        row = s.rows(values).sum(axis=0) / split
+        rows[s.level] = rows[s.level + 1] + np.repeat(row, split)
+    for grid in GRIDS:
+        shift = grid * n
+        whole = math.floor(shift)
+        sums = np.roll(rows, -whole, axis=1)
+        if shift > whole:
+            sums = (1.0 - (shift - whole)) * sums + (shift - whole) * np.roll(sums, -1, axis=1)
+        for j in range(n.bit_length() - 1, 0, -1):  # windows of n >> j angles
+            if j <= depth:
+                yield grid, j, sums[j], sums[j + 1]
+            sums = sums[: j + 1] + np.roll(sums[: j + 1], -(n >> j), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -651,32 +620,30 @@ class ReverseDoublingReport:
     verdict: bool
     margin: float
     depth: int  # the finest level swept, after the quadrature cap
-    random_arcs: int
+    window_arcs: int  # windows swept besides the grid boxes
 
 
 def reverse_doubling_report(
     w: Weight,
     depth: int = 16,
-    random_arcs: int = 1000,
-    seed: int = 7,
     quad: DiskQuadrature | None = None,
     trees: dict | None = None,
 ) -> ReverseDoublingReport:
-    """Largest observed ratio mass(top half) / mass(box) over many arcs.
+    """Largest ratio mass(top half) / mass(box) over the arcs of dyadic length.
 
     Sweeps every dyadic arc of both grids up to ``depth`` (the whole
-    circle, level 0 of both, once) plus uniformly random arcs; the weight
-    is reverse doubling when the ratio stays below
-    ``1 - REVERSE_DOUBLING_MARGIN``.  Box masses come from
-    :func:`box_mass_trees` and :func:`box_masses`: closed form for a
-    radial-power weight, cell sums over ``quad`` (which also caps
-    ``depth``) for any other.  Trees from :func:`box_mass_trees` for the
-    same weight and quadrature may be passed in, and then set the depth.
+    circle, level 0 of both, once), then the windows of :func:`window_masses`
+    at levels 1 to ``depth - 1``, which replace the worst box only when
+    strictly larger.  The weight is reverse doubling when the ratio stays
+    below ``1 - REVERSE_DOUBLING_MARGIN``.  Box masses come from
+    :func:`box_mass_trees` (passed in, they set the depth): closed form for
+    a radial-power weight, which is rotation invariant, so its trees hold
+    every window, and cell sums over ``quad`` (which also caps ``depth``)
+    for any other.
     """
     if trees is None:
         trees = box_mass_trees(w, depth, quad)
     depth = len(trees[GRID_PLAIN]) - 1
-    rng = np.random.default_rng(seed)
     delta = -math.inf
     worst = Arc(0.0, 1.0)
     for grid in GRIDS:
@@ -692,16 +659,16 @@ def reverse_doubling_report(
             if ratios[k] > delta:
                 delta = float(ratios[k])
                 worst = DyadicIndex(grid, j, k).arc
-    turn, length = draw_arcs(rng, random_arcs, 2.0**-depth)
-    if length.size:
-        q = box_masses(w, turn, length, quad)
-        if np.any(q <= 0.0):
-            raise DegenerateWeightError("zero-mass box on a random arc")
-        ratios = box_masses(w, turn, length, quad, "top") / q
-        k = int(np.argmax(ratios))  # the first maximum, as a strict-> scan keeps
+    windows = 0
+    for grid, j, full, top in () if w.is_radial_power else window_masses(w, quad, depth - 1):
+        if np.any(full <= 0.0):
+            raise DegenerateWeightError(f"zero-mass window at grid {grid}, level {j}")
+        ratios = top / full
+        k = int(np.argmax(ratios))
+        windows += ratios.size
         if ratios[k] > delta:
             delta = float(ratios[k])
-            worst = Arc(0.0, float(length[k]), start_turn=float(turn[k]))
+            worst = Arc(0.0, 2.0**-j, start_turn=grid + k / ratios.size)
 
     return ReverseDoublingReport(
         delta_hat=delta,
@@ -709,7 +676,7 @@ def reverse_doubling_report(
         verdict=bool(delta < 1.0 - REVERSE_DOUBLING_MARGIN),
         margin=REVERSE_DOUBLING_MARGIN,
         depth=depth,
-        random_arcs=random_arcs,
+        window_arcs=windows,
     )
 
 

@@ -77,7 +77,7 @@ def test_criterion_01_reverse_doubling_lebesgue():
     from carleson_lab.measures import reverse_doubling_report
 
     t0 = time.perf_counter()
-    rep = reverse_doubling_report(Weight.lebesgue(), depth=16, seed=SEED)
+    rep = reverse_doubling_report(Weight.lebesgue(), depth=16)
     elapsed = time.perf_counter() - t0
     ok = 0.7499 <= rep.delta_hat <= 0.7501 and rep.verdict and elapsed < 1.0
     report(
@@ -328,11 +328,11 @@ def test_criterion_11_theorem_assembly():
     cfg = ExponentConfig(p=2.0, q=2.0, alpha=1.0)
     testing_ok = True
     for nu in (Weight.lebesgue(), Weight.radial_power(1)):
-        rep = two_weight_testing_constant(nu, Weight.lebesgue(), cfg, depth=12, seed=SEED)
+        rep = two_weight_testing_constant(nu, Weight.lebesgue(), cfg, depth=12)
         expected = math.sqrt(nu.disk_mass())
         testing_ok &= abs(rep.sup_value - expected) <= 1e-6
-    pipe_leb = theorem_pipeline(Weight.lebesgue(), depth=12, seed=SEED)
-    pipe_rp1 = theorem_pipeline(Weight.radial_power(1), depth=12, seed=SEED)
+    pipe_leb = theorem_pipeline(Weight.lebesgue(), depth=12)
+    pipe_rp1 = theorem_pipeline(Weight.radial_power(1), depth=12)
     carleson = carleson_constant(Weight.lebesgue())
     carleson_ok = abs(carleson.constant_estimate - 1.0) <= 0.02
     elapsed = time.perf_counter() - t0

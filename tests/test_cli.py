@@ -150,7 +150,7 @@ def test_certify_peak_memory_stays_under_the_ceiling(tmp_path):
 def test_certify_reports_the_pipeline_stages_as_they_are(spec):
     cfg = RunConfig("certify", weight=spec)
     _, rep = run(cfg)
-    pipeline = theorem_pipeline(measures.parse_weight(spec), depth=cfg.depth, seed=cfg.seed)
+    pipeline = theorem_pipeline(measures.parse_weight(spec), depth=cfg.depth)
     assert rep.stages == list(pipeline.stages)
     failed = [s for s in rep.stages if "error" in s["witness"]]
     assert [s["name"] for s in failed] == (
@@ -342,8 +342,10 @@ def test_box_testers_state_what_they_swept(tmp_path):
     _, rep = run(RunConfig(command="certify", weight=weight))
     witness = {s["name"]: s["witness"] for s in rep.stages}
     assert witness["reverse-doubling"]["depth"] == witness["testing-constant"]["depth"] == 10
-    assert witness["reverse-doubling"]["random_arcs"] == 1000
-    assert witness["testing-constant"]["random_arcs"] == 512
+    # Every arc of levels 1-9 (reverse doubling) or 1-10 (testing constant)
+    # that starts a whole number of the 1,024 finest angles past either grid.
+    assert witness["reverse-doubling"]["window_arcs"] == 2 * 9 * 1024 == 18_432
+    assert witness["testing-constant"]["window_arcs"] == 2 * 10 * 1024 == 20_480
     # test-weight's quadrature caps both of its testers at depth 10 as well.
     _, rep = run(RunConfig(command="test-weight", weight=weight))
     witness = {s["name"]: s["witness"] for s in rep.stages}
@@ -372,7 +374,7 @@ def test_test_weight_builds_its_box_trees_once(monkeypatch, tmp_path):
     assert grids == list(GRIDS)
     monkeypatch.undo()
     w, quad = measures.parse_weight(weight), build_quadrature(cfg.quad_depth)
-    rev = measures.reverse_doubling_report(w, depth=cfg.depth, seed=cfg.seed, quad=quad)
+    rev = measures.reverse_doubling_report(w, depth=cfg.depth, quad=quad)
     dbl = measures.doubling_report(w, depth=cfg.depth, quad=quad)
     stages = {s["name"]: s for s in rep.stages}
     assert stages["reverse-doubling"]["constants"]["delta_hat"] == rev.delta_hat
@@ -399,9 +401,9 @@ def test_certify_builds_its_box_trees_once(monkeypatch, tmp_path):
     assert grids == list(GRIDS)
     monkeypatch.undo()
     w, quad = measures.parse_weight(weight), build_quadrature(min(cfg.depth, 10))
-    rev = measures.reverse_doubling_report(w, depth=cfg.depth, seed=cfg.seed, quad=quad)
+    rev = measures.reverse_doubling_report(w, depth=cfg.depth, quad=quad)
     exps, leb = dyadic.ExponentConfig(2.0, 2.0, 1.0), measures.Weight.lebesgue()
-    test = dyadic.two_weight_testing_constant(w, leb, exps, cfg.depth, quad, seed=cfg.seed)
+    test = dyadic.two_weight_testing_constant(w, leb, exps, cfg.depth, quad)
     stages = {s["name"]: (s["verdict"], s["constants"], s["witness"]) for s in rep.stages}
     assert stages["reverse-doubling"] == dirichlet.reverse_doubling_stage(rev)
     assert stages["testing-constant"] == dirichlet.testing_constant_stage(test)
@@ -619,6 +621,7 @@ def test_each_command_reads_exactly_the_fields_it_declares(command, lemma, tmp_p
     [
         ["certify", "--quad-depth", "4"],
         ["certify", "--mu", "lebesgue"],
+        ["certify", "--seed", "1"],
         ["embedding", "--alpha", "2"],
         ["bench", "--depth", "3"],
         ["verify-lemma", "mei-cover", "--quad-depth", "4"],
@@ -659,8 +662,8 @@ def test_out_of_range_option_is_usage_error(argv, capsys):
         ["verify-lemma", "domination", "--samples", "0"],
         ["verify-lemma", "domination", "--depth", "-1"],
         ["verify-lemma", "mei-cover", "--samples", "0"],
-        ["certify", "--seed", "-1"],
-        ["test-weight", "--seed", "-1"],
+        ["embedding", "--seed", "-1"],
+        ["embedding", "--weight", "lebesgue", "--seed", "-1"],
     ],
     ids=" ".join,
 )
@@ -675,11 +678,13 @@ def test_depth_and_seed_zero_and_one_sample_are_accepted(tmp_path):
     # Below depth 2 the doubling stage sweeps no level and carries no verdict.
     out = tmp_path / "r.json"
     for depth in ("0", "1"):
-        assert main(["test-weight", "--depth", depth, "--seed", "0", "--out", str(out)]) == 0
+        assert main(["test-weight", "--depth", depth, "--out", str(out)]) == 0
         stages = {s["name"]: s for s in json.loads(out.read_text())["stages"]}
         assert stages["doubling"]["verdict"] is None
         assert stages["doubling"]["constants"] == {"C_hat": None}
     assert main(["verify-lemma", "mei-cover", "--samples", "1", "--out", str(out)]) == 0
+    argv = ["embedding", "--depth", "4", "--quad-depth", "4", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
 
 
 def test_unknown_lemma_is_usage_error():

@@ -29,18 +29,15 @@ from carleson_lab.geometry import (
 from carleson_lab.measures import (
     SampledFunction,
     Weight,
-    _range_sums,
-    arc_box_sums,
     box_level_sums,
     box_mass,
     box_mass_levels,
-    box_masses,
     build_quadrature,
     doubling_report,
-    draw_arcs,
     dual_weight,
     parse_weight,
     reverse_doubling_report,
+    window_masses,
 )
 
 SEED = 20260810
@@ -337,18 +334,14 @@ def test_radial_power_box_masses_beta_integrals():
 
 
 def test_quadrature_path_matches_closed_form():
+    # A product with a constant grid weight takes the quadrature path.
     quad = build_quadrature(12)
+    one = Weight.from_grid([0.5], [1.0], [[1.0]])
     for w in (Weight.lebesgue(), Weight.radial_power(1)):
         for level in range(9):
             box = CarlesonBox(DyadicIndex(GRID_PLAIN, level, 0).arc)
             exact = box_mass(w, box)
-            approx = arc_box_sums(
-                w.density(quad.z) * quad.area,
-                quad,
-                np.array([box.inner_radius]),
-                np.array([box.arc.start_turn]),
-                np.array([box.arc.length]),
-            )[0]
+            approx = box_mass(Weight.product(w, one), box, quad)
             assert approx == pytest.approx(exact, rel=1e-3)
 
 
@@ -459,7 +452,7 @@ def test_reverse_doubling_radial_power_one():
 def test_reverse_doubling_fails_for_thin_shell():
     w = thin_shell_weight()
     quad = build_quadrature(10)
-    rep = reverse_doubling_report(w, depth=8, quad=quad, random_arcs=50)
+    rep = reverse_doubling_report(w, depth=8, quad=quad)
     assert rep.delta_hat > 0.999
     assert not rep.verdict
 
@@ -480,7 +473,7 @@ def test_reverse_doubling_sweeps_the_whole_circle_box_once(monkeypatch):
     assert (third[1].sum() / third[0])[0] > 0.9
     monkeypatch.setattr(measures, "box_mass_levels", fake_levels)
     w = Weight.from_grid(np.linspace(0.05, 0.95, 10), np.linspace(0.3, 6.0, 8), np.ones((10, 8)))
-    rep = reverse_doubling_report(w, depth=4, quad=build_quadrature(6), random_arcs=20)
+    rep = reverse_doubling_report(w, depth=4, quad=build_quadrature(6))
     assert rep.delta_hat == 0.9
     assert rep.worst_arc.start == 0.0 and rep.worst_arc.length == 1.0
 
@@ -498,7 +491,7 @@ def test_reverse_doubling_degenerate_weight():
     w = Weight.from_grid(r, theta, values)
     quad = build_quadrature(8)
     with pytest.raises(DegenerateWeightError):
-        reverse_doubling_report(w, depth=6, quad=quad, random_arcs=10)
+        reverse_doubling_report(w, depth=6, quad=quad)
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +534,8 @@ def test_doubling_report_on_the_perfbench_grid(tmp_path):
 
 
 def test_doubling_report_fails_a_weight_that_vanishes_at_one_point():
-    # exp(-0.3/|theta|) on 1,024 angular nodes, constant in radius: the box
-    # next to theta = 0 outweighs it by a factor that grows without bound.
-    theta = (np.arange(1024) + 0.5) * (TAU / 1024)
-    values = np.exp(-0.3 / np.minimum(theta, TAU - theta))[None, :]
-    rep = doubling_report(Weight.from_grid([0.5], theta, values), depth=12,
-                          quad=build_quadrature(10))
+    # The box next to theta = 0 outweighs it by a factor that grows without bound.
+    rep = doubling_report(vanishing_weight(), depth=12, quad=build_quadrature(10))
     assert rep.c_hat > 1e28
     assert rep.worst.level == rep.depth == 10
     assert rep.verdict is False
@@ -595,21 +584,27 @@ def test_level_sums_depth_overflow():
         box_level_sums(quad, quad.area, GRID_PLAIN, 6)
 
 
-def fsum_box_sum(quad, values, grid, level, position) -> float:
-    """Sum of ``values`` over one grid box by ``math.fsum``: every cell of
-    stratum >= level, weighted by the fraction of its angle inside the arc."""
-    sublayers = [s.count for s in quad.strata for _ in s.edges[1:]]
-    counts = np.concatenate([np.full(count, count) for count in sublayers])
-    k = np.concatenate([np.arange(count) for count in sublayers])
+def fsum_box_sum(quad, values, start_turn, length, r_in=None) -> float:
+    """Sum of ``values`` over the box above the arc of ``length`` turns from
+    ``start_turn``, by ``math.fsum``: every cell weighted by the fraction of
+    its angle inside the arc and of its ``r**2`` above ``r_in``, by default
+    the box's inner radius ``1 - length``."""
+    r_in = 1.0 - length if r_in is None else r_in
+    sublayers = [(s.count, lo, hi) for s in quad.strata for lo, hi in zip(s.edges, s.edges[1:])]
+    counts, r_lo, r_hi = (
+        np.concatenate([np.full(layer[0], layer[i]) for layer in sublayers]) for i in range(3)
+    )
+    radial = np.clip((r_hi**2 - r_in**2) / (r_hi**2 - r_lo**2), 0.0, 1.0)
+    k = np.concatenate([np.arange(count) for count, _, _ in sublayers])
     lo, hi = k / counts, (k + 1) / counts
-    a = (position * 2.0**-level + grid) % 1.0
-    b = a + 2.0**-level
+    a = start_turn % 1.0
+    b = a + length
     covered = sum(
         np.clip(np.minimum(hi, b + shift) - np.maximum(lo, a + shift), 0.0, None)
         for shift in (-1.0, 0.0, 1.0)
     )
-    frac = covered * counts
-    keep = (quad.stratum >= level) & (frac > 0.0)
+    frac = covered * counts * radial
+    keep = frac > 0.0
     return math.fsum((values[keep] * frac[keep]).tolist())
 
 
@@ -634,7 +629,7 @@ def test_level_sums_match_an_fsum_oracle(grid, quad_depth, depth):
     for level in range(depth + 1):
         positions = {0, 2**level - 1, *rng.integers(0, 2**level, 3).tolist()}
         for m in sorted(positions):
-            want = fsum_box_sum(quad, values, grid, level, m)
+            want = fsum_box_sum(quad, values, m * 2.0**-level + grid, 2.0**-level)
             assert abs(sums[level][m] - want) <= 1e-13 * want, (level, m)
 
 
@@ -662,39 +657,17 @@ def test_sampled_function_shape_check():
 
 
 # ---------------------------------------------------------------------------
-# batched arc box sums
+# one-box sums and the window sweep
 # ---------------------------------------------------------------------------
 
 ARC_DEPTH = 6
 ARC_QUAD = build_quadrature(ARC_DEPTH)
 
 
-def arc_arrays(batch):
-    """A list of arcs as the ``(start_turn, length)`` arrays of :func:`box_masses`."""
-    return (
-        np.array([arc.start_turn for arc in batch], dtype=float),
-        np.array([arc.length for arc in batch], dtype=float),
-    )
-
-
-def one_arc_region_sum(cell_values, quad, r_in, arc):
-    """The per-arc loop the batch replaced: one cumsum per sublayer per region."""
-    total = 0.0
-    start = arc.start_turn
-    for stratum in quad.strata:
-        edges = stratum.edges.tolist()
-        for row, r_lo, r_hi in zip(stratum.rows(cell_values), edges[:-1], edges[1:]):
-            if r_hi <= r_in:
-                continue
-            radial_frac = 1.0
-            if r_lo < r_in:
-                radial_frac = (r_hi**2 - r_in**2) / (r_hi**2 - r_lo**2)
-            count = stratum.count
-            cs = np.zeros(count + 1)
-            np.cumsum(row, out=cs[1:])
-            s = _range_sums(cs, count, np.array([start * count]), arc.length * count)
-            total += radial_frac * float(s[0])
-    return total
+def vanishing_weight() -> Weight:
+    """``exp(-0.3/|theta|)`` on 1,024 angular nodes, constant in radius."""
+    theta = (np.arange(1024) + 0.5) * (TAU / 1024)
+    return Weight.from_grid([0.5], theta, np.exp(-0.3 / np.minimum(theta, TAU - theta))[None, :])
 
 
 @st.composite
@@ -728,70 +701,41 @@ arcs = st.builds(
 )
 
 
+def assert_box_masses_match_the_oracle(w, batch):
+    """``box_mass`` of each arc's box and top half against the fsum oracle."""
+    values = w.cell_density(ARC_QUAD) * ARC_QUAD.area
+    for arc in batch:
+        for kind in ("full", "top"):
+            box = CarlesonBox(arc, kind)
+            want = fsum_box_sum(ARC_QUAD, values, arc.start_turn, arc.length, box.inner_radius)
+            assert box_mass(w, box, ARC_QUAD) == pytest.approx(want, rel=1e-12)
+
+
 @settings(max_examples=40, deadline=None)
 @given(grid_weights(), st.lists(arcs, min_size=1, max_size=12))
-def test_batched_box_masses_equal_the_per_arc_loop_bit_for_bit(w, batch):
-    values = w.density(ARC_QUAD.z) * ARC_QUAD.area
-    for kind in ("full", "top"):
-        got = box_masses(w, *arc_arrays(batch), ARC_QUAD, kind)
-        expected = [
-            one_arc_region_sum(values, ARC_QUAD, CarlesonBox(arc, kind).inner_radius, arc)
-            for arc in batch
-        ]
-        assert got.tolist() == expected
-        assert [box_mass(w, CarlesonBox(arc, kind), ARC_QUAD) for arc in batch] == expected
+def test_box_mass_matches_an_fsum_oracle(w, batch):
+    assert_box_masses_match_the_oracle(w, batch)
 
 
-def test_batched_box_masses_equal_the_per_arc_loop_on_many_arcs():
-    # Squaring r_in by anything but libm pow flips the last bit of about one
-    # radial fraction in a thousand; a few thousand regions catch that.
-    w = thin_shell_weight(floor=0.3)
-    values = w.density(ARC_QUAD.z) * ARC_QUAD.area
-    turn, length = draw_arcs(np.random.default_rng(SEED), 2000, 2.0**-ARC_DEPTH)
-    batch = [Arc(0.0, lv, start_turn=t) for t, lv in zip(turn.tolist(), length.tolist())]
-    for kind in ("full", "top"):
-        expected = [
-            one_arc_region_sum(values, ARC_QUAD, CarlesonBox(arc, kind).inner_radius, arc)
-            for arc in batch
-        ]
-        assert box_masses(w, turn, length, ARC_QUAD, kind).tolist() == expected
-
-
-@pytest.mark.parametrize("seed", [SEED, 7, 11])
-@pytest.mark.parametrize("min_length", [2.0**-16, 2.0**-ARC_DEPTH, 0.3, 1.0])
-def test_draw_arcs_equals_the_scalar_draw_loop(seed, min_length):
-    # The oracle: length, then start, one scalar uniform each, per arc.
-    rng = np.random.default_rng(seed)
-    expected = []
-    for _ in range(1000):
-        length = float(rng.uniform(min_length, 1.0))
-        expected.append(Arc(float(rng.uniform(0.0, TAU)), length))
-    after = rng.random()
-    rng = np.random.default_rng(seed)
-    turn, length = draw_arcs(rng, 1000, min_length)
-    assert turn.tolist() == [a.start_turn for a in expected]
-    assert length.tolist() == [a.length for a in expected]
-    # The testers rebuild a winning arc from its turn, at the same start angle.
-    rebuilt = [Arc(0.0, lv, start_turn=t) for t, lv in zip(turn.tolist(), length.tolist())]
-    assert [a.start for a in rebuilt] == [a.start for a in expected]
-    assert rng.random() == after
-    assert [a.size for a in draw_arcs(np.random.default_rng(seed), 0, min_length)] == [0, 0]
-
-
-def test_batched_sums_cover_wrapped_and_resolution_arcs():
-    w = thin_shell_weight(floor=0.3)
-    values = w.density(ARC_QUAD.z) * ARC_QUAD.area
+def test_box_mass_covers_wrapped_and_resolution_arcs():
     batch = [Arc(0.9 * TAU, 0.35), Arc(0.0, 1.0), Arc(2.0, 1.0), Arc(1.0, 2.0**-ARC_DEPTH)]
-    r_in = np.array([0.5, 0.0, 0.25, 1.0 - 2.0**-ARC_DEPTH])
-    got = arc_box_sums(
-        values,
-        ARC_QUAD,
-        r_in,
-        np.array([arc.start_turn for arc in batch]),
-        np.array([arc.length for arc in batch]),
-    )
-    expected = [one_arc_region_sum(values, ARC_QUAD, r, a) for r, a in zip(r_in, batch)]
-    assert got.tolist() == expected
+    assert_box_masses_match_the_oracle(thin_shell_weight(floor=0.3), batch)
+
+
+def test_box_mass_keeps_the_digits_of_a_tiny_box():
+    # The wrapped level-9 box next to theta = 0 weighs about 2.6e-48.  A
+    # difference of prefix sums, each about 1e-3, read half of it.
+    quad = build_quadrature(10)
+    w = vanishing_weight()
+    values = w.cell_density(quad) * quad.area
+    want = fsum_box_sum(quad, values, 1023 / 1024, 2.0**-9)
+    assert want == pytest.approx(2.598e-48, rel=1e-3)
+    box = CarlesonBox(Arc(0.0, 2.0**-9, start_turn=1023 / 1024))
+    assert box_mass(w, box, quad) == pytest.approx(want, rel=1e-12)
+    # Its windows keep their digits too: no window reads zero, and the
+    # box over the gap sends the ratio to 1.
+    rep = reverse_doubling_report(w, depth=12, quad=quad)
+    assert rep.delta_hat == 1.0 and rep.verdict is False
 
 
 @settings(max_examples=30, deadline=None)
@@ -810,36 +754,81 @@ def test_whole_circle_box_is_the_disk_mass(w, turn):
 )
 def test_children_and_ring_sum_to_the_parent(w, grid, level, position):
     parent = DyadicIndex(grid, level, position % 2**level)
-    family = [parent, *parent.children()]
-    p_mass, c1, c2 = box_masses(w, *arc_arrays([idx.arc for idx in family]), ARC_QUAD)
+    p_mass, c1, c2 = (
+        box_mass(w, CarlesonBox(idx.arc), ARC_QUAD) for idx in (parent, *parent.children())
+    )
     # The ring is stratum ``level`` of the quadrature, summed over the arc alone.
-    values = w.density(ARC_QUAD.z) * ARC_QUAD.area * (ARC_QUAD.stratum == level)
-    ring = arc_box_sums(
-        values,
-        ARC_QUAD,
-        np.zeros(1),
-        np.array([parent.arc.start_turn]),
-        np.array([parent.arc.length]),
-    )[0]
+    values = w.cell_density(ARC_QUAD) * ARC_QUAD.area * (ARC_QUAD.stratum == level)
+    ring = fsum_box_sum(ARC_QUAD, values, parent.arc.start_turn, parent.arc.length)
     assert c1 + c2 + ring == pytest.approx(p_mass, rel=1e-12, abs=1e-12)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.floats(0.01, 10.0), st.integers(0, 2**32 - 1))
-def test_zero_mass_random_arc_raises(inner, seed):
-    # Mass only inside r < 0.4: the disk is positive, so the level-0 sweep
-    # passes, but random arcs shorter than 0.6 (a fifth of them) see none.
-    r = np.array([0.1, 0.2, 0.3, 0.5, 0.9])
-    theta = np.array([1.0, 4.0])
-    values = np.array([[inner, inner]] * 3 + [[0.0, 0.0]] * 2)
-    w = Weight.from_grid(r, theta, values)
-    with pytest.raises(DegenerateWeightError, match="random arc"):
-        reverse_doubling_report(w, depth=1, quad=ARC_QUAD, random_arcs=200, seed=seed)
-
-
-def test_batched_box_masses_resolution_and_quadrature_errors():
+def test_box_mass_resolution_and_quadrature_errors():
     w = thin_shell_weight()
     with pytest.raises(ResolutionError):
-        box_masses(w, np.zeros(2), np.array([0.5, 2.0**-(ARC_DEPTH + 1)]), ARC_QUAD)
+        box_mass(w, CarlesonBox(Arc(0.0, 2.0**-(ARC_DEPTH + 1))), ARC_QUAD)
     with pytest.raises(ValueError):
-        box_masses(w, np.zeros(1), np.array([0.5]))
+        box_mass(w, CarlesonBox(Arc(0.0, 0.5)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_weights(), st.data())
+def test_windows_match_an_fsum_oracle(w, data):
+    values = w.cell_density(ARC_QUAD) * ARC_QUAD.area
+    levels = []
+    for grid, j, full, top in window_masses(w, ARC_QUAD, ARC_DEPTH):
+        levels.append((grid, j))
+        n = full.size
+        for k in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            start, length = grid + k / n, 2.0**-j
+            want = fsum_box_sum(ARC_QUAD, values, start, length)
+            assert full[k] == pytest.approx(want, rel=1e-12)
+            if j < ARC_DEPTH:  # the finest stratum does not split a box of its own level
+                want = fsum_box_sum(ARC_QUAD, values, start, length, 1.0 - length / 2.0)
+                assert top[k] == pytest.approx(want, rel=1e-12)
+    assert levels == [(grid, j) for grid in GRIDS for j in range(ARC_DEPTH, 0, -1)]
+
+
+@pytest.mark.parametrize(
+    "quad",
+    # Depth 2 at base 16: every stratum is finer than its level's grid.
+    [ARC_QUAD, build_quadrature(2), build_quadrature(9, angular_base=4), build_quadrature(12)],
+    ids=["depth6", "depth2", "depth9-base4", "depth12"],
+)
+def test_windows_at_grid_starts_are_the_grid_boxes(quad):
+    w = thin_shell_weight(floor=0.3)
+    boxes = measures.box_mass_trees(w, quad.depth, quad)
+    for grid, j, full, top in window_masses(w, quad, quad.depth):
+        step = full.size >> j
+        np.testing.assert_allclose(full[::step], boxes[grid][j], rtol=1e-15, atol=0.0)
+        if j < quad.depth:
+            children = boxes[grid][j + 1][0::2] + boxes[grid][j + 1][1::2]
+            np.testing.assert_allclose(top[::step], children, rtol=1e-15, atol=0.0)
+
+
+def test_zero_mass_window_raises():
+    # Mass on two angular cells, near turns 0.21 and 0.60: every grid box
+    # of levels 0 and 1 holds one of them, but the half circle from turn
+    # 40/64 holds neither.
+    theta = (np.arange(64) + 0.5) * (TAU / 64)
+    values = np.zeros((1, 64))
+    values[0, [13, 38]] = 1.0
+    w = Weight.from_grid([0.5], theta, values)
+    trees = measures.box_mass_trees(w, 2, ARC_QUAD)
+    assert all(np.all(trees[grid][j] > 0.0) for grid in GRIDS for j in (0, 1))
+    with pytest.raises(DegenerateWeightError, match="zero-mass window at grid 0.0, level 1"):
+        reverse_doubling_report(w, depth=2, quad=ARC_QUAD)
+
+
+def test_testing_constant_fails_when_a_window_of_the_finest_length_is_worst(tmp_path):
+    # The box quantity grows as boxes shrink.  At depth 8 over a depth-10
+    # quadrature, a window of length 2**-8 that starts off the grids beats
+    # every level-8 grid box, so the supremum sits on the finest length.
+    from carleson_lab.dyadic import ExponentConfig, two_weight_testing_constant
+
+    nu = Weight.product(Weight.radial_power(-0.5), perfbench_seed1_weight(tmp_path / "g.grid"))
+    cfg = ExponentConfig(2.0, 3.0, 2.0)
+    rep = two_weight_testing_constant(nu, Weight.lebesgue(), cfg, 8, build_quadrature(10))
+    assert isinstance(rep.worst_box, Arc) and rep.worst_box.length == 2.0**-8
+    assert rep.worst_box.start_turn * 2**8 % 1.0 != 0.0
+    assert (rep.depth, rep.window_arcs, rep.verdict) == (8, 2 * 8 * 1024, False)
