@@ -15,16 +15,16 @@ from carleson_lab import (
     ExponentConfig,
     SampledFunction,
     Weight,
+    box_mass_trees,
     build_quadrature,
     carleson_constant,
     carleson_embedding_constant,
-    cell_mass_trees,
-    radial_mass_trees,
+    cell_trees,
     strong_embedding_check,
     theorem_pipeline,
+    tree_averages,
     two_weight_testing_constant,
     weak_type_norm,
-    weighted_trees,
 )
 
 quad = build_quadrature(10)
@@ -32,7 +32,7 @@ depth = 10
 
 print("== embedding condition ==")
 for w in (Weight.lebesgue(), Weight.radial_power(1)):
-    rep = carleson_embedding_constant(w, 1.0, radial_mass_trees(w, 14))
+    rep = carleson_embedding_constant(w, 1.0, box_mass_trees(w, 14))
     print(f"{w.spec:16s}: c1 = {rep.c1_hat:.5f} (truncation tail ~{rep.tail_estimate:.1e})")
 print("closed forms: 8/3 for area measure, 12/7 for (1 - |z|)")
 
@@ -40,18 +40,18 @@ print("\n== weak and strong tree norms ==")
 rng = np.random.default_rng(4)
 w = Weight.radial_power(1)
 cfg = ExponentConfig(p=2.0, q=2.0, alpha=1.0)
-# One cell density and its box masses serve every draw; each draw builds
-# one weighted tree per grid, read by both the weak and the strong norm.
+# One cell density and its box masses on both grids serve every draw; each
+# draw's box averages on both grids are read by the weak and the strong norm.
 density = w.cell_density(quad)
-masses = cell_mass_trees(density, depth, quad)
+masses = cell_trees(density * quad.area, depth, quad)
 emb = carleson_embedding_constant(w, 1.0, masses, k_max_level=depth)
 worst_weak, worst_strong = 0.0, 0.0
 for _ in range(25):
     f = SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
-    trees = weighted_trees(density, f, masses, quad)
+    avgs = tree_averages(density, f, masses, quad)
     l1 = float(np.sum(f.values * density * quad.area))
-    worst_weak = max(worst_weak, weak_type_norm(1.0, f, trees) / l1)
-    worst_strong = max(worst_strong, strong_embedding_check(cfg, f, density, trees, quad))
+    worst_weak = max(worst_weak, weak_type_norm(1.0, f, avgs, masses) / l1)
+    worst_strong = max(worst_strong, strong_embedding_check(cfg, f, density, avgs, masses, quad))
 print(f"sup weak norm / L1 norm over 25 draws: {worst_weak:.4f} (bound c1 = {emb.c1_hat:.4f})")
 print(f"sup strong ratio over 25 draws:        {worst_strong:.4f}")
 

@@ -19,17 +19,14 @@ from .dirichlet import (
 )
 from .dyadic import (
     ExponentConfig,
-    TreeFunction,
     carleson_embedding_constant,
-    cell_mass_trees,
     domination_check,
     dyadic_apply,
-    radial_mass_trees,
     strong_embedding_check,
+    tree_averages,
     two_weight_norm_check,
     two_weight_testing_constant,
     weak_type_norm,
-    weighted_trees,
 )
 from .errors import (
     CarlesonLabError,
@@ -53,7 +50,9 @@ from .measures import (
     SampledFunction,
     Weight,
     box_mass,
+    box_mass_trees,
     build_quadrature,
+    cell_trees,
     doubling_report,
     dual_weight,
     parse_weight,

@@ -203,13 +203,14 @@ def _weak_type(cfg: RunConfig, rng):
     w = measures.parse_weight(cfg.weight)
     t = cfg.q / cfg.p
     density = w.cell_density(quad)
-    masses = dyadic_mod.cell_mass_trees(density, depth, quad)
+    masses = measures.cell_trees(density * quad.area, depth, quad)
     emb = dyadic_mod.carleson_embedding_constant(w, t, masses, k_max_level=depth)
     failures = 0
     trials = max(10, min(cfg.samples, 100))
     for _ in range(trials):
         f = measures.SampledFunction(quad, rng.uniform(0.0, 2.0, quad.n_cells))
-        weak = dyadic_mod.weak_type_norm(t, f, dyadic_mod.weighted_trees(density, f, masses, quad))
+        avgs = dyadic_mod.tree_averages(density, f, masses, quad)
+        weak = dyadic_mod.weak_type_norm(t, f, avgs, masses)
         l1 = float(np.sum(f.values * density * quad.area))
         if weak > emb.c1_hat ** (1.0 / t) * l1 * (1 + 1e-9):
             failures += 1
@@ -261,29 +262,29 @@ def _run_embedding(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "quadrature"):
         quad = measures.build_quadrature(cfg.quad_depth)
         depth = min(cfg.depth, quad.depth)
-    # One density and one weighted tree per grid serve all three stages;
+    # One density, its box masses and f's averages serve all three stages;
     # a radial-power weight's constant keeps its closed-form masses.  The
     # stages and the frees run in timed blocks: a run takes milliseconds.
     with dirichlet_mod.timed(timings, "weighted-trees"):
         density = w.cell_density(quad)
-        masses = dyadic_mod.cell_mass_trees(density, depth, quad)
+        masses = measures.cell_trees(density * quad.area, depth, quad)
         rng = np.random.default_rng(cfg.seed)
         f = measures.SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
-        trees = dyadic_mod.weighted_trees(density, f, masses, quad)
+        avgs = dyadic_mod.tree_averages(density, f, masses, quad)
     with dirichlet_mod.timed(timings, "embedding-constant"):
-        exact = dyadic_mod.radial_mass_trees(w, depth) if w.is_radial_power else masses
+        exact = measures.box_mass_trees(w, depth) if w.is_radial_power else masses
         emb = dyadic_mod.carleson_embedding_constant(w, econf.t, exact)
         stages = [stage("embedding-constant", None,
                         {"c1_hat": emb.c1_hat, "tail_estimate": emb.tail_estimate},
                         {"worst_box": repr(emb.worst_box), "quad_depth": quad.depth,
                          "cells": quad.n_cells, "depth": depth})]
     with dirichlet_mod.timed(timings, "weak-norm"):
-        weak = dyadic_mod.weak_type_norm(econf.t, f, trees)
+        weak = dyadic_mod.weak_type_norm(econf.t, f, avgs, masses)
         stages.append(stage("weak-norm", None, {"weak_type_norm": weak}))
     with dirichlet_mod.timed(timings, "strong-ratio"):
-        strong = dyadic_mod.strong_embedding_check(econf, f, density, trees, quad)
+        strong = dyadic_mod.strong_embedding_check(econf, f, density, avgs, masses, quad)
         stages.append(stage("strong-ratio", None, {"strong_ratio": strong}))
-        del quad, density, masses, f, trees, exact
+        del quad, density, masses, f, avgs, exact
     return stages
 
 

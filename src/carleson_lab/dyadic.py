@@ -8,13 +8,15 @@ nonnegative functions.  It counts a quadrature cell in a box when the box
 contains the cell's center, on both grids, so its matrix is symmetric.
 Tree mappings send a function to its weighted box averages; their strong
 and weak norms against the box-mass measure ``mass(Q)**t`` are what the
-embedding results control.  The embedding constant and both tree norms
-are functionals of one shared weighted tree per grid: the box masses of
-a cell density evaluated once, and the averages of ``f`` against it.
-Box masses and averages are integrals: they count a shifted-grid
-boundary cell by its covered fraction (:func:`box_level_sums`).  The
-two-weight norm check measures the ``L^p(mu) -> L^q(nu)`` norms of the
-kernel and model operators, for every ``(p, q)``, with one power method.
+embedding results control.  A tree is the shape the box testers read:
+a dict from each grid to its per-level arrays, ``tree[grid][j][m]`` at
+the level-j, position-m box.  The embedding constant and both tree norms
+read two such trees, the box masses of a cell density evaluated once and
+the averages of ``f`` against it.  Box masses and averages are
+integrals: they count a shifted-grid boundary cell by its covered
+fraction (:func:`box_level_sums`).  The two-weight norm check measures
+the ``L^p(mu) -> L^q(nu)`` norms of the kernel and model operators, for
+every ``(p, q)``, with one power method.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .measures import (
     SampledFunction,
     Weight,
     box_level_sums,
-    box_mass_levels,
     box_mass_trees,
     build_quadrature,
     dual_weight,
@@ -79,18 +80,6 @@ class ExponentConfig:
     @property
     def t(self) -> float:
         return self.q / self.p
-
-
-@dataclass(frozen=True)
-class TreeFunction:
-    """Values attached to every box of one grid up to a depth."""
-
-    grid: float
-    depth: int
-    levels: tuple[np.ndarray, ...]
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate(self.levels)
 
 
 def dyadic_apply(
@@ -197,43 +186,28 @@ def domination_check(
 # ---------------------------------------------------------------------------
 
 
-def cell_mass_trees(density: np.ndarray, depth: int, quad: DiskQuadrature) -> tuple:
-    """Box masses of a cell density on each grid up to ``depth``: one
-    :class:`TreeFunction` per grid, from one cell sum per grid."""
-    values = density * quad.area
-    return tuple(
-        TreeFunction(g, depth, tuple(box_level_sums(quad, values, g, depth))) for g in GRIDS
-    )
-
-
-def radial_mass_trees(w: Weight, depth: int) -> tuple:
-    """Closed-form box masses of a radial-power weight on each grid."""
-    return tuple(TreeFunction(g, depth, tuple(box_mass_levels(w, None, g, depth))) for g in GRIDS)
-
-
 def tree_averages(
-    density: np.ndarray, f: SampledFunction, masses: TreeFunction, quad: DiskQuadrature
-) -> TreeFunction:
-    """Weighted box averages of ``f`` on the grid and depth of ``masses``.
+    density: np.ndarray, f: SampledFunction, masses: dict, quad: DiskQuadrature
+) -> dict:
+    """Weighted box averages of ``f`` on the grids and depth of ``masses``.
 
-    ``levels[j][m]`` is the integral of ``f`` against the cell ``density``
-    over the level-j, position-m box, divided by its mass.  Given the masses
-    of the same density, a constant function averages to exactly 1.
+    ``avgs[grid][j][m]`` is the integral of ``f`` against the cell
+    ``density`` over the level-j, position-m box, divided by its mass.
+    Given the masses of the same density, a constant function averages to
+    exactly 1.  Each grid's integrals are dropped before the next grid's
+    are summed, so the peak holds one grid's integrals, not two.
     """
     values = np.asarray(f.values) * density
     values *= quad.area  # in place: the same left-to-right product, one array fewer
-    integrals = box_level_sums(quad, values, masses.grid, masses.depth)
-    avgs = []
-    for j, (mass_j, int_j) in enumerate(zip(masses.levels, integrals)):
-        if np.any(mass_j <= 0.0):
-            raise DegenerateWeightError(f"zero-mass box at level {j}")
-        avgs.append(int_j / mass_j)
-    return TreeFunction(masses.grid, masses.depth, tuple(avgs))
-
-
-def weighted_trees(density: np.ndarray, f: SampledFunction, masses: tuple, quad) -> list:
-    """The weighted tree of ``f`` on each grid: ``(averages, masses)`` pairs."""
-    return [(tree_averages(density, f, m, quad), m) for m in masses]
+    avgs = {}
+    for grid, levels in masses.items():
+        integrals = box_level_sums(quad, values, grid, len(levels) - 1)
+        for j, mass_j in enumerate(levels):
+            if np.any(mass_j <= 0.0):
+                raise DegenerateWeightError(f"zero-mass box at grid {grid}, level {j}")
+        avgs[grid] = [int_j / mass_j for int_j, mass_j in zip(integrals, levels)]
+        del integrals
+    return avgs
 
 
 @dataclass(frozen=True)
@@ -243,16 +217,15 @@ class EmbeddingReport:
     t: float
     depth: int
     tail_estimate: float
-    per_grid: dict
 
 
 def carleson_embedding_constant(
-    w: Weight, t: float, masses: tuple, k_max_level: int | None = None
+    w: Weight, t: float, masses: dict, k_max_level: int | None = None
 ) -> EmbeddingReport:
     """Largest ratio ``sum over boxes inside Q_K of mass**t / mass(Q_K)**t``.
 
-    ``masses`` holds the box masses of ``w`` on each grid
-    (:func:`radial_mass_trees` or :func:`cell_mass_trees`).  Box sums run
+    ``masses`` holds the box masses of ``w`` on each grid swept, keyed by
+    grid (:func:`box_mass_trees` or :func:`cell_trees`).  Box sums run
     over their levels, up to ``depth``; outer boxes ``Q_K`` run over
     levels up to ``k_max_level`` (default ``depth // 2``).  A geometric
     tail estimate for the truncated inner sum is reported alongside.
@@ -261,30 +234,28 @@ def carleson_embedding_constant(
         raise ConfigError(f"t must be >= 1, got {t}")
     if not w.finite:
         raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
-    depth = masses[0].depth
+    depth = len(next(iter(masses.values()))) - 1
     k_cap = depth // 2 if k_max_level is None else k_max_level
 
     best = -math.inf
     worst = DyadicIndex(GRIDS[0], 0, 0)
     tail = 0.0
-    per_grid = {}
-    for tree in masses:
-        grid = tree.grid
-        if any(np.any(m <= 0.0) for m in tree.levels):
-            raise DegenerateWeightError("zero-mass dyadic box")
-        powered = [m**t for m in tree.levels]
+    for grid, levels in masses.items():
+        for j, m in enumerate(levels):
+            if np.any(m <= 0.0):
+                raise DegenerateWeightError(f"zero-mass box at grid {grid}, level {j}")
+        powered = [m**t for m in levels]
         # Bottom-up: subtree sums of mass**t.
         subtree = [None] * (depth + 1)
         subtree[depth] = powered[depth].copy()
         for j in range(depth - 1, -1, -1):
             subtree[j] = powered[j] + subtree[j + 1][0::2] + subtree[j + 1][1::2]
-        grid_best, grid_worst = -math.inf, DyadicIndex(grid, 0, 0)
         for k in range(min(k_cap, depth) + 1):
             ratios = subtree[k] / powered[k]
             m = int(np.argmax(ratios))
-            if ratios[m] > grid_best:
-                grid_best = float(ratios[m])
-                grid_worst = DyadicIndex(grid, k, m)
+            if ratios[m] > best:
+                best = float(ratios[m])
+                worst = DyadicIndex(grid, k, m)
         last_term = float(np.sum(powered[depth]) / powered[0][0])
         prev = float(np.sum(powered[depth - 1]) / powered[0][0]) if depth >= 1 else 0.0
         ratio_step = last_term / prev if prev > 0 else 0.0
@@ -292,24 +263,15 @@ def carleson_embedding_constant(
         # missing levels contribute about last * rho / (1 - rho).
         rho = min(ratio_step, 0.99)
         tail = max(tail, last_term * rho / (1.0 - rho) if rho < 1.0 else math.inf)
-        per_grid[grid] = grid_best
-        if grid_best > best:
-            best = grid_best
-            worst = grid_worst
-    return EmbeddingReport(
-        c1_hat=float(best),
-        worst_box=worst,
-        t=t,
-        depth=depth,
-        tail_estimate=float(tail),
-        per_grid=per_grid,
-    )
+    return EmbeddingReport(float(best), worst, t, depth, float(tail))
 
 
-def weak_type_norm(t: float, f: SampledFunction, trees: list, per_grid: bool = False):
-    """Weak norm of the tree of box averages against ``mass**t``.
+def weak_type_norm(t: float, f: SampledFunction, avgs: dict, masses: dict) -> float:
+    """Weak norm of the tree of box averages against ``mass**t``, the
+    largest over the grids of ``avgs``.
 
-    ``trees`` holds one ``(averages, masses)`` pair of ``f`` per grid.
+    ``avgs`` holds the box averages of ``f`` on each grid and ``masses``
+    the box masses they were taken against (:func:`tree_averages`).
     Computes ``sup over lambda of lambda * (sum of mass(Q)**t over boxes
     with average > lambda)**(1/t)``; the supremum over the attained
     averages is taken as the left limit at each level set.  Boxes are sorted
@@ -318,49 +280,46 @@ def weak_type_norm(t: float, f: SampledFunction, trees: list, per_grid: bool = F
     """
     if np.any(np.real(f.values) < 0):
         raise ValueError("weak-type norm expects a nonnegative function")
-    results = {}
-    for avgs, masses in trees:
-        e = np.real(avgs.flat())
+    results = []
+    for grid, levels in avgs.items():
+        e = np.real(np.concatenate(levels))
         order = np.argsort(-e)
         e = e[order]
         positive = np.count_nonzero(e > 0)
-        buf = masses.flat()[order[:positive]]
+        buf = np.concatenate(masses[grid])[order[:positive]]
         buf **= t
         np.cumsum(buf, out=buf)
         buf **= 1.0 / t
         buf *= e[:positive]
-        results[avgs.grid] = float(np.max(buf, initial=0.0))  # 0 when no average is positive
-    if per_grid:
-        return results
-    return max(results.values())
+        results.append(float(np.max(buf, initial=0.0)))  # 0 when no average is positive
+    return max(results)
 
 
 def strong_embedding_check(
-    cfg: ExponentConfig, f: SampledFunction, density: np.ndarray, trees: list,
-    quad: DiskQuadrature, per_grid: bool = False,
-):
-    """Ratio of the tree norm to the weighted input norm.
+    cfg: ExponentConfig, f: SampledFunction, density: np.ndarray, avgs: dict, masses: dict,
+    quad: DiskQuadrature,
+) -> float:
+    """Ratio of the tree norm to the weighted input norm, the largest over
+    the grids of ``avgs``.
 
-    ``trees`` holds one ``(averages, masses)`` pair of ``f`` per grid,
-    taken against the cell ``density``.  Left side: ``(sum over boxes of
-    mass**t * average**q)**(1/q)``; right side: ``(integral of |f|**p
-    against the density)**(1/p)``.  Returns 0 for an identically zero input.
+    ``avgs`` holds the box averages of ``f`` on each grid, taken against
+    the cell ``density``, and ``masses`` their box masses.  Left side:
+    ``(sum over boxes of mass**t * average**q)**(1/q)``; right side:
+    ``(integral of |f|**p against the density)**(1/p)``.  Returns 0 for
+    an identically zero input.
     """
     fv = np.real(np.asarray(f.values))
     if np.any(fv < 0):
         raise ValueError("strong embedding check expects a nonnegative function")
     right = float(np.sum(fv**cfg.p * density * quad.area) ** (1.0 / cfg.p))
     if right == 0.0:
-        return {avgs.grid: 0.0 for avgs, _ in trees} if per_grid else 0.0
-    results = {}
-    for avgs, masses in trees:
-        e = np.real(avgs.flat())
-        m = masses.flat()
-        left = float(np.sum(m**cfg.t * e**cfg.q) ** (1.0 / cfg.q))
-        results[avgs.grid] = left / right
-    if per_grid:
-        return results
-    return max(results.values())
+        return 0.0
+    ratios = []
+    for grid, levels in avgs.items():
+        e = np.real(np.concatenate(levels))
+        m = np.concatenate(masses[grid])
+        ratios.append(float(np.sum(m**cfg.t * e**cfg.q) ** (1.0 / cfg.q)) / right)
+    return max(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +351,11 @@ def two_weight_testing_constant(
     radial, the windows of :func:`window_masses` at levels 1 to ``depth``,
     which replace the worst box only when strictly larger.  The dual weight
     of ``mu`` must have finite mass.  Box masses come from
-    :func:`box_mass_levels`: closed form for a radial-power weight, cell
+    :func:`box_mass_trees`: closed form for a radial-power weight, cell
     sums over ``quad`` (which also caps ``depth``) for any other; trees of
-    ``nu`` from :func:`box_mass_trees`, passed in, set the depth.  The
-    verdict is false when the supremum sits on an arc of the finest length
-    swept, where it has not stopped growing.
+    ``nu``, passed in, set the depth.  The verdict is false when the
+    supremum sits on an arc of the finest length swept, where it has not
+    stopped growing.
     """
     dual = dual_weight(mu, cfg.p)
     if not dual.finite:
@@ -412,11 +371,11 @@ def two_weight_testing_constant(
         area = full_box_area(2.0**-j)
         return m_nu ** (1.0 / cfg.q) * m_du ** (1.0 / cfg.p_prime) / area ** (cfg.alpha / 2.0)
 
+    dual_trees = box_mass_trees(dual, depth, quad)
     best = -math.inf
     worst: DyadicIndex | Arc = DyadicIndex(GRIDS[0], 0, 0)
     for grid in GRIDS:
-        m_nu = trees[grid]
-        m_du = box_mass_levels(dual, quad, grid, depth)
+        m_nu, m_du = trees[grid], dual_trees[grid]
         for j in range(depth + 1):
             vals = quantity(m_nu[j], m_du[j], j)
             k = int(np.argmax(vals))

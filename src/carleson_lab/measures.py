@@ -504,35 +504,34 @@ def box_level_sums(
     return sums  # type: ignore[return-value]
 
 
-def box_mass_levels(
-    w: Weight, quad: DiskQuadrature | None, grid: float, depth: int
-) -> list[np.ndarray]:
-    """Masses of every grid box up to ``depth`` under the weight: the
-    closed form for radial-power weights, cell sums over ``quad`` otherwise.
-    No quadrature bounds a radial weight's depth, so the cell cap does."""
+def cell_trees(values: np.ndarray, depth: int, quad: DiskQuadrature) -> dict:
+    """The box sums of the cell ``values`` on both grids up to ``depth``:
+    the tree of each grid, keyed by grid, as its per-level arrays."""
+    return {grid: box_level_sums(quad, values, grid, depth) for grid in GRIDS}
+
+
+def box_mass_trees(w: Weight, depth: int, quad: DiskQuadrature | None = None) -> dict:
+    """The box masses of the weight on both grids up to ``depth`` capped by
+    ``quad``'s, keyed by grid: the trees that the box testers share.
+
+    A radial-power weight takes the closed form, one list for both grids;
+    no quadrature bounds its depth, so the cell cap does.  Any other weight
+    sums its cell masses over ``quad`` (:func:`cell_trees`)."""
+    if not w.finite:
+        raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
+    if quad is not None:
+        depth = min(depth, quad.depth)
     if w.is_radial_power:
         if 2**depth > cell_cap():
             raise MemoryGuardError(
                 f"box depth {depth} needs 2**{depth} boxes, above the cap {cell_cap()} "
                 f"(set {MAX_CELLS_ENV} to raise it)"
             )
-        return [
-            np.full(2**j, 2.0**-j * w.outer_radial_mass(2.0**-j))
-            for j in range(depth + 1)
-        ]
+        levels = [np.full(2**j, 2.0**-j * w.outer_radial_mass(2.0**-j)) for j in range(depth + 1)]
+        return dict.fromkeys(GRIDS, levels)
     if quad is None:
         raise ValueError("box masses of a sampled weight need a quadrature")
-    return box_level_sums(quad, w.cell_density(quad) * quad.area, grid, depth)
-
-
-def box_mass_trees(w: Weight, depth: int, quad: DiskQuadrature | None = None) -> dict:
-    """:func:`box_mass_levels` on both grids, keyed by grid, up to ``depth``
-    capped by ``quad``'s: the trees that a weight's box testers share."""
-    if not w.finite:
-        raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
-    if quad is not None:
-        depth = min(depth, quad.depth)
-    return {grid: box_mass_levels(w, quad, grid, depth) for grid in GRIDS}
+    return cell_trees(w.cell_density(quad) * quad.area, depth, quad)
 
 
 def box_mass(w: Weight, box: CarlesonBox, quad: DiskQuadrature | None = None) -> float:

@@ -23,17 +23,21 @@ from carleson_lab.dirichlet import (
 from carleson_lab.dyadic import (
     ExponentConfig,
     carleson_embedding_constant,
-    cell_mass_trees,
     dense_abs_apply,
     domination_check,
     dyadic_apply,
-    radial_mass_trees,
+    tree_averages,
     two_weight_testing_constant,
     weak_type_norm,
-    weighted_trees,
 )
 from carleson_lab.geometry import GRIDS, TAU, mei_cover_batch
-from carleson_lab.measures import SampledFunction, Weight, build_quadrature
+from carleson_lab.measures import (
+    SampledFunction,
+    Weight,
+    box_mass_trees,
+    build_quadrature,
+    cell_trees,
+)
 from carleson_lab.operators import (
     DiscreteMeasure,
     KernelSpec,
@@ -238,7 +242,7 @@ def test_criterion_08_embedding_constant():
     # closed-form oracle: (4 - 4 l / 3) / (2 - l) evaluated at l = 1
     oracle = (4.0 - 4.0 / 3.0) / 1.0
     rep = carleson_embedding_constant(
-        Weight.lebesgue(), 1.0, radial_mass_trees(Weight.lebesgue(), 14)
+        Weight.lebesgue(), 1.0, box_mass_trees(Weight.lebesgue(), 14)
     )
     ok = abs(rep.c1_hat - oracle) <= 0.01 * oracle
     report(
@@ -260,11 +264,11 @@ def test_criterion_09_weak_type_bound():
         (Weight.radial_power(1), 1.0),
     ):
         density = np.real(weight.density(quad.z))
-        masses = cell_mass_trees(density, depth, quad)
+        masses = cell_trees(density * quad.area, depth, quad)
         emb = carleson_embedding_constant(weight, t, masses, k_max_level=depth)
         for _ in range(100):
             f = SampledFunction(quad, rng.uniform(0.0, 2.0, quad.n_cells))
-            weak = weak_type_norm(t, f, weighted_trees(density, f, masses, quad))
+            weak = weak_type_norm(t, f, tree_averages(density, f, masses, quad), masses)
             l1 = float(np.sum(f.values * density * quad.area))
             if weak > emb.c1_hat ** (1.0 / t) * l1 * (1 + 1e-9):
                 violations += 1

@@ -280,10 +280,7 @@ def test_embedding_stages_equal_the_per_stage_computation(tmp_path, sampled, q):
         integrals = measures.box_level_sums(quad, f * density * quad.area, grid, depth)
         return np.concatenate([i / m for i, m in zip(integrals, masses)]), np.concatenate(masses)
 
-    emb = dyadic.carleson_embedding_constant(w, t, tuple(
-        dyadic.TreeFunction(g, depth, tuple(measures.box_mass_levels(w, quad, g, depth)))
-        for g in GRIDS
-    ))
+    emb = dyadic.carleson_embedding_constant(w, t, measures.box_mass_trees(w, depth, quad))
     weak = []
     for g in GRIDS:
         e, m = tree(g)
@@ -361,17 +358,28 @@ def test_box_testers_state_what_they_swept(tmp_path):
     }
 
 
+def count_densities(monkeypatch, depth: int) -> list:
+    """The spec of the weight behind every ``Weight.cell_density`` call on a
+    quadrature of ``depth``, in call order."""
+    specs, density = [], measures.Weight.cell_density
+
+    def counting(self, quad):
+        if quad.depth == depth:
+            specs.append(self.spec)
+        return density(self, quad)
+
+    monkeypatch.setattr(measures.Weight, "cell_density", counting)
+    return specs
+
+
 def test_test_weight_builds_its_box_trees_once(monkeypatch, tmp_path):
-    # Both testers read one tree per grid and report what each reads alone.
+    # Both testers read one tree per grid and report what each reads alone:
+    # one density pass for both grids' trees, one for the windows.
     weight = write_sampled_weight(tmp_path / "w.grid")
     cfg = RunConfig(command="test-weight", weight=weight)
-    grids, levels = [], measures.box_mass_levels
-    monkeypatch.setattr(
-        measures, "box_mass_levels", lambda w, quad, grid, depth: grids.append(grid)
-        or levels(w, quad, grid, depth)
-    )
+    specs = count_densities(monkeypatch, cfg.quad_depth)
     _, rep = run(cfg)
-    assert grids == list(GRIDS)
+    assert specs == [weight] * 2
     monkeypatch.undo()
     w, quad = measures.parse_weight(weight), build_quadrature(cfg.quad_depth)
     rev = measures.reverse_doubling_report(w, depth=cfg.depth, quad=quad)
@@ -385,20 +393,14 @@ def test_test_weight_builds_its_box_trees_once(monkeypatch, tmp_path):
 
 def test_certify_builds_its_box_trees_once(monkeypatch, tmp_path):
     # Reverse doubling and the testing constant read one tree per grid of the
-    # weight, and report what each reads alone.
+    # weight, and report what each reads alone.  Depth-10 density passes of
+    # the weight: the disk mass, both grids' trees, each tester's windows,
+    # the norm check (which reads Lebesgue's too) and the Carleson constant.
     weight = write_sampled_weight(tmp_path / "w.grid")
     cfg = RunConfig(command="certify", weight=weight)
-    grids, levels = [], measures.box_mass_levels
-
-    def counted(w, quad, grid, depth):
-        if w.spec == weight:
-            grids.append(grid)
-        return levels(w, quad, grid, depth)
-
-    for module in (measures, dyadic):
-        monkeypatch.setattr(module, "box_mass_levels", counted)
+    specs = count_densities(monkeypatch, 10)
     _, rep = run(cfg)
-    assert grids == list(GRIDS)
+    assert specs == [weight] * 5 + ["lebesgue", weight]
     monkeypatch.undo()
     w, quad = measures.parse_weight(weight), build_quadrature(min(cfg.depth, 10))
     rev = measures.reverse_doubling_report(w, depth=cfg.depth, quad=quad)
@@ -407,6 +409,19 @@ def test_certify_builds_its_box_trees_once(monkeypatch, tmp_path):
     stages = {s["name"]: (s["verdict"], s["constants"], s["witness"]) for s in rep.stages}
     assert stages["reverse-doubling"] == dirichlet.reverse_doubling_stage(rev)
     assert stages["testing-constant"] == dirichlet.testing_constant_stage(test)
+
+
+@pytest.mark.parametrize("sampled_mu", [False, True], ids=["lebesgue", "grid"])
+def test_two_weight_builds_each_weights_box_trees_once(monkeypatch, tmp_path, sampled_mu):
+    # One density pass for both grids' trees of nu, and of mu's dual when
+    # sampled; one for the windows of each; then the norm check's nu and mu.
+    weight = write_sampled_weight(tmp_path / "w.grid")
+    mu = weight if sampled_mu else "lebesgue"
+    specs = count_densities(monkeypatch, 10)
+    code, _ = run(RunConfig(command="two-weight", nu=weight, mu=mu))
+    assert code == 0
+    swept = [weight, f"dual({weight},p=2.0)"] if sampled_mu else [weight]
+    assert specs == swept * 2 + [weight, mu]
 
 
 def test_embedding_peak_traced_memory_stays_small(tmp_path):
@@ -722,6 +737,23 @@ def test_malformed_cell_cap_is_usage_error(raw, monkeypatch, capsys):
     assert len(captured.err.splitlines()) == 1 and MAX_CELLS_ENV in captured.err
     with pytest.raises(ConfigError):
         build_quadrature(4)
+
+
+@pytest.mark.parametrize("command", ["embedding", "verify-lemma"])
+def test_zero_mass_tree_box_names_its_grid_and_level(command, tmp_path):
+    # A weight that is 0 over the angles [0, pi/4): the plain grid's level-3
+    # box there weighs 0, in the tree averages and in the embedding constant.
+    theta = (np.arange(16) + 0.5) * (2.0 * np.pi / 16)
+    path = tmp_path / "v.grid"
+    with open(path, "w") as fh:
+        fh.write(f"1 {theta.size}\n")
+        np.savetxt(fh, np.column_stack([np.full(theta.size, 0.5), theta, theta > np.pi / 4]))
+    cfg = small_cfg(command=command, lemma="weak-type", weight=f"grid:{path}", depth=8, quad_depth=8)
+    code, rep = run(cfg)
+    assert code == 1
+    assert rep.stages[0]["witness"] == {
+        "error": "DegenerateWeightError: zero-mass box at grid 0.0, level 3"
+    }
 
 
 def test_well_formed_cell_cap_is_applied(monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,17 +8,14 @@ import pytest
 from carleson_lab.dyadic import (
     ExponentConfig,
     carleson_embedding_constant,
-    cell_mass_trees,
     dense_abs_apply,
     domination_check,
     dyadic_apply,
-    radial_mass_trees,
     strong_embedding_check,
     tree_averages,
     two_weight_norm_check,
     two_weight_testing_constant,
     weak_type_norm,
-    weighted_trees,
 )
 from carleson_lab.errors import (
     ConfigError,
@@ -34,12 +33,13 @@ from carleson_lab.geometry import (
     full_box_area,
 )
 from carleson_lab import dirichlet, dyadic
-from carleson_lab.dyadic import TreeFunction
 from carleson_lab.measures import (
     SampledFunction,
     Weight,
     box_level_sums,
+    box_mass_trees,
     build_quadrature,
+    cell_trees,
     reverse_doubling_report,
 )
 from carleson_lab.operators import KernelSpec, NormEstimate, eval_kernel, power_norm
@@ -65,22 +65,23 @@ def dyadic_kernel_matrix(grid: float, alpha: float, quad, depth: int) -> np.ndar
 
 def closed_form_constant(w, t: float, depth: int, **kwargs):
     """Embedding constant of a radial-power weight from its exact masses."""
-    return carleson_embedding_constant(w, t, radial_mass_trees(w, depth), **kwargs)
+    return carleson_embedding_constant(w, t, box_mass_trees(w, depth), **kwargs)
 
 
-def density_and_trees(w, f, depth: int, quad):
-    """The cell density of ``w`` and the weighted trees of ``f`` under it."""
+def density_and_trees(w, f, depth: int, quad, grids=GRIDS):
+    """The cell density of ``w``, the box averages of ``f`` under it and
+    the box masses behind them, on ``grids``."""
     density = np.real(w.density(quad.z))
-    return density, weighted_trees(density, f, cell_mass_trees(density, depth, quad), quad)
+    masses = {g: box_level_sums(quad, density * quad.area, g, depth) for g in grids}
+    return density, tree_averages(density, f, masses, quad), masses
 
 
-def weak_norm(w, t: float, f, depth: int, quad, **kwargs):
-    return weak_type_norm(t, f, density_and_trees(w, f, depth, quad)[1], **kwargs)
+def weak_norm(w, t: float, f, depth: int, quad, grids=GRIDS):
+    return weak_type_norm(t, f, *density_and_trees(w, f, depth, quad, grids)[1:])
 
 
-def strong_ratio(w, cfg, f, depth: int, quad, **kwargs):
-    density, trees = density_and_trees(w, f, depth, quad)
-    return strong_embedding_check(cfg, f, density, trees, quad, **kwargs)
+def strong_ratio(w, cfg, f, depth: int, quad, grids=GRIDS):
+    return strong_embedding_check(cfg, f, *density_and_trees(w, f, depth, quad, grids), quad)
 
 
 def lebesgue_box_sum(depth: int) -> float:
@@ -271,11 +272,9 @@ def test_dyadic_kernel_matrix_matches_apply(grid):
 
 
 def box_average(w, f, index, quad) -> float:
-    """Weighted average of ``f`` over one box, read off the weighted tree."""
-    density = np.real(w.density(quad.z))
-    masses = cell_mass_trees(density, index.level, quad)[GRIDS.index(index.grid)]
-    avgs = tree_averages(density, f, masses, quad)
-    return float(np.real(avgs.levels[index.level][index.position]))
+    """Weighted average of ``f`` over one box, read off its grid's tree."""
+    avgs = density_and_trees(w, f, index.level, quad, (index.grid,))[1]
+    return float(np.real(avgs[index.grid][index.level][index.position]))
 
 
 def test_expectation_of_constant_is_one():
@@ -369,7 +368,7 @@ def test_embedding_sampled_weight_matches_radial_fast_path():
     r = np.linspace(0.005, 0.995, 400)
     theta = np.linspace(0.0, TAU, 64, endpoint=False)
     w = Weight.from_grid(r, theta, np.ones((400, 64)))
-    masses = cell_mass_trees(np.real(w.density(quad.z)), 8, quad)
+    masses = cell_trees(np.real(w.density(quad.z)) * quad.area, 8, quad)
     got = carleson_embedding_constant(w, 1.0, masses).c1_hat
     exact = closed_form_constant(Weight.lebesgue(), 1.0, 8).c1_hat
     assert got == pytest.approx(exact, rel=1e-6)
@@ -404,7 +403,7 @@ def test_weak_norm_leaf_indicator_chain():
     depth = 6
     leaf = DyadicIndex(GRID_PLAIN, depth, 3)
     f = SampledFunction(quad, CarlesonBox(leaf.arc).contains(quad.z).astype(float))
-    got = weak_norm(Weight.lebesgue(), 1.0, f, depth, quad, per_grid=True)
+    got = weak_norm(Weight.lebesgue(), 1.0, f, depth, quad, (GRID_PLAIN,))
     # enumeration over the ancestor chain: E_Q = area(leaf)/area(Q) on
     # ancestors (including the part below depth), mass-weighted prefix sums
     leaf_area = full_box_area(leaf.length)
@@ -421,7 +420,7 @@ def test_weak_norm_leaf_indicator_chain():
     masses = np.array([c[1] for c in chain])
     order = np.argsort(-expectations)
     best = float(np.max(expectations[order] * np.cumsum(masses[order])))
-    assert got[GRID_PLAIN] == pytest.approx(best, rel=1e-9)
+    assert got == pytest.approx(best, rel=1e-9)
 
 
 def test_weak_norm_rejects_negative():
@@ -431,11 +430,11 @@ def test_weak_norm_rejects_negative():
         weak_norm(Weight.lebesgue(), 1.0, f, 5, quad)
 
 
-def brute_weak_norm(t: float, avgs: TreeFunction, masses: TreeFunction) -> float:
-    """``sup over lambda`` level set by level set: just below each positive
-    attained average ``a``, the boxes above the level are those with
-    average at least ``a``."""
-    e, m = avgs.flat(), masses.flat()
+def brute_weak_norm(t: float, avgs: list, masses: list) -> float:
+    """``sup over lambda`` level set by level set on one grid's levels: just
+    below each positive attained average ``a``, the boxes above the level
+    are those with average at least ``a``."""
+    e, m = np.concatenate(avgs), np.concatenate(masses)
     return max([a * float(np.sum(m[e >= a] ** t)) ** (1.0 / t) for a in set(e[e > 0])], default=0.0)
 
 
@@ -446,18 +445,19 @@ def test_weak_norm_equals_the_sup_over_level_sets(t):
     depth = 5
     quad = build_quadrature(depth)
     f = SampledFunction(quad, np.zeros(quad.n_cells))
-    trees, want = [], {}
+    avgs, masses = {}, {}
     for g in GRIDS:
-        avgs = TreeFunction(g, depth, tuple(rng.choice([0.0, 0.5, 1.0, 2.0], 2**j) for j in range(depth + 1)))
-        masses = TreeFunction(g, depth, tuple(rng.uniform(0.1, 1.0, 2**j) * 2.0**-j for j in range(depth + 1)))
-        trees.append((avgs, masses))
-        want[g] = brute_weak_norm(t, avgs, masses)
-    got = weak_type_norm(t, f, trees, per_grid=True)
-    assert got == pytest.approx(want, rel=1e-13)
+        avgs[g] = [rng.choice([0.0, 0.5, 1.0, 2.0], 2**j) for j in range(depth + 1)]
+        masses[g] = [rng.uniform(0.1, 1.0, 2**j) * 2.0**-j for j in range(depth + 1)]
+    # One grid's figure from a one-grid tree; both grids' is the larger.
+    got = {g: weak_type_norm(t, f, {g: avgs[g]}, {g: masses[g]}) for g in GRIDS}
+    for g in GRIDS:
+        assert got[g] == pytest.approx(brute_weak_norm(t, avgs[g], masses[g]), rel=1e-13)
+    assert weak_type_norm(t, f, avgs, masses) == max(got.values())
     # An all-zero f averages to zero on every box: no level set is above 0.
-    zero_trees = weighted_trees(np.ones(quad.n_cells), f, [m for _, m in trees], quad)
-    assert weak_type_norm(t, f, zero_trees, per_grid=True) == {g: 0.0 for g in GRIDS}
-    assert all(brute_weak_norm(t, a, m) == 0.0 for a, m in zero_trees)
+    zero = tree_averages(np.ones(quad.n_cells), f, masses, quad)
+    assert all(weak_type_norm(t, f, {g: zero[g]}, masses) == 0.0 for g in GRIDS)
+    assert all(brute_weak_norm(t, zero[g], masses[g]) == 0.0 for g in GRIDS)
 
 
 @pytest.mark.parametrize(
@@ -468,12 +468,12 @@ def test_weak_norm_bounded_by_embedding_times_l1(weight, t):
     quad = build_quadrature(9)
     depth = 9
     density = np.real(weight.density(quad.z))
-    masses = cell_mass_trees(density, depth, quad)
+    masses = cell_trees(density * quad.area, depth, quad)
     emb = carleson_embedding_constant(weight, t, masses, k_max_level=depth)
     rng = np.random.default_rng(SEED)
     for _ in range(30):
         f = SampledFunction(quad, rng.uniform(0.0, 2.0, quad.n_cells))
-        weak = weak_type_norm(t, f, weighted_trees(density, f, masses, quad))
+        weak = weak_type_norm(t, f, tree_averages(density, f, masses, quad), masses)
         l1 = float(np.sum(f.values * density * quad.area))
         assert weak <= emb.c1_hat ** (1.0 / t) * l1 * (1 + 1e-9)
 
@@ -486,12 +486,12 @@ def test_embedding_chain_on_a_grid_weight_builds_no_cell_arrays():
     depth = 8
     quad = build_quadrature(depth)
     density = w.cell_density(quad)
-    masses = cell_mass_trees(density, depth, quad)
+    masses = cell_trees(density * quad.area, depth, quad)
     f = SampledFunction(quad, np.random.default_rng(SEED).uniform(0.0, 1.0, quad.n_cells))
-    trees = weighted_trees(density, f, masses, quad)
+    avgs = tree_averages(density, f, masses, quad)
     carleson_embedding_constant(w, 1.0, masses)
-    weak_type_norm(1.0, f, trees)
-    strong_embedding_check(ExponentConfig(2.0, 2.0, 1.0), f, density, trees, quad)
+    weak_type_norm(1.0, f, avgs, masses)
+    strong_embedding_check(ExponentConfig(2.0, 2.0, 1.0), f, density, avgs, masses, quad)
     assert not {"z", "r", "theta", "stratum"} & vars(quad).keys()
 
 
@@ -549,13 +549,63 @@ def test_tree_averages_evaluate_the_density_once(monkeypatch):
 
     monkeypatch.setattr(Weight, "density", counting)
     density = np.real(w.density(quad.z))
-    masses = cell_mass_trees(density, 7, quad)[GRIDS.index(GRID_THIRD)]
+    masses = cell_trees(density * quad.area, 7, quad)
     avgs = tree_averages(density, SampledFunction.constant(quad), masses, quad)
     assert calls == [quad.n_cells]
-    assert avgs.grid == masses.grid == GRID_THIRD
-    for got, want in zip(masses.levels, expected_masses):
+    assert list(avgs) == list(masses) == list(GRIDS)
+    for got, want in zip(masses[GRID_THIRD], expected_masses, strict=True):
         np.testing.assert_array_equal(got, want)
-    np.testing.assert_allclose(avgs.flat(), 1.0, rtol=1e-12)
+    for grid in GRIDS:
+        np.testing.assert_allclose(np.concatenate(avgs[grid]), 1.0, rtol=1e-12)
+
+
+def test_tree_averages_drop_each_grids_integrals():
+    # Both grids' averages at the peak of two one-grid calls, with the first
+    # call's result kept: holding grid 0's integrals while grid 1's are
+    # summed would add one tree, 0.25 MiB at depth 14.
+    quad = build_quadrature(14)
+    r = np.linspace(0.05, 0.95, 12)
+    theta = (np.arange(16) + 0.5) * (TAU / 16)
+    w = Weight.from_grid(r, theta, 1.0 + np.outer(r, np.cos(theta)))
+    density = w.cell_density(quad)
+    masses = cell_trees(density * quad.area, 14, quad)
+    f = SampledFunction(quad, np.random.default_rng(SEED).uniform(0.0, 1.0, quad.n_cells))
+    tree_bytes = sum(m.nbytes for m in masses[GRID_PLAIN])
+    g0, g1 = GRIDS
+    tracemalloc.start()
+    try:
+        first = tree_averages(density, f, {g0: masses[g0]}, quad)
+        tracemalloc.reset_peak()
+        tree_averages(density, f, {g1: masses[g1]}, quad)
+        one_grid_peak = tracemalloc.get_traced_memory()[1]
+        del first
+        tracemalloc.clear_traces()
+        tree_averages(density, f, masses, quad)
+        two_grid_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert two_grid_peak <= one_grid_peak + tree_bytes // 4
+
+
+def vanishing_weight() -> Weight:
+    """1 on the unit disk but 0 over the angles ``[0, pi/4)``."""
+    theta = (np.arange(16) + 0.5) * (TAU / 16)
+    return Weight.from_grid([0.5], theta, (theta > TAU / 8).astype(float)[None, :])
+
+
+@pytest.mark.parametrize("grid,level", [(GRID_PLAIN, 3), (GRID_THIRD, 4)])
+def test_zero_mass_tree_box_names_its_grid_and_level(grid, level):
+    # The plain grid's level-3 box over [0, pi/4) weighs 0; the third grid's
+    # first box inside that arc is at level 4.
+    quad = build_quadrature(6)
+    w = vanishing_weight()
+    density = w.cell_density(quad)
+    masses = {grid: box_level_sums(quad, density * quad.area, grid, 6)}
+    message = re.escape(f"zero-mass box at grid {grid}, level {level}")
+    with pytest.raises(DegenerateWeightError, match=message):
+        tree_averages(density, SampledFunction.constant(quad), masses, quad)
+    with pytest.raises(DegenerateWeightError, match=message):
+        carleson_embedding_constant(w, 1.0, masses)
 
 
 def test_strong_ratio_matches_t1_specialization():
@@ -566,13 +616,12 @@ def test_strong_ratio_matches_t1_specialization():
     f = SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
     cfg = ExponentConfig(2.0, 2.0, 1.0)
     w = Weight.radial_power(1)
-    density, trees = density_and_trees(w, f, 8, quad)
-    got = strong_embedding_check(cfg, f, density, trees, quad, per_grid=True)
-    assert set(got) == set(GRIDS)
-    for avgs, masses in trees:
-        grid = avgs.grid
+    got = {grid: strong_ratio(w, cfg, f, 8, quad, (grid,)) for grid in GRIDS}
+    assert strong_ratio(w, cfg, f, 8, quad) == max(got.values())
+    _, avgs, masses = density_and_trees(w, f, 8, quad)
+    for grid in GRIDS:
         left = math.sqrt(
-            float(np.sum(masses.flat() * np.real(avgs.flat()) ** 2))
+            float(np.sum(np.concatenate(masses[grid]) * np.real(np.concatenate(avgs[grid])) ** 2))
         )
         right = math.sqrt(
             float(np.sum(np.real(f.values) ** 2 * np.real(w.density(quad.z)) * quad.area))

@@ -31,7 +31,7 @@ from carleson_lab.measures import (
     Weight,
     box_level_sums,
     box_mass,
-    box_mass_levels,
+    box_mass_trees,
     build_quadrature,
     doubling_report,
     dual_weight,
@@ -333,6 +333,19 @@ def test_radial_power_box_masses_beta_integrals():
             assert got == pytest.approx(oracle(a, length), rel=1e-8)
 
 
+def test_radial_box_mass_trees_are_one_closed_form_for_both_grids():
+    # A radial weight is rotation invariant: both grids read one list, each
+    # level-j box weighing 2**-j times the outer annulus of width 2**-j.
+    w = Weight.radial_power(1)
+    trees = box_mass_trees(w, 8, build_quadrature(6))
+    assert list(trees) == list(GRIDS)
+    assert trees[GRID_PLAIN] is trees[GRID_THIRD]
+    assert len(trees[GRID_PLAIN]) == 7  # the quadrature caps the depth
+    for j, level in enumerate(trees[GRID_PLAIN]):
+        np.testing.assert_array_equal(level, np.full(2**j, 2.0**-j * w.outer_radial_mass(2.0**-j)))
+        assert level[0] == box_mass(w, CarlesonBox(DyadicIndex(GRID_THIRD, j, 0).arc))
+
+
 def test_quadrature_path_matches_closed_form():
     # A product with a constant grid weight takes the quadrature path.
     quad = build_quadrature(12)
@@ -370,8 +383,9 @@ def test_mass_additivity_closed_form():
 def test_mass_additivity_sampled():
     w = thin_shell_weight(floor=0.3)
     quad = build_quadrature(9)
+    trees = box_mass_trees(w, 6, quad)
     for grid in GRIDS:
-        levels = box_mass_levels(w, quad, grid, 6)
+        levels = trees[grid]
         for j in range(6):
             children = levels[j + 1][0::2] + levels[j + 1][1::2]
             top = np.array(
@@ -457,11 +471,11 @@ def test_reverse_doubling_fails_for_thin_shell():
     assert not rep.verdict
 
 
-def test_reverse_doubling_sweeps_the_whole_circle_box_once(monkeypatch):
+def test_reverse_doubling_sweeps_the_whole_circle_box_once():
     # Level 0 is the whole circle on both grids.  Box masses with ratio
     # 0.9 at level 0 and 0.5 below, the one-third grid's level 0 one ulp
     # lighter: the worst arc must still be the plain grid's.
-    def fake_levels(w, quad, grid, depth):
+    def fake_levels(grid, depth):
         masses = [np.array([1.0]), np.array([0.45, 0.45])]
         for j in range(2, depth + 1):
             masses.append(np.repeat(masses[-1] / 4.0, 2))
@@ -469,11 +483,11 @@ def test_reverse_doubling_sweeps_the_whole_circle_box_once(monkeypatch):
             masses[0] = np.nextafter(masses[0], 0.0)
         return masses
 
-    third = fake_levels(None, None, GRID_THIRD, 1)
+    third = fake_levels(GRID_THIRD, 1)
     assert (third[1].sum() / third[0])[0] > 0.9
-    monkeypatch.setattr(measures, "box_mass_levels", fake_levels)
+    trees = {grid: fake_levels(grid, 4) for grid in GRIDS}
     w = Weight.from_grid(np.linspace(0.05, 0.95, 10), np.linspace(0.3, 6.0, 8), np.ones((10, 8)))
-    rep = reverse_doubling_report(w, depth=4, quad=build_quadrature(6))
+    rep = reverse_doubling_report(w, quad=build_quadrature(6), trees=trees)
     assert rep.delta_hat == 0.9
     assert rep.worst_arc.start == 0.0 and rep.worst_arc.length == 1.0
 
@@ -638,16 +652,16 @@ def test_radial_box_levels_respect_the_cell_cap(monkeypatch):
     # finest level count against the cell cap.
     monkeypatch.setenv(measures.MAX_CELLS_ENV, "1024")
     w = Weight.radial_power(1)
-    assert box_mass_levels(w, None, GRID_PLAIN, 10)[10].size == 1024
+    assert box_mass_trees(w, 10)[GRID_PLAIN][10].size == 1024
     with pytest.raises(MemoryGuardError):
-        box_mass_levels(w, None, GRID_PLAIN, 11)
+        box_mass_trees(w, 11)
     with pytest.raises(MemoryGuardError):
         reverse_doubling_report(w, depth=11)
 
 
-def test_box_mass_levels_of_a_sampled_weight_need_a_quadrature():
+def test_box_mass_trees_of_a_sampled_weight_need_a_quadrature():
     with pytest.raises(ValueError):
-        box_mass_levels(thin_shell_weight(), None, GRID_PLAIN, 4)
+        box_mass_trees(thin_shell_weight(), 4)
 
 
 def test_sampled_function_shape_check():
@@ -797,7 +811,7 @@ def test_windows_match_an_fsum_oracle(w, data):
 )
 def test_windows_at_grid_starts_are_the_grid_boxes(quad):
     w = thin_shell_weight(floor=0.3)
-    boxes = measures.box_mass_trees(w, quad.depth, quad)
+    boxes = box_mass_trees(w, quad.depth, quad)
     for grid, j, full, top in window_masses(w, quad, quad.depth):
         step = full.size >> j
         np.testing.assert_allclose(full[::step], boxes[grid][j], rtol=1e-15, atol=0.0)
@@ -814,7 +828,7 @@ def test_zero_mass_window_raises():
     values = np.zeros((1, 64))
     values[0, [13, 38]] = 1.0
     w = Weight.from_grid([0.5], theta, values)
-    trees = measures.box_mass_trees(w, 2, ARC_QUAD)
+    trees = box_mass_trees(w, 2, ARC_QUAD)
     assert all(np.all(trees[grid][j] > 0.0) for grid in GRIDS for j in (0, 1))
     with pytest.raises(DegenerateWeightError, match="zero-mass window at grid 0.0, level 1"):
         reverse_doubling_report(w, depth=2, quad=ARC_QUAD)
