@@ -22,6 +22,7 @@ from .dyadic import (
     carleson_embedding_constant,
     domination_check,
     dyadic_apply,
+    dyadic_plan,
     strong_embedding_check,
     tree_averages,
     two_weight_norm_check,

@@ -82,6 +82,47 @@ class ExponentConfig:
         return self.q / self.p
 
 
+def dyadic_plan(grid: float, alpha: float, quad: DiskQuadrature, depth: int):
+    """Plan the dyadic model operator of order ``alpha`` on one grid.
+
+    A cell counts in the boxes that contain its center: the boxes over
+    its angle at every level up to its stratum, capped at ``depth``.  Its
+    deepest box is its index in a flat heap (level ``j``, position ``m``
+    at ``2**j - 1 + m``).  The plan computes that index and the level
+    factors ``area(Q)**(-alpha/2)`` once, raising :class:`ResolutionError`
+    if ``depth`` exceeds the quadrature's, and returns ``values -> values
+    at the cells``: ``values * area`` is scattered to the index, box
+    integrals are added upward by child sums, and the value at a cell is
+    the root-to-leaf prefix sum of ``area(Q)**(-alpha/2) * integral(Q)``,
+    gathered through the same index.  Scatter and gather share the index,
+    so the kernel between cell centers is symmetric.  An apply runs in
+    ``O(cells + boxes)`` and leaves its input unchanged.
+    """
+    if depth > quad.depth:
+        raise ResolutionError(f"depth {depth} exceeds quadrature depth {quad.depth}")
+    level = np.minimum(quad.stratum, depth)
+    turns = np.mod(quad.theta / TAU - grid, 1.0)
+    node = 2**level - 1 + np.minimum((turns * 2.0**level).astype(np.int64), 2**level - 1)
+    n_boxes = 2 ** (depth + 1) - 1
+    factors = [full_box_area(2.0**-j) ** (-alpha / 2.0) for j in range(depth + 1)]
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        weights = values * quad.area
+        tree = np.bincount(node, np.real(weights), n_boxes).astype(weights.dtype)
+        if np.iscomplexobj(weights):
+            tree.imag = np.bincount(node, np.imag(weights), n_boxes)
+        levels = [tree[2**j - 1 : 2 ** (j + 1) - 1] for j in range(depth + 1)]  # views
+        for j in range(depth - 1, -1, -1):
+            levels[j] += levels[j + 1][0::2] + levels[j + 1][1::2]
+        for j in range(depth + 1):
+            levels[j] *= factors[j]
+            if j > 0:
+                levels[j] += np.repeat(levels[j - 1], 2)
+        return tree[node]
+
+    return apply
+
+
 def dyadic_apply(
     grid: float,
     alpha: float,
@@ -89,36 +130,9 @@ def dyadic_apply(
     quad: DiskQuadrature,
     depth: int,
 ) -> SampledFunction:
-    """Apply the dyadic model operator of order ``alpha`` on one grid.
-
-    A cell counts in the boxes that contain its center: the boxes over
-    its angle at every level up to its stratum, capped at ``depth``.  Its
-    deepest box is its index in a flat heap (level ``j``, position ``m``
-    at ``2**j - 1 + m``).  ``f * area`` is scattered to that index, box
-    integrals are added upward by child sums, and the value at a cell is
-    the root-to-leaf prefix sum of ``area(Q)**(-alpha/2) * integral(Q)``,
-    gathered through the same index.  Scatter and gather share the index,
-    so the kernel between cell centers is symmetric.  Runs in
-    ``O(cells + boxes)``.
-    """
-    if depth > quad.depth:
-        raise ResolutionError(f"depth {depth} exceeds quadrature depth {quad.depth}")
-    level = np.minimum(quad.stratum, depth)
-    turns = np.mod(quad.theta / TAU - grid, 1.0)
-    node = 2**level - 1 + np.minimum((turns * 2.0**level).astype(np.int64), 2**level - 1)
-    weights = f.values * quad.area
-    n_boxes = 2 ** (depth + 1) - 1
-    tree = np.bincount(node, np.real(weights), n_boxes).astype(weights.dtype)
-    if np.iscomplexobj(weights):
-        tree.imag = np.bincount(node, np.imag(weights), n_boxes)
-    levels = [tree[2**j - 1 : 2 ** (j + 1) - 1] for j in range(depth + 1)]  # views
-    for j in range(depth - 1, -1, -1):
-        levels[j] += levels[j + 1][0::2] + levels[j + 1][1::2]
-    for j in range(depth + 1):
-        levels[j] *= full_box_area(2.0**-j) ** (-alpha / 2.0)
-        if j > 0:
-            levels[j] += np.repeat(levels[j - 1], 2)
-    return SampledFunction(quad, tree[node])
+    """Apply the dyadic model operator of order ``alpha`` on one grid once,
+    through a fresh :func:`dyadic_plan`."""
+    return SampledFunction(quad, dyadic_plan(grid, alpha, quad, depth)(f.values))
 
 
 def dense_abs_apply(
@@ -402,8 +416,9 @@ class NormCheckLevel:
     depth: int
     cells: int
     # Keyed by operator, "dense" or a grid: the power-method solve behind
-    # each norm, and how it started: "seeded", or "prolonged" from the
-    # previous depth's final iterate.
+    # each norm, and how it started: "seeded" from the generator, "fixed"
+    # (:func:`fixed_start`), or "prolonged" from the previous depth's
+    # final iterate.
     solves: dict
     starts: dict
 
@@ -441,24 +456,40 @@ _NORM_SOLVE = {"tol": 1e-6, "max_iter": 500, "seed": 314159}
 STABILIZE_RTOL = 0.05
 
 
+def fixed_start(n: int) -> np.ndarray:
+    """The norm check's start on ``C^n`` at ``p = q``, the same on every call.
+
+    Entry ``k = 1..n`` is ``frac(k phi) - 1/2 + i (frac(k**2 (sqrt 2 - 1)) - 1/2)``
+    with ``phi`` the golden ratio: nonzero everywhere, and neither constant
+    nor one angular Fourier mode, which would stay in the invariant
+    subspace of a radial problem and could miss its top singular vector.
+    It draws no random numbers.
+    """
+    k = np.arange(1.0, n + 1.0)
+    return np.mod(k * ((1.0 + math.sqrt(5.0)) / 2.0), 1.0) - 0.5 + 1j * (
+        np.mod(k * k * (math.sqrt(2.0) - 1.0), 1.0) - 0.5
+    )
+
+
 def _prolongation(coarse: DiskQuadrature, coarse_root, fine: DiskQuadrature, fine_root):
-    """Map a final iterate on ``coarse`` to a start on ``fine``.
+    """Map a final iterate on ``coarse`` to a start on ``fine`` and its label.
 
     An iterate ``v`` unit in ``l^p`` stands for the function
     ``v / (mu area)**(1/p)``, unit in ``L^p(mu)``; its value is copied to
     every cell whose center the coarse cell holds and weighted back by the
-    fine ``(mu area)**(1/p)`` (``*_root``), zero where mu is.  A start
-    that vanishes everywhere is ``None``: the solve then draws its own.
+    fine ``(mu area)**(1/p)`` (``*_root``), zero where mu is: the start
+    ``(v, "prolonged")``.  A start that would vanish everywhere is
+    ``(fixed_start(n), "fixed")`` instead.
     """
     parent = coarse.parent_index(fine)
 
-    def prolong(est: NormEstimate) -> np.ndarray | None:
+    def prolong(est: NormEstimate) -> tuple[np.ndarray, str]:
         f = np.divide(
             est.vector, coarse_root, out=np.zeros(coarse.n_cells, dtype=complex),
             where=coarse_root > 0,
         )
         v = f[parent] * fine_root
-        return v if np.any(v) else None
+        return (v, "prolonged") if np.any(v) else (fixed_start(fine.n_cells), "fixed")
 
     return prolong
 
@@ -477,9 +508,9 @@ def two_weight_norm_check(
     real blocks stored for one of each Hermitian pair of sublayers instead
     of a dense ``n x n`` matrix: at the deepest default depth, 10, the
     closed-form factors at ``alpha = 1`` take 0.49 MiB and the full table
-    of any other ``alpha`` 8.25 MiB.  The dyadic
-    model operator of each grid acts on the same weighted cell values,
-    divided by the cell areas first.  Cell weights ``(nu area)**(1/q)`` on
+    of any other ``alpha`` 8.25 MiB.  The dyadic model operator of each
+    grid, planned once per depth (:func:`dyadic_plan`), acts on the same
+    weighted cell values, divided by the cell areas first.  Cell weights ``(nu area)**(1/q)`` on
     the left and ``area / (mu area)**(1/p)`` on the right turn each
     operator into a plain matrix whose ``l^p -> l^q`` norm is the one
     sought, and one loop measures every operator with Boyd's power method
@@ -490,11 +521,13 @@ def two_weight_norm_check(
     at ``p = q = 2`` the largest singular value.  For ``p = q`` the
     verdict asks the dense figures of the last two refinements to agree
     within ``STABILIZE_RTOL``; for ``p < q`` it is ``None``, since the
-    ascent may stop at a local maximum there.  At ``p = q`` every depth
-    after the first starts each solve from the previous depth's final
-    iterate, prolonged through :meth:`DiskQuadrature.parent_index` (the
-    function it stands for is copied to the finer cells); the ascent from
-    there reaches the seeded solve's figure in two or three steps.  At
+    ascent may stop at a local maximum there.  At ``p = q`` the first
+    depth starts every solve from :func:`fixed_start`, and every later
+    depth from the previous depth's final iterate, prolonged through
+    :meth:`DiskQuadrature.parent_index` (the function it stands for is
+    copied to the finer cells; a prolonged start that vanishes falls back
+    to the fixed one); the ascent from there reaches the cold solve's
+    figure in two or three steps, and no random number is drawn.  At
     ``p < q`` every solve starts from the seeded draw, since a
     continuation start can settle on a lower local maximum.  Each level's
     ``starts`` names how every solve began.  A weight ``nu`` of infinite
@@ -514,16 +547,19 @@ def two_weight_norm_check(
         inv_area = 1.0 / quad.area
         ops = {"dense": cell_kernel_apply(spec, quad)}
         for g in GRIDS:
-            ops[g] = lambda x, g=g: dyadic_apply(
-                g, cfg.alpha, SampledFunction(quad, x * inv_area), quad, depth
-            ).values
+            ops[g] = lambda x, plan=dyadic_plan(g, cfg.alpha, quad, depth): plan(x * inv_area)
         left = np.power(nu_d * quad.area, 1.0 / cfg.q)
         root = np.power(mu_d * quad.area, 1.0 / cfg.p)
         right = np.divide(quad.area, root, out=np.zeros_like(root), where=mu_d > 0)
         prolong = _prolongation(coarse, coarse_root, quad, root) if warm and levels else None
         solves, starts = {}, {}
         for name, op in ops.items():
-            start = prolong(levels[-1].solves[name]) if prolong else None
+            if not warm:
+                start, starts[name] = None, "seeded"
+            elif prolong:
+                start, starts[name] = prolong(levels[-1].solves[name])
+            else:
+                start, starts[name] = fixed_start(quad.n_cells), "fixed"
             solves[name] = power_norm(
                 lambda v: left * op(right * v),
                 lambda u: right * op(left * u),
@@ -531,7 +567,6 @@ def two_weight_norm_check(
                 **solve,
                 start=start,
             )
-            starts[name] = "seeded" if start is None else "prolonged"
         levels.append(NormCheckLevel(d, quad.n_cells, solves, starts))
         coarse, coarse_root = quad, root
     stabilized = None

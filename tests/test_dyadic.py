@@ -11,6 +11,8 @@ from carleson_lab.dyadic import (
     dense_abs_apply,
     domination_check,
     dyadic_apply,
+    dyadic_plan,
+    fixed_start,
     strong_embedding_check,
     tree_averages,
     two_weight_norm_check,
@@ -148,6 +150,53 @@ def test_apply_depth_overflow():
     f = SampledFunction.constant(quad, 1.0)
     with pytest.raises(ResolutionError):
         dyadic_apply(GRID_PLAIN, 1.0, f, quad, 6)
+
+
+def test_plan_rejects_a_depth_beyond_the_quadrature_when_built():
+    with pytest.raises(ResolutionError):
+        dyadic_plan(GRID_PLAIN, 1.0, build_quadrature(4), 6)
+
+
+def former_dyadic_apply(grid, alpha, values, quad, depth):
+    """The model operator as one function, kept as an oracle: it builds its
+    node index and level factors on every call."""
+    level = np.minimum(quad.stratum, depth)
+    turns = np.mod(quad.theta / TAU - grid, 1.0)
+    node = 2**level - 1 + np.minimum((turns * 2.0**level).astype(np.int64), 2**level - 1)
+    weights = values * quad.area
+    n_boxes = 2 ** (depth + 1) - 1
+    tree = np.bincount(node, np.real(weights), n_boxes).astype(weights.dtype)
+    if np.iscomplexobj(weights):
+        tree.imag = np.bincount(node, np.imag(weights), n_boxes)
+    levels = [tree[2**j - 1 : 2 ** (j + 1) - 1] for j in range(depth + 1)]
+    for j in range(depth - 1, -1, -1):
+        levels[j] += levels[j + 1][0::2] + levels[j + 1][1::2]
+    for j in range(depth + 1):
+        levels[j] *= full_box_area(2.0**-j) ** (-alpha / 2.0)
+        if j > 0:
+            levels[j] += np.repeat(levels[j - 1], 2)
+    return tree[node]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("grid", GRIDS)
+def test_plan_applies_the_former_operator_bit_for_bit(grid, alpha):
+    # One plan, reused on a real and a complex input, at the quadrature's
+    # depth and below it, reads the same bytes as fresh applies.
+    quad = build_quadrature(7)
+    rng = np.random.default_rng(SEED + 5)
+    real = rng.uniform(-1.0, 1.0, quad.n_cells)
+    cplx = rng.standard_normal(quad.n_cells) + 1j * rng.standard_normal(quad.n_cells)
+    for depth in (quad.depth, quad.depth - 2):
+        plan = dyadic_plan(grid, alpha, quad, depth)
+        for v in (real, cplx):
+            kept = v.copy()
+            out = plan(v)
+            assert v.tobytes() == kept.tobytes()
+            fresh = dyadic_apply(grid, alpha, SampledFunction(quad, v), quad, depth).values
+            want = former_dyadic_apply(grid, alpha, v, quad, depth)
+            assert out.dtype == fresh.dtype == want.dtype == v.dtype
+            assert out.tobytes() == fresh.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -724,10 +773,10 @@ def test_norm_check_zero_target_weight():
     assert rep.levels[-1].solves["dense"].value == 0.0
 
 
-def former_dense_norm(nu, mu, quad):
+def former_dense_norm(nu, mu, quad, start):
     """The norm check's former dense solve, kept as an oracle: a weighted
-    copy of the kernel, its conjugate transpose, and its own power loop."""
-    n = quad.n_cells
+    copy of the kernel, its conjugate transpose, and its own power loop
+    from ``start``."""
     kernel = np.asarray(eval_kernel(KernelSpec.k_alpha(1.0), quad.z[:, None], quad.z[None, :]))
     nu_d = np.real(nu.density(quad.z))
     mu_d = np.real(mu.density(quad.z))
@@ -735,8 +784,7 @@ def former_dense_norm(nu, mu, quad):
     right = np.where(mu_d > 0, quad.area / np.sqrt(mu_d * quad.area), 0.0)
     b = kernel * left[:, None] * right[None, :]
     bh = b.conj().T
-    rng = np.random.default_rng(314159)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = np.array(start, dtype=complex)
     v /= np.linalg.norm(v)
     sigma_old = 0.0
     for _ in range(500):
@@ -760,7 +808,8 @@ def test_norm_check_dense_norm_equals_the_former_three_copy_solve():
         rep = two_weight_norm_check(nu, mu, cfg, quad_depths=(6,))
         # The kernel apply sums in a different order than the dense matrix.
         dense = rep.levels[0].solves["dense"].value
-        assert dense == pytest.approx(former_dense_norm(nu, mu, quad), rel=1e-12)
+        start = fixed_start(quad.n_cells)
+        assert dense == pytest.approx(former_dense_norm(nu, mu, quad, start), rel=1e-12)
 
 
 def test_norm_check_keeps_each_solve():
@@ -850,8 +899,9 @@ def start_status(rep) -> dict:
 @pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
 @pytest.mark.parametrize("weights", ["radial-power", "grid"])
 def test_warm_starts_match_seeded_solves(p, weights):
-    # At p = q each depth after the first starts from the previous depth's
-    # final iterates; the figures are the seeded solves', in fewer steps.
+    # At p = q the first depth starts from the fixed vector and each later
+    # depth from the previous depth's final iterates; the figures are the
+    # cold solves', in fewer steps.
     if weights == "radial-power":
         nu, mu = Weight.radial_power(1), Weight.lebesgue()
     else:
@@ -859,7 +909,7 @@ def test_warm_starts_match_seeded_solves(p, weights):
     cfg = ExponentConfig(p, p, 1.0)
     warm = two_weight_norm_check(nu, mu, cfg, quad_depths=(4, 5, 6))
     assert start_status(warm) == {
-        key: "seeded" if key.endswith("_depth_4") else "prolonged" for key in warm.solver_status()
+        key: "fixed" if key.endswith("_depth_4") else "prolonged" for key in warm.solver_status()
     }
     for lv in warm.levels:
         cold = two_weight_norm_check(nu, mu, cfg, quad_depths=(lv.depth,)).levels[0]
@@ -880,6 +930,20 @@ def test_every_start_is_seeded_below_q():
         assert level_solves(lv) == level_solves(cold)
 
 
+def test_fixed_start_is_one_generic_vector():
+    # The same array on every call, nonzero everywhere, and on every row of
+    # cells neither constant nor one angular Fourier mode.
+    quad = build_quadrature(6)
+    start = fixed_start(quad.n_cells)
+    assert start.tobytes() == fixed_start(quad.n_cells).tobytes()
+    assert np.all(fixed_start(build_quadrature(16).n_cells) != 0)
+    for s in quad.strata:
+        for row in s.rows(start):
+            modes = np.abs(np.fft.fft(row))
+            assert np.count_nonzero(modes > 1e-9 * modes.max()) > 1
+    assert np.any(start.real != start.real[0]) and np.any(start.imag != start.imag[0])
+
+
 def test_prolongation_copies_the_function_and_falls_back_when_it_vanishes():
     coarse, fine = build_quadrature(4), build_quadrature(5)
     coarse_root = np.sqrt(coarse.area)
@@ -888,10 +952,15 @@ def test_prolongation_copies_the_function_and_falls_back_when_it_vanishes():
     iterate = np.zeros(coarse.n_cells, dtype=complex)
     iterate[0] = 2.0 * coarse_root[0]  # the function 2 on cell 0
     prolong = dyadic._prolongation(coarse, coarse_root, fine, fine_root)
-    start = prolong(NormEstimate(1.0, 1, 0.0, True, iterate))
+    start, label = prolong(NormEstimate(1.0, 1, 0.0, True, iterate))
+    assert label == "prolonged"
     assert np.allclose(start, np.where(children, 2.0 * fine_root, 0.0), rtol=1e-15, atol=0)
+    # A start that vanishes, where mu does or from a zero iterate, is the fixed one.
     vanishing = dyadic._prolongation(coarse, coarse_root, fine, np.where(children, 0.0, fine_root))
-    assert vanishing(NormEstimate(1.0, 1, 0.0, True, iterate)) is None
+    zero = NormEstimate(0.0, 1, 0.0, True, np.zeros(coarse.n_cells, dtype=complex))
+    for start, label in (vanishing(NormEstimate(1.0, 1, 0.0, True, iterate)), prolong(zero)):
+        assert label == "fixed"
+        np.testing.assert_array_equal(start, fixed_start(fine.n_cells))
 
 
 def test_model_operator_norm_is_never_below_seeded_samples_on_the_dense_oracle():
