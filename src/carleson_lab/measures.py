@@ -90,15 +90,10 @@ class Weight:
 
     @staticmethod
     def product(w1: "Weight", w2: "Weight") -> "Weight":
+        spec = f"product:{w1.spec},{w2.spec}"
         if w1.kind == "radial-power" and w2.kind == "radial-power":
-            return Weight(
-                kind="radial-power",
-                a=w1.a + w2.a,
-                spec=f"product:{w1.spec},{w2.spec}",
-            )
-        return Weight(
-            kind="product", factors=(w1, w2), spec=f"product:{w1.spec},{w2.spec}"
-        )
+            return Weight(kind="radial-power", a=w1.a + w2.a, spec=spec)
+        return Weight(kind="product", factors=(w1, w2), spec=spec)
 
     @staticmethod
     def from_grid(r, theta, values, spec: str = "grid:<arrays>") -> "Weight":

@@ -547,6 +547,23 @@ def test_certify_norm_check_figures_are_pinned():
     assert len(witness["solver"]) == 9
 
 
+def test_certify_carleson_figures_are_pinned(tmp_path):
+    # Read from the former Vandermonde Gram; the per-stratum FFT Gram agrees
+    # to rounding, so the figures hold to 1e-12.
+    code, rep = run(RunConfig(command="certify", weight=write_sampled_weight(tmp_path / "w.grid")))
+    assert code == 0
+    stage = json.loads(rep.to_json())["stages"][-1]
+    assert stage["name"] == "carleson-constant" and stage["verdict"] is True
+    pinned = {"operator_norm_estimate": 0.3388231224279603, "polynomial_lower_bound": 0.3429616730165612}
+    for key, want in pinned.items():
+        assert stage["constants"][key] == pytest.approx(want, rel=1e-12, abs=0)
+    trace = {8: 0.33919349893026596, 10: 0.3388231224279603}
+    assert [d for d, _ in stage["witness"]["trace"]] == list(trace)
+    for (_, got), want in zip(stage["witness"]["trace"], trace.values()):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert stage["witness"]["cells"] == [[8, 1792], [10, 6144]]
+
+
 def test_embedding_constant_carries_no_verdict():
     # On radial-power:-0.9 the constant keeps growing with the depth, so a
     # finite sweep earns no verdict.

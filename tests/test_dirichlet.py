@@ -5,7 +5,6 @@ import pytest
 
 from carleson_lab import dirichlet
 from carleson_lab.dirichlet import (
-    GRAM_BLOCK,
     LOWER_BOUND_DEGREE,
     AnalyticPolynomial,
     CarlesonVerdict,
@@ -121,7 +120,7 @@ def test_radial_constant_is_the_top_monomial_eigenvalue(a):
 def test_polynomial_ratio_of_constant_is_one():
     # The Gram's [0, 0] entry is the integral of |1|^2 against Lebesgue.
     quad, mass = _cell_masses(Weight.lebesgue(), 10)
-    gram = monomial_gram(quad.z, mass, 0)
+    gram = monomial_gram(quad, mass, 0)
     got = gram[0, 0].real / dirichlet_norm(AnalyticPolynomial([1.0]))
     assert got == pytest.approx(1.0, rel=1e-14)
     assert gram_ratio(gram, derivative_weights) == pytest.approx(1.0, rel=1e-14)
@@ -145,9 +144,9 @@ def test_polynomial_sampling_is_lower_bound():
 def test_gram_lower_bound_never_falls_as_the_degree_grows():
     w = _sampled_weight()
     quad, mass = _cell_masses(w, 10)
-    gram = monomial_gram(quad.z, mass, LOWER_BOUND_DEGREE)
+    gram = monomial_gram(quad, mass, LOWER_BOUND_DEGREE)
     # A lower degree's Gram is the leading block of a higher degree's.
-    low = monomial_gram(quad.z, mass, 16)
+    low = monomial_gram(quad, mass, 16)
     assert np.max(np.abs(low - gram[:17, :17])) <= 1e-13 * np.max(np.abs(gram))
     bounds = np.array(
         [gram_ratio(gram[: d + 1, : d + 1], derivative_weights) for d in range(gram.shape[0])]
@@ -157,15 +156,36 @@ def test_gram_lower_bound_never_falls_as_the_degree_grows():
     assert bounds[-1] == carleson_constant(w).lower_bound
 
 
-def test_blocked_gram_equals_the_dense_gram():
-    rng = np.random.default_rng(SEED)
-    quad = build_quadrature(8)
-    z = quad.z[: 2 * GRAM_BLOCK + 77]  # two whole blocks and a partial one
-    mass = rng.uniform(0.0, 1.0, z.size) * quad.area[: z.size]
-    v = np.vander(z, LOWER_BOUND_DEGREE + 1, increasing=True)
-    dense = np.conj(v.T) @ np.diag(mass) @ v
-    got = monomial_gram(z, mass, LOWER_BOUND_DEGREE)
-    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+@pytest.mark.parametrize("depth", [6, 8])
+@pytest.mark.parametrize("weight", ["lebesgue", "grid", "random"])
+def test_fft_gram_equals_the_dense_gram(depth, weight):
+    # oracle: conj(V).T diag(mass) V from the Vandermonde of every cell center;
+    # the 16-angle strata alias the differences |m - n| >= 16 modulo 16
+    quad = build_quadrature(depth)
+    if weight == "random":
+        mass = np.random.default_rng(SEED).uniform(0.0, 1.0, quad.n_cells) * quad.area
+    else:
+        w = Weight.lebesgue() if weight == "lebesgue" else _sampled_weight()
+        mass = w.cell_density(quad) * quad.area
+    v = np.vander(quad.z, LOWER_BOUND_DEGREE + 1, increasing=True)
+    dense = np.conj(v.T) @ (mass[:, None] * v)
+    got = monomial_gram(quad, mass, LOWER_BOUND_DEGREE)
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.max(np.abs(got - np.conj(got.T))) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_carleson_constant_builds_no_cell_centers(monkeypatch):
+    # The Gram reads each stratum's radii and mass rows, never quad.z.
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(build_quadrature(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dirichlet, "build_quadrature", capture)
+    v = carleson_constant(_sampled_weight())
+    assert [q.depth for q in built] == [d for d, _ in v.trace] == [8, 10]
+    assert all("z" not in vars(q) for q in built)
 
 
 def test_monotonicity_in_the_weight():
