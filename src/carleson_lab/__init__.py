@@ -58,6 +58,7 @@ from .measures import (
     dual_weight,
     parse_weight,
     reverse_doubling_report,
+    row_sums,
 )
 from .operators import (
     DiscreteMeasure,

@@ -203,15 +203,15 @@ def _weak_type(cfg: RunConfig, rng):
     w = measures.parse_weight(cfg.weight)
     t = cfg.q / cfg.p
     density = w.cell_density(quad)
-    masses = measures.cell_trees(density * quad.area, depth, quad)
+    masses = measures.cell_trees(measures.row_sums(quad, density * quad.area), depth, quad)
     emb = dyadic_mod.carleson_embedding_constant(w, t, masses, k_max_level=depth)
     failures = 0
     trials = max(10, min(cfg.samples, 100))
     for _ in range(trials):
-        f = measures.SampledFunction(quad, rng.uniform(0.0, 2.0, quad.n_cells))
-        avgs = dyadic_mod.tree_averages(density, f, masses, quad)
-        weak = dyadic_mod.weak_type_norm(t, f, avgs, masses)
-        l1 = float(np.sum(f.values * density * quad.area))
+        f_mass = rng.uniform(0.0, 2.0, quad.n_cells) * density * quad.area
+        integrals = measures.cell_trees(measures.row_sums(quad, f_mass), depth, quad)
+        weak = dyadic_mod.weak_type_norm(t, dyadic_mod.tree_averages(integrals, masses), masses)
+        l1 = float(np.sum(f_mass))
         if weak > emb.c1_hat ** (1.0 / t) * l1 * (1 + 1e-9):
             failures += 1
     return failures == 0, {"trials": trials, "failures": failures, "c1_hat": emb.c1_hat}
@@ -243,9 +243,11 @@ def _run_test_weight(cfg: RunConfig, timings: dict):
         with dirichlet_mod.timed(timings, "quadrature"):
             quad = measures.build_quadrature(cfg.quad_depth)
     with dirichlet_mod.timed(timings, "reverse-doubling"):
-        # Both testers read one pair of box-mass trees, timed with the first.
-        trees = measures.box_mass_trees(w, cfg.depth, quad)
-        rev = measures.reverse_doubling_report(w, quad=quad, trees=trees)
+        # Both testers read one pair of box-mass trees, timed with the first,
+        # and the windows read the rows they are summed from.
+        rows = measures.sampled_mass_rows(w, quad)
+        trees = measures.box_mass_trees(w, cfg.depth, quad, rows)
+        rev = measures.reverse_doubling_report(w, quad=quad, trees=trees, rows=rows)
     with dirichlet_mod.timed(timings, "doubling"):
         dbl = measures.doubling_report(w, quad=quad, trees=trees)
     return [
@@ -262,15 +264,24 @@ def _run_embedding(cfg: RunConfig, timings: dict):
     with dirichlet_mod.timed(timings, "quadrature"):
         quad = measures.build_quadrature(cfg.quad_depth)
         depth = min(cfg.depth, quad.depth)
-    # One density, its box masses and f's averages serve all three stages;
-    # a radial-power weight's constant keeps its closed-form masses.  The
-    # stages and the frees run in timed blocks: a run takes milliseconds.
+    # One pass over the strata serves all three stages: each stratum's cell
+    # masses and f times them, summed over its sublayers, and f**p's integral,
+    # with f fixed by the seed; no cell array but the areas is built.  A
+    # radial-power weight's constant keeps its closed-form masses.  The
+    # stages and the frees run in timed blocks.
     with dirichlet_mod.timed(timings, "weighted-trees"):
-        density = w.cell_density(quad)
-        masses = measures.cell_trees(density * quad.area, depth, quad)
-        rng = np.random.default_rng(cfg.seed)
-        f = measures.SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
-        avgs = dyadic_mod.tree_averages(density, f, masses, quad)
+        mass_rows, f_rows, f_power = [], [], 0.0
+        for s in quad.strata:
+            mass = w.density_rows(s) * s.rows(quad.area)
+            f = dyadic_mod.fixed_values(s.cells, cfg.seed).reshape(mass.shape)
+            mass_rows.append(mass.sum(axis=0))
+            f_rows.append((f * mass).sum(axis=0))
+            f **= econf.p
+            f *= mass
+            f_power += f.sum()
+        masses = measures.cell_trees(mass_rows, depth, quad)
+        avgs = dyadic_mod.tree_averages(measures.cell_trees(f_rows, depth, quad), masses)
+        del mass_rows, f_rows, mass, f
     with dirichlet_mod.timed(timings, "embedding-constant"):
         exact = measures.box_mass_trees(w, depth) if w.is_radial_power else masses
         emb = dyadic_mod.carleson_embedding_constant(w, econf.t, exact)
@@ -279,12 +290,12 @@ def _run_embedding(cfg: RunConfig, timings: dict):
                         {"worst_box": repr(emb.worst_box), "quad_depth": quad.depth,
                          "cells": quad.n_cells, "depth": depth})]
     with dirichlet_mod.timed(timings, "weak-norm"):
-        weak = dyadic_mod.weak_type_norm(econf.t, f, avgs, masses)
+        weak = dyadic_mod.weak_type_norm(econf.t, avgs, masses)
         stages.append(stage("weak-norm", None, {"weak_type_norm": weak}))
     with dirichlet_mod.timed(timings, "strong-ratio"):
-        strong = dyadic_mod.strong_embedding_check(econf, f, density, avgs, masses, quad)
+        strong = dyadic_mod.strong_embedding_check(econf, f_power, avgs, masses)
         stages.append(stage("strong-ratio", None, {"strong_ratio": strong}))
-        del quad, density, masses, f, avgs, exact
+        del quad, masses, avgs, exact
     return stages
 
 

@@ -47,6 +47,7 @@ from .measures import (
     box_mass_trees,
     build_quadrature,
     reverse_doubling_report,
+    sampled_mass_rows,
 )
 from .operators import poly_eval
 
@@ -285,17 +286,19 @@ def theorem_pipeline(w: Weight, depth: int = 12) -> PipelineReport:
         return bool(w.finite and math.isfinite(mass)), {"disk_mass": mass}, {}
 
     run_stage("finiteness", stage_finite)
-    # Both box testers read w's box-mass trees, built and timed with the first.
-    trees: dict = {}
+    # Both box testers read w's box-mass trees, built and timed with the
+    # first, and one pass of its cell masses behind the trees and windows.
+    shared: dict = {}
 
     def stage_reverse():
-        trees.update(box_mass_trees(w, depth, quad))
-        return reverse_doubling_stage(reverse_doubling_report(w, quad=quad, trees=trees))
+        shared["rows"] = sampled_mass_rows(w, quad)
+        shared["trees"] = box_mass_trees(w, depth, quad, shared["rows"])
+        return reverse_doubling_stage(reverse_doubling_report(w, quad=quad, **shared))
 
     run_stage("reverse-doubling", stage_reverse)
     cfg, lebesgue = ExponentConfig(p=2.0, q=2.0, alpha=1.0), Weight.lebesgue()
     run_stage("testing-constant", lambda: testing_constant_stage(two_weight_testing_constant(
-        w, lebesgue, cfg, depth=depth, quad=quad, trees=trees or None
+        w, lebesgue, cfg, depth=depth, quad=quad, **shared
     )))
     run_stage("norm-check", lambda: norm_check_stage(two_weight_norm_check(w, lebesgue, cfg)))
 

@@ -11,10 +11,10 @@ and weak norms against the box-mass measure ``mass(Q)**t`` are what the
 embedding results control.  A tree is the shape the box testers read:
 a dict from each grid to its per-level arrays, ``tree[grid][j][m]`` at
 the level-j, position-m box.  The embedding constant and both tree norms
-read two such trees, the box masses of a cell density evaluated once and
-the averages of ``f`` against it.  Box masses and averages are
-integrals: they count a shifted-grid boundary cell by its covered
-fraction (:func:`box_level_sums`).  The two-weight norm check measures
+read two such trees, the box masses of a weight and the averages of
+``f`` against it, both summed from one row per stratum.  Box masses and
+averages are integrals: they count a shifted-grid boundary cell by its
+covered fraction (:func:`box_level_sums`).  The two-weight norm check measures
 the ``L^p(mu) -> L^q(nu)`` norms of the kernel and model operators, for
 every ``(p, q)``, with one power method.
 """
@@ -40,10 +40,10 @@ from .measures import (
     DiskQuadrature,
     SampledFunction,
     Weight,
-    box_level_sums,
     box_mass_trees,
     build_quadrature,
     dual_weight,
+    sampled_mass_rows,
     window_masses,
 )
 from .operators import (
@@ -200,28 +200,22 @@ def domination_check(
 # ---------------------------------------------------------------------------
 
 
-def tree_averages(
-    density: np.ndarray, f: SampledFunction, masses: dict, quad: DiskQuadrature
-) -> dict:
-    """Weighted box averages of ``f`` on the grids and depth of ``masses``.
+def tree_averages(integrals: dict, masses: dict) -> dict:
+    """Weighted box averages of ``f`` on the grids of ``masses``.
 
-    ``avgs[grid][j][m]`` is the integral of ``f`` against the cell
-    ``density`` over the level-j, position-m box, divided by its mass.
-    Given the masses of the same density, a constant function averages to
-    exactly 1.  Each grid's integrals are dropped before the next grid's
-    are summed, so the peak holds one grid's integrals, not two.
+    ``integrals`` holds the integrals of ``f`` against a weight over every
+    box (:func:`cell_trees` of the stratum rows of ``f`` times the cell
+    masses) and ``masses`` the box masses of the same weight.  Each
+    integral is divided in place, so ``avgs[grid][j][m]``, the returned
+    tree, is the average over the level-j, position-m box, and a constant
+    function averages to exactly 1; no tree is allocated.
     """
-    values = np.asarray(f.values) * density
-    values *= quad.area  # in place: the same left-to-right product, one array fewer
-    avgs = {}
     for grid, levels in masses.items():
-        integrals = box_level_sums(quad, values, grid, len(levels) - 1)
         for j, mass_j in enumerate(levels):
             if np.any(mass_j <= 0.0):
                 raise DegenerateWeightError(f"zero-mass box at grid {grid}, level {j}")
-        avgs[grid] = [int_j / mass_j for int_j, mass_j in zip(integrals, levels)]
-        del integrals
-    return avgs
+            integrals[grid][j] /= mass_j
+    return {grid: integrals[grid] for grid in masses}
 
 
 @dataclass(frozen=True)
@@ -280,59 +274,60 @@ def carleson_embedding_constant(
     return EmbeddingReport(float(best), worst, t, depth, float(tail))
 
 
-def weak_type_norm(t: float, f: SampledFunction, avgs: dict, masses: dict) -> float:
+def weak_type_norm(t: float, avgs: dict, masses: dict) -> float:
     """Weak norm of the tree of box averages against ``mass**t``, the
     largest over the grids of ``avgs``.
 
-    ``avgs`` holds the box averages of ``f`` on each grid and ``masses``
-    the box masses they were taken against (:func:`tree_averages`).
+    ``avgs`` holds the box averages of a nonnegative ``f`` on each grid
+    and ``masses`` the box masses they were taken against
+    (:func:`tree_averages`); a negative average raises ``ValueError``.
     Computes ``sup over lambda of lambda * (sum of mass(Q)**t over boxes
     with average > lambda)**(1/t)``; the supremum over the attained
     averages is taken as the left limit at each level set.  Boxes are sorted
-    once, by descending average, so the positive ones lead; one buffer takes
-    their ``mass**t``, its running sum and the products in turn.
+    once, by descending average, so the positive ones lead; the negated
+    averages' array then takes the masses, and one buffer their
+    ``mass**t``, its running sum and the products in turn.
     """
-    if np.any(np.real(f.values) < 0):
-        raise ValueError("weak-type norm expects a nonnegative function")
     results = []
     for grid, levels in avgs.items():
-        e = np.real(np.concatenate(levels))
-        order = np.argsort(-e)
-        e = e[order]
+        flat = np.real(np.concatenate(levels))
+        order = np.argsort(np.negative(flat, out=flat))
+        e = flat[order]
+        np.negative(e, out=e)
+        if e[-1] < 0:
+            raise ValueError("weak-type norm expects nonnegative averages")
         positive = np.count_nonzero(e > 0)
-        buf = np.concatenate(masses[grid])[order[:positive]]
+        buf = np.concatenate(masses[grid], out=flat)[order[:positive]]
         buf **= t
         np.cumsum(buf, out=buf)
         buf **= 1.0 / t
         buf *= e[:positive]
         results.append(float(np.max(buf, initial=0.0)))  # 0 when no average is positive
+        del flat, order, e, buf  # before the next grid's
     return max(results)
 
 
-def strong_embedding_check(
-    cfg: ExponentConfig, f: SampledFunction, density: np.ndarray, avgs: dict, masses: dict,
-    quad: DiskQuadrature,
-) -> float:
+def strong_embedding_check(cfg: ExponentConfig, f_power: float, avgs: dict, masses: dict) -> float:
     """Ratio of the tree norm to the weighted input norm, the largest over
     the grids of ``avgs``.
 
-    ``avgs`` holds the box averages of ``f`` on each grid, taken against
-    the cell ``density``, and ``masses`` their box masses.  Left side:
-    ``(sum over boxes of mass**t * average**q)**(1/q)``; right side:
-    ``(integral of |f|**p against the density)**(1/p)``.  Returns 0 for
-    an identically zero input.
+    ``avgs`` holds the box averages of a nonnegative ``f`` on each grid
+    and ``masses`` the box masses of the weight they were taken against;
+    ``f_power`` is the integral of ``f**p`` against that weight.  Left
+    side: ``(sum over boxes of mass**t * average**q)**(1/q)``, summed level
+    by level; right side: ``f_power**(1/p)``.  Returns 0 for an
+    identically zero input; a negative average raises ``ValueError``.
     """
-    fv = np.real(np.asarray(f.values))
-    if np.any(fv < 0):
-        raise ValueError("strong embedding check expects a nonnegative function")
-    right = float(np.sum(fv**cfg.p * density * quad.area) ** (1.0 / cfg.p))
+    right = float(f_power) ** (1.0 / cfg.p)
     if right == 0.0:
         return 0.0
     ratios = []
     for grid, levels in avgs.items():
-        e = np.real(np.concatenate(levels))
-        m = np.concatenate(masses[grid])
-        ratios.append(float(np.sum(m**cfg.t * e**cfg.q) ** (1.0 / cfg.q)) / right)
+        e = [np.real(a) for a in levels]
+        if min(np.min(a) for a in e) < 0:
+            raise ValueError("strong embedding check expects nonnegative averages")
+        left = sum(float(np.sum(m**cfg.t * a**cfg.q)) for a, m in zip(e, masses[grid]))
+        ratios.append(left ** (1.0 / cfg.q) / right)
     return max(ratios)
 
 
@@ -358,6 +353,7 @@ def two_weight_testing_constant(
     depth: int = 16,
     quad: DiskQuadrature | None = None,
     trees: dict | None = None,
+    rows: list | None = None,
 ) -> TestingConstantReport:
     """Supremum of ``mass_nu(Q)**(1/q) mass_dual(Q)**(1/p') / area(Q)**(alpha/2)``.
 
@@ -367,7 +363,8 @@ def two_weight_testing_constant(
     of ``mu`` must have finite mass.  Box masses come from
     :func:`box_mass_trees`: closed form for a radial-power weight, cell
     sums over ``quad`` (which also caps ``depth``) for any other; trees of
-    ``nu``, passed in, set the depth.  The verdict is false when the
+    ``nu``, passed in, set the depth, and its ``rows``
+    (:meth:`Weight.mass_rows`) serve its windows.  The verdict is false when the
     supremum sits on an arc of the finest length swept, where it has not
     stopped growing.
     """
@@ -377,15 +374,17 @@ def two_weight_testing_constant(
             f"dual weight {dual.spec!r} has infinite mass; the testing constant "
             "is undefined"
         )
+    rows = sampled_mass_rows(nu, quad) if rows is None else rows
     if trees is None:  # raises on a weight nu of infinite mass
-        trees = box_mass_trees(nu, depth, quad)
+        trees = box_mass_trees(nu, depth, quad, rows)
     depth = len(trees[GRID_PLAIN]) - 1
 
     def quantity(m_nu, m_du, j):
         area = full_box_area(2.0**-j)
         return m_nu ** (1.0 / cfg.q) * m_du ** (1.0 / cfg.p_prime) / area ** (cfg.alpha / 2.0)
 
-    dual_trees = box_mass_trees(dual, depth, quad)
+    dual_rows = sampled_mass_rows(dual, quad)
+    dual_trees = box_mass_trees(dual, depth, quad, dual_rows)
     best = -math.inf
     worst: DyadicIndex | Arc = DyadicIndex(GRIDS[0], 0, 0)
     for grid in GRIDS:
@@ -399,7 +398,7 @@ def two_weight_testing_constant(
     windows = 0
     if not (nu.is_radial_power and dual.is_radial_power):
         for (grid, j, m_nu, _), (_, _, m_du, _) in zip(
-            window_masses(nu, quad, depth), window_masses(dual, quad, depth)
+            window_masses(nu, quad, depth, rows), window_masses(dual, quad, depth, dual_rows)
         ):
             vals = quantity(m_nu, m_du, j)
             k = int(np.argmax(vals))
@@ -456,6 +455,18 @@ _NORM_SOLVE = {"tol": 1e-6, "max_iter": 500, "seed": 314159}
 STABILIZE_RTOL = 0.05
 
 
+def fixed_values(cells: slice, seed: int = 0) -> np.ndarray:
+    """``frac(k**2 (sqrt 2 - 1) + frac(seed phi))``, ``phi`` the golden ratio,
+    for ``k = i + 1`` at each cell index ``i`` of ``cells``, built in place:
+    no random number is drawn.  Below 2,000,000 cells ``k**2`` is exact and
+    the sum keeps at least 12 fraction bits."""
+    v = np.arange(cells.start + 1.0, cells.stop + 1.0)
+    v *= v
+    v *= math.sqrt(2.0) - 1.0
+    v += seed * ((1.0 + math.sqrt(5.0)) / 2.0) % 1.0
+    return np.mod(v, 1.0, out=v)
+
+
 def fixed_start(n: int) -> np.ndarray:
     """The norm check's start on ``C^n`` at ``p = q``, the same on every call.
 
@@ -463,11 +474,11 @@ def fixed_start(n: int) -> np.ndarray:
     with ``phi`` the golden ratio: nonzero everywhere, and neither constant
     nor one angular Fourier mode, which would stay in the invariant
     subspace of a radial problem and could miss its top singular vector.
-    It draws no random numbers.
+    It draws no random numbers; the imaginary part is :func:`fixed_values`.
     """
     k = np.arange(1.0, n + 1.0)
     return np.mod(k * ((1.0 + math.sqrt(5.0)) / 2.0), 1.0) - 0.5 + 1j * (
-        np.mod(k * k * (math.sqrt(2.0) - 1.0), 1.0) - 0.5
+        fixed_values(slice(0, n)) - 0.5
     )
 
 

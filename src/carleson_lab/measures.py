@@ -66,8 +66,9 @@ class Weight:
     ``kind`` is one of ``radial-power`` (exponent ``a``; ``a = 0`` is
     Lebesgue), ``product`` (of two weights; products of radial powers are
     collapsed at construction), or ``grid`` (sampled density on a polar
-    grid, piecewise constant by nearest node, a tie going to the lower one;
-    :meth:`cell_density` looks up each sublayer and stratum angle once).
+    grid, piecewise constant by nearest node, a tie going to the lower one).
+    Quadrature readers go stratum by stratum through :meth:`density_rows`,
+    which :meth:`cell_density` and :meth:`mass_rows` share.
     """
 
     kind: str
@@ -181,24 +182,27 @@ class Weight:
         w1, w2 = self.factors
         return w1.density(z) * w2.density(z)
 
-    def cell_density(self, quad: "DiskQuadrature") -> np.ndarray:
-        """The density at every cell center of ``quad``: for a grid, the
-        nearest radial node of each sublayer and angular node of each
-        stratum angle, from each stratum's exact ``radii`` and ``angles``."""
+    def density_rows(self, s: "Stratum") -> np.ndarray:
+        """The density on stratum ``s``'s ``(sublayers, count)`` rows: for a
+        grid, at the node nearest each exact sublayer radius and angle, else
+        :meth:`density` at the centers, the bits of ``DiskQuadrature.z``."""
+        if self.kind == "grid":
+            i = _nearest_node(self.grid_r, s.radii)
+            return self.grid_values[i[:, None], _nearest_node(self.grid_theta, s.angles)]
         if self.kind == "product":
             w1, w2 = self.factors
-            return w1.cell_density(quad) * w2.cell_density(quad)
-        if self.kind != "grid":
-            return self.density(quad.z)
-        radii = [s.radii for s in quad.strata]
-        angles = [s.angles for s in quad.strata]
-        i = _nearest_node(self.grid_r, np.concatenate(radii))
-        k = _nearest_node(self.grid_theta, np.concatenate(angles))
-        cuts = np.cumsum([(a.size, b.size) for a, b in zip(radii, angles)], axis=0)[:-1]
-        out = np.empty(quad.n_cells, dtype=self.grid_values.dtype)
-        for s, i_s, k_s in zip(quad.strata, np.split(i, cuts[:, 0]), np.split(k, cuts[:, 1])):
-            s.rows(out)[:] = self.grid_values[i_s[:, None], k_s]
-        return out
+            return w1.density_rows(s) * w2.density_rows(s)
+        if self.a == 0.0:  # Lebesgue needs no centers
+            return np.ones((s.edges.size - 1, s.count))
+        return self.density(s.radii[:, None] * np.exp(1j * s.angles))
+
+    def cell_density(self, quad: "DiskQuadrature") -> np.ndarray:
+        """The density at every cell center of ``quad`` (:meth:`density_rows`)."""
+        return _fill(quad.strata, float, self.density_rows)
+
+    def mass_rows(self, quad: "DiskQuadrature") -> list[np.ndarray]:
+        """:func:`row_sums` of ``cell_density(quad) * quad.area``, one stratum at a time."""
+        return [(self.density_rows(s) * s.rows(quad.area)).sum(axis=0) for s in quad.strata]
 
     def outer_radial_mass(self, s) -> np.ndarray | float:
         """``2 * integral of density(r) * r dr`` over radii ``[1 - s, 1)``.
@@ -459,15 +463,20 @@ class SampledFunction:
 # ---------------------------------------------------------------------------
 
 
+def row_sums(quad: DiskQuadrature, values: np.ndarray) -> list[np.ndarray]:
+    """Each stratum's cells of ``values`` summed over its sublayers (which share angles)."""
+    return [s.rows(values).sum(axis=0) for s in quad.strata]
+
+
 def box_level_sums(
-    quad: DiskQuadrature, cell_values: np.ndarray, grid: float, depth: int
+    quad: DiskQuadrature, rows: list[np.ndarray], grid: float, depth: int
 ) -> list[np.ndarray]:
-    """Per-level sums of ``cell_values`` over all grid boxes up to ``depth``.
+    """Per-level sums of cell values over all grid boxes up to ``depth``,
+    from their ``rows``, one per stratum of ``quad`` (:func:`row_sums`).
 
     Returns ``sums[j][m] = sum over cells in the level-j, position-m box``,
-    a shifted-grid boundary cell counted by its covered angle.  A stratum's
-    sublayers share their angles, so they are added into one row of
-    ``count`` cells.  A level-``j`` window spans ``count >> j`` cells from
+    a shifted-grid boundary cell counted by its covered angle.  A
+    level-``j`` window spans ``count >> j`` cells from
     ``(grid % 1) * count`` cells past a multiple of that width: the row is
     rolled back by that offset's whole cells and reshaped to one window per
     line, and each window passes the left-over fraction of its first cell
@@ -478,8 +487,6 @@ def box_level_sums(
         raise ResolutionError(
             f"box depth {depth} exceeds quadrature depth {quad.depth}"
         )
-    cell_values = np.asarray(cell_values)
-    rows = [s.rows(cell_values).sum(axis=0) for s in quad.strata]
 
     def window_sums(row: np.ndarray, j: int) -> np.ndarray:
         shift = (grid % 1.0) * row.size
@@ -499,19 +506,25 @@ def box_level_sums(
     return sums  # type: ignore[return-value]
 
 
-def cell_trees(values: np.ndarray, depth: int, quad: DiskQuadrature) -> dict:
-    """The box sums of the cell ``values`` on both grids up to ``depth``:
-    the tree of each grid, keyed by grid, as its per-level arrays."""
-    return {grid: box_level_sums(quad, values, grid, depth) for grid in GRIDS}
+def cell_trees(rows: list[np.ndarray], depth: int, quad: DiskQuadrature) -> dict:
+    """The box sums on both grids up to ``depth`` of the cells whose stratum
+    ``rows`` (:func:`row_sums`) both read: each grid's per-level arrays."""
+    return {grid: box_level_sums(quad, rows, grid, depth) for grid in GRIDS}
 
 
-def box_mass_trees(w: Weight, depth: int, quad: DiskQuadrature | None = None) -> dict:
+def sampled_mass_rows(w: Weight, quad: DiskQuadrature | None) -> list[np.ndarray] | None:
+    """``w.mass_rows(quad)`` to share, or ``None`` for a closed-form weight."""
+    return None if w.is_radial_power or quad is None else w.mass_rows(quad)
+
+
+def box_mass_trees(w: Weight, depth: int, quad: DiskQuadrature | None = None, rows=None) -> dict:
     """The box masses of the weight on both grids up to ``depth`` capped by
     ``quad``'s, keyed by grid: the trees that the box testers share.
 
     A radial-power weight takes the closed form, one list for both grids;
     no quadrature bounds its depth, so the cell cap does.  Any other weight
-    sums its cell masses over ``quad`` (:func:`cell_trees`)."""
+    sums its cell masses over ``quad`` (:func:`cell_trees`) from ``rows``,
+    else from :meth:`Weight.mass_rows`."""
     if not w.finite:
         raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
     if quad is not None:
@@ -526,7 +539,7 @@ def box_mass_trees(w: Weight, depth: int, quad: DiskQuadrature | None = None) ->
         return dict.fromkeys(GRIDS, levels)
     if quad is None:
         raise ValueError("box masses of a sampled weight need a quadrature")
-    return cell_trees(w.cell_density(quad) * quad.area, depth, quad)
+    return cell_trees(w.mass_rows(quad) if rows is None else rows, depth, quad)
 
 
 def box_mass(w: Weight, box: CarlesonBox, quad: DiskQuadrature | None = None) -> float:
@@ -561,7 +574,7 @@ def box_mass(w: Weight, box: CarlesonBox, quad: DiskQuadrature | None = None) ->
     return float(total)
 
 
-def window_masses(w: Weight, quad: DiskQuadrature | None, depth: int):
+def window_masses(w: Weight, quad: DiskQuadrature | None, depth: int, rows=None):
     """Masses of the box, and its top half, above every arc of length
     ``2**-j`` that starts a whole number of finest angles past either grid:
     yields ``(grid, j, full, top)`` for each grid and ``j`` from ``depth``
@@ -570,13 +583,13 @@ def window_masses(w: Weight, quad: DiskQuadrature | None, depth: int):
     radial-power weight is rotation invariant: one closed-form mass a level.
 
     Any other weight sums its cell masses over ``quad``: each stratum's
-    row (sublayers added) is split evenly onto the ``n`` angles, exactly
-    as ``n / count`` is a power of two, and added to the finer strata's,
-    so row ``j`` spans a level-``j`` box's radii and row ``j + 1`` its top
-    half's (none at the quadrature depth).  Off the plain grid an angle
-    takes the covered fractions of the two it straddles.  Windows of
-    ``n >> j`` angles are built by doubling; as no term is a difference,
-    a tiny window keeps its digits.
+    row (``rows``, else :meth:`Weight.mass_rows`) is split evenly onto the
+    ``n`` angles, exactly as ``n / count`` is a power of two, and added to
+    the finer strata's, so row ``j`` spans a level-``j`` box's radii and
+    row ``j + 1`` its top half's (none at the quadrature depth).  Off the
+    plain grid an angle takes the covered fractions of the two it
+    straddles.  Windows of ``n >> j`` angles are built by doubling; as no
+    term is a difference, a tiny window keeps its digits.
     """
     if w.is_radial_power:
         for grid in GRIDS:
@@ -584,16 +597,15 @@ def window_masses(w: Weight, quad: DiskQuadrature | None, depth: int):
                 full, top = (np.array([2.0**-j * w.outer_radial_mass(2.0**-i)]) for i in (j, j + 1))
                 yield grid, j, full, top
         return
-    values, n = w.cell_density(quad) * quad.area, quad.strata[-1].count
-    rows = np.zeros((quad.depth + 2, n))
+    rows, n = w.mass_rows(quad) if rows is None else rows, quad.strata[-1].count
+    spread = np.zeros((quad.depth + 2, n))
     for s in reversed(quad.strata):
         split = n // s.count
-        row = s.rows(values).sum(axis=0) / split
-        rows[s.level] = rows[s.level + 1] + np.repeat(row, split)
+        spread[s.level] = spread[s.level + 1] + np.repeat(rows[s.level] / split, split)
     for grid in GRIDS:
         shift = grid * n
         whole = math.floor(shift)
-        sums = np.roll(rows, -whole, axis=1)
+        sums = np.roll(spread, -whole, axis=1)
         if shift > whole:
             sums = (1.0 - (shift - whole)) * sums + (shift - whole) * np.roll(sums, -1, axis=1)
         for j in range(n.bit_length() - 1, 0, -1):  # windows of n >> j angles
@@ -622,6 +634,7 @@ def reverse_doubling_report(
     depth: int = 16,
     quad: DiskQuadrature | None = None,
     trees: dict | None = None,
+    rows: list | None = None,
 ) -> ReverseDoublingReport:
     """Largest ratio mass(top half) / mass(box) over the arcs of dyadic length.
 
@@ -633,10 +646,12 @@ def reverse_doubling_report(
     :func:`box_mass_trees` (passed in, they set the depth): closed form for
     a radial-power weight, which is rotation invariant, so its trees hold
     every window, and cell sums over ``quad`` (which also caps ``depth``)
-    for any other.
+    for any other, read with the windows from one pass of
+    :meth:`Weight.mass_rows`, or from ``rows``.
     """
+    rows = sampled_mass_rows(w, quad) if rows is None else rows
     if trees is None:
-        trees = box_mass_trees(w, depth, quad)
+        trees = box_mass_trees(w, depth, quad, rows)
     depth = len(trees[GRID_PLAIN]) - 1
     delta = -math.inf
     worst = Arc(0.0, 1.0)
@@ -654,7 +669,7 @@ def reverse_doubling_report(
                 delta = float(ratios[k])
                 worst = DyadicIndex(grid, j, k).arc
     windows = 0
-    for grid, j, full, top in () if w.is_radial_power else window_masses(w, quad, depth - 1):
+    for grid, j, full, top in () if w.is_radial_power else window_masses(w, quad, depth - 1, rows):
         if np.any(full <= 0.0):
             raise DegenerateWeightError(f"zero-mass window at grid {grid}, level {j}")
         ratios = top / full

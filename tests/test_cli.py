@@ -173,6 +173,43 @@ def test_norm_check_at_p_equal_q_loads_no_random_generator(command, tmp_path):
     assert out.split() == ["0", "False"]
 
 
+@pytest.mark.parametrize("sampled", [True, False], ids=["grid", "radial-power"])
+def test_embedding_loads_no_random_generator(sampled, tmp_path):
+    # The test function is a fixed function of the cell index and the seed.
+    weight = write_sampled_weight(tmp_path / "w.grid") if sampled else "radial-power:1"
+    command = ["embedding", "--weight", weight, "--out", str(tmp_path / "report.json")]
+    assert run_child(_RANDOM_LOADED_IN_CHILD, *command).split() == ["0", "False"]
+
+
+# The embedding's own growth of its peak above the imported program, at
+# quadrature depth 16 (405,504 cells): the parent, which drew f with
+# numpy.random and held five cell-sized arrays, grew by about 25 MiB.
+EMBEDDING_PEAK_GROWTH_CEILING_MB = 20
+
+_EMBEDDING_IN_CHILD = """
+import sys
+from carleson_lab import cli
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+
+before = hwm()
+code = cli.main(["embedding", "--weight", sys.argv[1], "--quad-depth", "16", "--depth", "16",
+                 "--out", sys.argv[2]])
+print(code, hwm() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_embedding_peak_memory_stays_under_the_ceiling(tmp_path):
+    weight = write_sampled_weight(tmp_path / "w.grid")
+    out = run_child(_EMBEDDING_IN_CHILD, weight, str(tmp_path / "report.json"))
+    code, growth_kib = map(int, out.split())
+    assert code == 0
+    assert growth_kib / 1024 < EMBEDDING_PEAK_GROWTH_CEILING_MB
+
+
 @pytest.mark.parametrize("spec", ["radial-power:1", "radial-power:-1"])
 def test_certify_reports_the_pipeline_stages_as_they_are(spec):
     cfg = RunConfig("certify", weight=spec)
@@ -230,8 +267,8 @@ def write_sampled_weight(path) -> str:
 @pytest.mark.parametrize("sampled", [False, True])
 def test_certify_times_each_stage(sampled, command, tmp_path):
     # Every stage and setup step is timed: the keys sum to the total.  The
-    # embedding runs at quadrature depth 16 (≈50 ms): at the default 10 it
-    # takes ≈5 ms, and one host interruption outside the timed blocks can
+    # embedding runs at quadrature depth 16 (≈20 ms): at the default 10 it
+    # takes ≈4 ms, and one host interruption outside the timed blocks can
     # exceed its 2 % budget.  For the same reason test-weight sweeps depth
     # 18 (≈35 ms on a radial weight, ≈1.5 ms at depth 8).
     weight = write_sampled_weight(tmp_path / "w.grid") if sampled else "radial-power:1"
@@ -268,26 +305,27 @@ def test_lemma_and_bench_time_their_stage(cfg):
 
 def test_embedding_evaluates_the_density_once(tmp_path, monkeypatch):
     # The three embedding stages read one weighted tree per grid: one
-    # density pass, and per grid one box sum of the masses and one of f.
+    # density row per stratum, in order, and one row sum per stratum of the
+    # masses and one of f times them, each shared by both grids' box sums.
     weight = write_sampled_weight(tmp_path / "w.grid")
-    points, sums = [], []
-    density, box_level_sums = measures.Weight.cell_density, measures.box_level_sums
+    levels, sums = [], []
+    density_rows, box_level_sums = measures.Weight.density_rows, measures.box_level_sums
 
-    def counting_density(self, quad):
-        points.append(quad.n_cells)
-        return density(self, quad)
+    def counting_rows(self, s):
+        levels.append(s.level)
+        return density_rows(self, s)
 
-    def counting_sums(*args, **kwargs):
-        sums.append(1)
-        return box_level_sums(*args, **kwargs)
+    def counting_sums(quad, rows, grid, depth):
+        sums.append((id(rows), grid, len(rows)))
+        return box_level_sums(quad, rows, grid, depth)
 
-    monkeypatch.setattr(measures.Weight, "cell_density", counting_density)
-    for module in (measures, dyadic):
-        monkeypatch.setattr(module, "box_level_sums", counting_sums)
+    monkeypatch.setattr(measures.Weight, "density_rows", counting_rows)
+    monkeypatch.setattr(measures, "box_level_sums", counting_sums)
     code, _ = run(small_cfg(command="embedding", weight=weight, depth=7, quad_depth=7))
     assert code == 0
-    assert points == [build_quadrature(7).n_cells]
-    assert len(sums) == 4
+    assert levels == [s.level for s in build_quadrature(7).strata]
+    assert [(grid, n) for _, grid, n in sums] == [(g, 8) for g in GRIDS] * 2
+    assert sums[0][0] == sums[1][0] != sums[2][0] == sums[3][0]
 
 
 @pytest.mark.parametrize("q", [2.0, 3.0])
@@ -297,27 +335,27 @@ def test_embedding_stages_equal_the_per_stage_computation(tmp_path, sampled, q):
     cfg = small_cfg(command="embedding", weight=spec, depth=8, quad_depth=8, q=q)
     code, rep = run(cfg)
     assert code == 0
-    # Oracle: every stage evaluates the weight and sums its own boxes.
+    # Oracle: every stage evaluates the weight and sums its own boxes, from
+    # the test function on the whole cell index.
     w, quad, depth, p, t = measures.parse_weight(spec), build_quadrature(8), 8, 2.0, q / 2.0
-    f = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, quad.n_cells)
+    f = dyadic.fixed_values(slice(0, quad.n_cells), cfg.seed)
+    mass = w.cell_density(quad) * quad.area
 
     def tree(grid):
-        density = w.cell_density(quad)
-        masses = measures.box_level_sums(quad, density * quad.area, grid, depth)
-        integrals = measures.box_level_sums(quad, f * density * quad.area, grid, depth)
-        return np.concatenate([i / m for i, m in zip(integrals, masses)]), np.concatenate(masses)
+        masses = measures.box_level_sums(quad, measures.row_sums(quad, mass), grid, depth)
+        integrals = measures.box_level_sums(quad, measures.row_sums(quad, f * mass), grid, depth)
+        return [i / m for i, m in zip(integrals, masses)], masses
 
     emb = dyadic.carleson_embedding_constant(w, t, measures.box_mass_trees(w, depth, quad))
-    weak = []
+    weak, strong = [], []
+    right = sum(float(np.sum(s.rows(f**p * mass))) for s in quad.strata) ** (1.0 / p)
     for g in GRIDS:
-        e, m = tree(g)
+        avgs, masses = tree(g)
+        e, m = np.concatenate(avgs), np.concatenate(masses)
         order = np.argsort(-e)
         weak.append(float(np.max(e[order] * np.cumsum(m[order] ** t) ** (1.0 / t))))
-    right = float(np.sum(f**p * w.cell_density(quad) * quad.area) ** (1.0 / p))
-    strong = []
-    for g in GRIDS:
-        e, m = tree(g)
-        strong.append(float(np.sum(m**t * e**q) ** (1.0 / q)) / right)
+        left = sum(float(np.sum(m_j**t * e_j**q)) for e_j, m_j in zip(avgs, masses))
+        strong.append(left ** (1.0 / q) / right)
     constants = [stage["constants"] for stage in rep.stages]
     assert constants[0] == {"c1_hat": emb.c1_hat, "tail_estimate": emb.tail_estimate}
     assert rep.stages[0]["witness"] == {
@@ -325,6 +363,41 @@ def test_embedding_stages_equal_the_per_stage_computation(tmp_path, sampled, q):
     }
     assert constants[1] == {"weak_type_norm": max(weak)}
     assert constants[2] == {"strong_ratio": max(strong)}
+
+
+def test_embedding_test_function_is_one_formula_of_the_cell_index():
+    # Each stratum's f is the formula on the whole cell index, restricted
+    # to the stratum: frac(k**2 (sqrt 2 - 1) + seed phi) for k = 1..n.
+    quad, seed = build_quadrature(12), RunConfig.seed
+    whole = dyadic.fixed_values(slice(0, quad.n_cells), seed)
+    k = np.arange(1, quad.n_cells + 1, dtype=np.int64)
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    formula = np.mod((k * k).astype(float) * (np.sqrt(2.0) - 1.0) + seed * phi % 1.0, 1.0)
+    assert np.array_equal(whole, formula)
+    for s in quad.strata:
+        assert dyadic.fixed_values(s.cells, seed).tobytes() == whole[s.cells].tobytes()
+    assert np.all((whole >= 0.0) & (whole < 1.0))
+    # Two seeds give two functions; neither is constant on any row of cells.
+    assert not np.array_equal(whole, dyadic.fixed_values(slice(0, quad.n_cells), seed + 1))
+    assert all(np.ptp(s.rows(whole), axis=1).min() > 0.5 for s in quad.strata)
+
+
+def test_embedding_figures_are_pinned(tmp_path):
+    # The box masses, and so the embedding constant, are the parent's bit for
+    # bit; the tree norms read the fixed test function of the default seed.
+    cfg = RunConfig(command="embedding", weight=write_sampled_weight(tmp_path / "w.grid"), depth=10)
+    code, rep = run(cfg)
+    assert code == 0
+    stages = {s["name"]: (s["constants"], s["witness"]) for s in rep.stages}
+    constants, witness = stages["embedding-constant"]
+    assert constants == {"c1_hat": 1.9788411458333337, "tail_estimate": 0.00011637332055240145}
+    assert witness["worst_box"] == "DyadicIndex(grid=0.0, level=5, position=26)"
+    weak = stages["weak-norm"][0]["weak_type_norm"]
+    strong = stages["strong-ratio"][0]["strong_ratio"]
+    assert weak == pytest.approx(0.2790221483110754, rel=1e-12)
+    assert strong == pytest.approx(1.1408388952541282, rel=1e-12)
+    # The weighted dyadic Carleson embedding at p = q = 2 holds with constant 4 C.
+    assert strong**2 <= 4.0 * constants["c1_hat"]
 
 
 def test_two_weight_command():
@@ -386,27 +459,29 @@ def test_box_testers_state_what_they_swept(tmp_path):
 
 
 def count_densities(monkeypatch, depth: int) -> list:
-    """The spec of the weight behind every ``Weight.cell_density`` call on a
-    quadrature of ``depth``, in call order."""
-    specs, density = [], measures.Weight.cell_density
+    """The spec of the weight behind every density pass over a quadrature
+    of ``depth`` (and none deeper), in call order: every pass reads the
+    strata with ``Weight.density_rows`` in order, and only its last one is
+    at level ``depth``."""
+    specs, density_rows = [], measures.Weight.density_rows
 
-    def counting(self, quad):
-        if quad.depth == depth:
+    def counting(self, s):
+        if s.level == depth:
             specs.append(self.spec)
-        return density(self, quad)
+        return density_rows(self, s)
 
-    monkeypatch.setattr(measures.Weight, "cell_density", counting)
+    monkeypatch.setattr(measures.Weight, "density_rows", counting)
     return specs
 
 
 def test_test_weight_builds_its_box_trees_once(monkeypatch, tmp_path):
     # Both testers read one tree per grid and report what each reads alone:
-    # one density pass for both grids' trees, one for the windows.
+    # one density pass for both grids' trees and the windows.
     weight = write_sampled_weight(tmp_path / "w.grid")
     cfg = RunConfig(command="test-weight", weight=weight)
     specs = count_densities(monkeypatch, cfg.quad_depth)
     _, rep = run(cfg)
-    assert specs == [weight] * 2
+    assert specs == [weight]
     monkeypatch.undo()
     w, quad = measures.parse_weight(weight), build_quadrature(cfg.quad_depth)
     rev = measures.reverse_doubling_report(w, depth=cfg.depth, quad=quad)
@@ -421,13 +496,14 @@ def test_test_weight_builds_its_box_trees_once(monkeypatch, tmp_path):
 def test_certify_builds_its_box_trees_once(monkeypatch, tmp_path):
     # Reverse doubling and the testing constant read one tree per grid of the
     # weight, and report what each reads alone.  Depth-10 density passes of
-    # the weight: the disk mass, both grids' trees, each tester's windows,
-    # the norm check (which reads Lebesgue's too) and the Carleson constant.
+    # the weight: the disk mass, one for both grids' trees and both testers'
+    # windows, the norm check (which reads Lebesgue's too) and the Carleson
+    # constant.
     weight = write_sampled_weight(tmp_path / "w.grid")
     cfg = RunConfig(command="certify", weight=weight)
     specs = count_densities(monkeypatch, 10)
     _, rep = run(cfg)
-    assert specs == [weight] * 5 + ["lebesgue", weight]
+    assert specs == [weight] * 3 + ["lebesgue", weight]
     monkeypatch.undo()
     w, quad = measures.parse_weight(weight), build_quadrature(min(cfg.depth, 10))
     rev = measures.reverse_doubling_report(w, depth=cfg.depth, quad=quad)
@@ -440,15 +516,15 @@ def test_certify_builds_its_box_trees_once(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("sampled_mu", [False, True], ids=["lebesgue", "grid"])
 def test_two_weight_builds_each_weights_box_trees_once(monkeypatch, tmp_path, sampled_mu):
-    # One density pass for both grids' trees of nu, and of mu's dual when
-    # sampled; one for the windows of each; then the norm check's nu and mu.
+    # One density pass for both grids' trees and the windows of nu, and of
+    # mu's dual when sampled; then the norm check's nu and mu.
     weight = write_sampled_weight(tmp_path / "w.grid")
     mu = weight if sampled_mu else "lebesgue"
     specs = count_densities(monkeypatch, 10)
     code, _ = run(RunConfig(command="two-weight", nu=weight, mu=mu))
     assert code == 0
     swept = [weight, f"dual({weight},p=2.0)"] if sampled_mu else [weight]
-    assert specs == swept * 2 + [weight, mu]
+    assert specs == swept + [weight, mu]
 
 
 def test_embedding_peak_traced_memory_stays_small(tmp_path):

@@ -43,6 +43,7 @@ from carleson_lab.measures import (
     build_quadrature,
     cell_trees,
     reverse_doubling_report,
+    row_sums,
 )
 from carleson_lab.operators import KernelSpec, NormEstimate, eval_kernel, power_norm
 
@@ -74,16 +75,20 @@ def density_and_trees(w, f, depth: int, quad, grids=GRIDS):
     """The cell density of ``w``, the box averages of ``f`` under it and
     the box masses behind them, on ``grids``."""
     density = np.real(w.density(quad.z))
-    masses = {g: box_level_sums(quad, density * quad.area, g, depth) for g in grids}
-    return density, tree_averages(density, f, masses, quad), masses
+    masses = {g: box_level_sums(quad, row_sums(quad, density * quad.area), g, depth) for g in grids}
+    rows = row_sums(quad, f.values * density * quad.area)
+    integrals = {g: box_level_sums(quad, rows, g, depth) for g in grids}
+    return density, tree_averages(integrals, masses), masses
 
 
 def weak_norm(w, t: float, f, depth: int, quad, grids=GRIDS):
-    return weak_type_norm(t, f, *density_and_trees(w, f, depth, quad, grids)[1:])
+    return weak_type_norm(t, *density_and_trees(w, f, depth, quad, grids)[1:])
 
 
 def strong_ratio(w, cfg, f, depth: int, quad, grids=GRIDS):
-    return strong_embedding_check(cfg, f, *density_and_trees(w, f, depth, quad, grids), quad)
+    density, avgs, masses = density_and_trees(w, f, depth, quad, grids)
+    f_power = float(np.sum(np.real(f.values) ** cfg.p * density * quad.area))
+    return strong_embedding_check(cfg, f_power, avgs, masses)
 
 
 def lebesgue_box_sum(depth: int) -> float:
@@ -240,9 +245,7 @@ def test_apply_box_integrals_against_masked_cells():
     quad = build_quadrature(6)
     rng = np.random.default_rng(SEED + 2)
     f = SampledFunction(quad, rng.uniform(0.0, 1.0, quad.n_cells))
-    from carleson_lab.measures import box_level_sums
-
-    sums = box_level_sums(quad, f.values * quad.area, GRID_PLAIN, 4)
+    sums = box_level_sums(quad, row_sums(quad, f.values * quad.area), GRID_PLAIN, 4)
     turns = np.mod(quad.theta / TAU, 1.0)
     for level in (0, 2, 4):
         for m in (0, 2**level - 1):
@@ -417,7 +420,7 @@ def test_embedding_sampled_weight_matches_radial_fast_path():
     r = np.linspace(0.005, 0.995, 400)
     theta = np.linspace(0.0, TAU, 64, endpoint=False)
     w = Weight.from_grid(r, theta, np.ones((400, 64)))
-    masses = cell_trees(np.real(w.density(quad.z)) * quad.area, 8, quad)
+    masses = cell_trees(row_sums(quad, np.real(w.density(quad.z)) * quad.area), 8, quad)
     got = carleson_embedding_constant(w, 1.0, masses).c1_hat
     exact = closed_form_constant(Weight.lebesgue(), 1.0, 8).c1_hat
     assert got == pytest.approx(exact, rel=1e-6)
@@ -499,13 +502,13 @@ def test_weak_norm_equals_the_sup_over_level_sets(t):
         avgs[g] = [rng.choice([0.0, 0.5, 1.0, 2.0], 2**j) for j in range(depth + 1)]
         masses[g] = [rng.uniform(0.1, 1.0, 2**j) * 2.0**-j for j in range(depth + 1)]
     # One grid's figure from a one-grid tree; both grids' is the larger.
-    got = {g: weak_type_norm(t, f, {g: avgs[g]}, {g: masses[g]}) for g in GRIDS}
+    got = {g: weak_type_norm(t, {g: avgs[g]}, {g: masses[g]}) for g in GRIDS}
     for g in GRIDS:
         assert got[g] == pytest.approx(brute_weak_norm(t, avgs[g], masses[g]), rel=1e-13)
-    assert weak_type_norm(t, f, avgs, masses) == max(got.values())
+    assert weak_type_norm(t, avgs, masses) == max(got.values())
     # An all-zero f averages to zero on every box: no level set is above 0.
-    zero = tree_averages(np.ones(quad.n_cells), f, masses, quad)
-    assert all(weak_type_norm(t, f, {g: zero[g]}, masses) == 0.0 for g in GRIDS)
+    zero = tree_averages(cell_trees(row_sums(quad, f.values), depth, quad), masses)
+    assert all(weak_type_norm(t, {g: zero[g]}, masses) == 0.0 for g in GRIDS)
     assert all(brute_weak_norm(t, zero[g], masses[g]) == 0.0 for g in GRIDS)
 
 
@@ -517,13 +520,14 @@ def test_weak_norm_bounded_by_embedding_times_l1(weight, t):
     quad = build_quadrature(9)
     depth = 9
     density = np.real(weight.density(quad.z))
-    masses = cell_trees(density * quad.area, depth, quad)
+    masses = cell_trees(row_sums(quad, density * quad.area), depth, quad)
     emb = carleson_embedding_constant(weight, t, masses, k_max_level=depth)
     rng = np.random.default_rng(SEED)
     for _ in range(30):
-        f = SampledFunction(quad, rng.uniform(0.0, 2.0, quad.n_cells))
-        weak = weak_type_norm(t, f, tree_averages(density, f, masses, quad), masses)
-        l1 = float(np.sum(f.values * density * quad.area))
+        f_mass = rng.uniform(0.0, 2.0, quad.n_cells) * density * quad.area
+        avgs = tree_averages(cell_trees(row_sums(quad, f_mass), depth, quad), masses)
+        weak = weak_type_norm(t, avgs, masses)
+        l1 = float(np.sum(f_mass))
         assert weak <= emb.c1_hat ** (1.0 / t) * l1 * (1 + 1e-9)
 
 
@@ -535,12 +539,13 @@ def test_embedding_chain_on_a_grid_weight_builds_no_cell_arrays():
     depth = 8
     quad = build_quadrature(depth)
     density = w.cell_density(quad)
-    masses = cell_trees(density * quad.area, depth, quad)
-    f = SampledFunction(quad, np.random.default_rng(SEED).uniform(0.0, 1.0, quad.n_cells))
-    avgs = tree_averages(density, f, masses, quad)
+    masses = cell_trees(w.mass_rows(quad), depth, quad)
+    f = np.random.default_rng(SEED).uniform(0.0, 1.0, quad.n_cells)
+    avgs = tree_averages(cell_trees(row_sums(quad, f * density * quad.area), depth, quad), masses)
     carleson_embedding_constant(w, 1.0, masses)
-    weak_type_norm(1.0, f, avgs, masses)
-    strong_embedding_check(ExponentConfig(2.0, 2.0, 1.0), f, density, avgs, masses, quad)
+    weak_type_norm(1.0, avgs, masses)
+    strong_embedding_check(ExponentConfig(2.0, 2.0, 1.0), float(np.sum(f**2 * density * quad.area)),
+                           avgs, masses)
     assert not {"z", "r", "theta", "stratum"} & vars(quad).keys()
 
 
@@ -585,10 +590,13 @@ def test_strong_ratio_stable_under_refinement():
 
 
 def test_tree_averages_evaluate_the_density_once(monkeypatch):
+    # The mass rows evaluate the density once per stratum, at its cells'
+    # centers, bit for bit the sums of the whole-quadrature cell masses; a
+    # constant function's integrals are those rows again.
     quad = build_quadrature(7)
     w = Weight.radial_power(1)
     cell_masses = np.real(w.density(quad.z)) * quad.area
-    expected_masses = box_level_sums(quad, cell_masses, GRID_THIRD, 7)
+    expected_masses = box_level_sums(quad, row_sums(quad, cell_masses), GRID_THIRD, 7)
     calls = []
     density = Weight.density
 
@@ -597,10 +605,10 @@ def test_tree_averages_evaluate_the_density_once(monkeypatch):
         return density(self, z)
 
     monkeypatch.setattr(Weight, "density", counting)
-    density = np.real(w.density(quad.z))
-    masses = cell_trees(density * quad.area, 7, quad)
-    avgs = tree_averages(density, SampledFunction.constant(quad), masses, quad)
-    assert calls == [quad.n_cells]
+    rows = w.mass_rows(quad)
+    masses = cell_trees(rows, 7, quad)
+    avgs = tree_averages(cell_trees(rows, 7, quad), masses)
+    assert calls == [s.rows(quad.area).size for s in quad.strata]
     assert list(avgs) == list(masses) == list(GRIDS)
     for got, want in zip(masses[GRID_THIRD], expected_masses, strict=True):
         np.testing.assert_array_equal(got, want)
@@ -608,32 +616,31 @@ def test_tree_averages_evaluate_the_density_once(monkeypatch):
         np.testing.assert_allclose(np.concatenate(avgs[grid]), 1.0, rtol=1e-12)
 
 
-def test_tree_averages_drop_each_grids_integrals():
-    # Both grids' averages at the peak of two one-grid calls, with the first
-    # call's result kept: holding grid 0's integrals while grid 1's are
-    # summed would add one tree, 0.25 MiB at depth 14.
+def test_tree_averages_divide_the_integrals_in_place():
+    # The averages are the integral trees' own arrays, divided in place:
+    # no tree (0.25 MiB a grid at depth 14) is allocated.
     quad = build_quadrature(14)
     r = np.linspace(0.05, 0.95, 12)
     theta = (np.arange(16) + 0.5) * (TAU / 16)
     w = Weight.from_grid(r, theta, 1.0 + np.outer(r, np.cos(theta)))
     density = w.cell_density(quad)
-    masses = cell_trees(density * quad.area, 14, quad)
-    f = SampledFunction(quad, np.random.default_rng(SEED).uniform(0.0, 1.0, quad.n_cells))
+    masses = cell_trees(w.mass_rows(quad), 14, quad)
+    f = np.random.default_rng(SEED).uniform(0.0, 1.0, quad.n_cells)
+    integrals = cell_trees(row_sums(quad, f * density * quad.area), 14, quad)
+    want = {g: [i / m for i, m in zip(integrals[g], masses[g])] for g in GRIDS}
+    levels = {g: list(integrals[g]) for g in GRIDS}
     tree_bytes = sum(m.nbytes for m in masses[GRID_PLAIN])
-    g0, g1 = GRIDS
     tracemalloc.start()
     try:
-        first = tree_averages(density, f, {g0: masses[g0]}, quad)
-        tracemalloc.reset_peak()
-        tree_averages(density, f, {g1: masses[g1]}, quad)
-        one_grid_peak = tracemalloc.get_traced_memory()[1]
-        del first
-        tracemalloc.clear_traces()
-        tree_averages(density, f, masses, quad)
-        two_grid_peak = tracemalloc.get_traced_memory()[1]
+        avgs = tree_averages(integrals, masses)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert two_grid_peak <= one_grid_peak + tree_bytes // 4
+    assert peak <= tree_bytes // 8
+    for g in GRIDS:
+        assert all(a is b for a, b in zip(avgs[g], levels[g], strict=True))
+        for got, expected in zip(avgs[g], want[g], strict=True):
+            assert got.tobytes() == expected.tobytes()
 
 
 def vanishing_weight() -> Weight:
@@ -648,11 +655,10 @@ def test_zero_mass_tree_box_names_its_grid_and_level(grid, level):
     # first box inside that arc is at level 4.
     quad = build_quadrature(6)
     w = vanishing_weight()
-    density = w.cell_density(quad)
-    masses = {grid: box_level_sums(quad, density * quad.area, grid, 6)}
+    masses = {grid: box_level_sums(quad, w.mass_rows(quad), grid, 6)}
     message = re.escape(f"zero-mass box at grid {grid}, level {level}")
     with pytest.raises(DegenerateWeightError, match=message):
-        tree_averages(density, SampledFunction.constant(quad), masses, quad)
+        tree_averages({grid: [m.copy() for m in masses[grid]]}, masses)
     with pytest.raises(DegenerateWeightError, match=message):
         carleson_embedding_constant(w, 1.0, masses)
 

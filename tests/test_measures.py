@@ -37,6 +37,7 @@ from carleson_lab.measures import (
     dual_weight,
     parse_weight,
     reverse_doubling_report,
+    row_sums,
     window_masses,
 )
 
@@ -583,7 +584,7 @@ def test_level_sums_match_direct_masses():
     w = thin_shell_weight(floor=0.5)
     values = w.density(quad.z) * quad.area
     for grid in GRIDS:
-        sums = box_level_sums(quad, values, grid, 5)
+        sums = box_level_sums(quad, row_sums(quad, values), grid, 5)
         for level in (0, 2, 5):
             for m in (0, 2**level - 1):
                 direct = box_mass(
@@ -595,7 +596,7 @@ def test_level_sums_match_direct_masses():
 def test_level_sums_depth_overflow():
     quad = build_quadrature(4)
     with pytest.raises(ResolutionError):
-        box_level_sums(quad, quad.area, GRID_PLAIN, 6)
+        box_level_sums(quad, row_sums(quad, quad.area), GRID_PLAIN, 6)
 
 
 def fsum_box_sum(quad, values, start_turn, length, r_in=None) -> float:
@@ -637,7 +638,7 @@ def fsum_box_sum(quad, values, start_turn, length, r_in=None) -> float:
 def test_level_sums_match_an_fsum_oracle(grid, quad_depth, depth):
     quad = build_quadrature(quad_depth)
     values = np.random.default_rng(SEED).uniform(0.5, 1.5, quad.n_cells) * quad.area
-    sums = box_level_sums(quad, values, grid, depth)
+    sums = box_level_sums(quad, row_sums(quad, values), grid, depth)
     assert len(sums) == depth + 1
     rng = np.random.default_rng(SEED + 1)
     for level in range(depth + 1):
