@@ -15,6 +15,7 @@ from carleson_lab import (
     CarlesonBox,
     Weight,
     box_mass,
+    box_masses,
     build_quadrature,
     doubling_report,
     reverse_doubling_report,
@@ -31,7 +32,7 @@ for length in (1.0, 0.5, 0.125):
 
 print("\n== reverse doubling ==")
 for w in (leb, rp1, Weight.radial_power(3)):
-    rep = reverse_doubling_report(w, depth=16)
+    rep = reverse_doubling_report(box_masses(w, 16))
     print(
         f"{w.spec:16s}: delta_hat = {rep.delta_hat:.6f} at arc length "
         f"{rep.worst_arc.length:.4f} -> {'reverse doubling' if rep.verdict else 'FAILS'}"
@@ -41,18 +42,18 @@ for w in (leb, rp1, Weight.radial_power(3)):
 r = np.linspace(0.025, 0.975, 20)
 theta = np.linspace(0.1, 6.2, 16)
 shell = Weight.from_grid(r, theta, np.where(r[:, None] > 0.95, 1.0, 1e-9) * np.ones((20, 16)))
-rep = reverse_doubling_report(shell, depth=8, quad=build_quadrature(10))
+rep = reverse_doubling_report(box_masses(shell, 8, build_quadrature(10)))
 print(f"boundary shell    : delta_hat = {rep.delta_hat:.6f} -> verdict {rep.verdict}")
 
 print("\n== doubling (a box with its two neighbours, over the box) ==")
 for w in (leb, rp1):
-    rep = doubling_report(w, depth=16)
+    rep = doubling_report(box_masses(w, 16))
     print(f"{w.spec:16s}: C_hat = {rep.c_hat:.6f} at {rep.worst} -> verdict {rep.verdict}")
 
 # a density vanishing to infinite order at theta = 0 is not doubling
 theta = (np.arange(1024) + 0.5) * (2 * np.pi / 1024)
 gap = Weight.from_grid([0.5], theta, np.exp(-0.3 / np.minimum(theta, 2 * np.pi - theta))[None, :])
-rep = doubling_report(gap, depth=16, quad=build_quadrature(10))
+rep = doubling_report(box_masses(gap, 16, build_quadrature(10)))
 print(
     f"exp(-0.3/|theta|): C_hat = {rep.c_hat:.3g} at level {rep.worst.level} "
     f"of {rep.depth} -> verdict {rep.verdict}"

@@ -14,7 +14,7 @@ import numpy as np
 from carleson_lab import (
     ExponentConfig,
     Weight,
-    box_mass_trees,
+    box_masses,
     build_quadrature,
     carleson_constant,
     carleson_embedding_constant,
@@ -32,7 +32,7 @@ depth = 10
 
 print("== embedding condition ==")
 for w in (Weight.lebesgue(), Weight.radial_power(1)):
-    rep = carleson_embedding_constant(w, 1.0, box_mass_trees(w, 14))
+    rep = carleson_embedding_constant(w, 1.0, box_masses(w, 14).trees)
     print(f"{w.spec:16s}: c1 = {rep.c1_hat:.5f} (truncation tail ~{rep.tail_estimate:.1e})")
 print("closed forms: 8/3 for area measure, 12/7 for (1 - |z|)")
 
@@ -59,7 +59,7 @@ print(f"sup strong ratio over 25 draws:        {worst_strong:.4f}")
 
 print("\n== two-weight testing constant against area measure ==")
 for nu in (Weight.lebesgue(), Weight.radial_power(1)):
-    rep = two_weight_testing_constant(nu, Weight.lebesgue(), cfg)
+    rep = two_weight_testing_constant(box_masses(nu, 16), Weight.lebesgue(), cfg)
     print(
         f"nu = {nu.spec:16s}: sup = {rep.sup_value:.6f} "
         f"(= total mass^0.5 = {math.sqrt(nu.disk_mass()):.6f})"

@@ -47,11 +47,12 @@ from .geometry import (
     mei_cover,
 )
 from .measures import (
+    BoxMasses,
     DiskQuadrature,
     SampledFunction,
     Weight,
     box_mass,
-    box_mass_trees,
+    box_masses,
     build_quadrature,
     cell_trees,
     doubling_report,
@@ -59,6 +60,7 @@ from .measures import (
     parse_weight,
     reverse_doubling_report,
     row_sums,
+    sweep,
 )
 from .operators import (
     DiscreteMeasure,

@@ -243,13 +243,11 @@ def _run_test_weight(cfg: RunConfig, timings: dict):
         with dirichlet_mod.timed(timings, "quadrature"):
             quad = measures.build_quadrature(cfg.quad_depth)
     with dirichlet_mod.timed(timings, "reverse-doubling"):
-        # Both testers read one pair of box-mass trees, timed with the first,
-        # and the windows read the rows they are summed from.
-        rows = measures.sampled_mass_rows(w, quad)
-        trees = measures.box_mass_trees(w, cfg.depth, quad, rows)
-        rev = measures.reverse_doubling_report(w, quad=quad, trees=trees, rows=rows)
+        # Both testers read one BoxMasses, built and timed with the first.
+        masses = measures.box_masses(w, cfg.depth, quad)
+        rev = measures.reverse_doubling_report(masses)
     with dirichlet_mod.timed(timings, "doubling"):
-        dbl = measures.doubling_report(w, quad=quad, trees=trees)
+        dbl = measures.doubling_report(masses)
     return [
         stage("reverse-doubling", *dirichlet_mod.reverse_doubling_stage(rev)),
         stage("doubling", dbl.verdict, {"C_hat": dbl.c_hat},
@@ -283,7 +281,7 @@ def _run_embedding(cfg: RunConfig, timings: dict):
         avgs = dyadic_mod.tree_averages(measures.cell_trees(f_rows, depth, quad), masses)
         del mass_rows, f_rows, mass, f
     with dirichlet_mod.timed(timings, "embedding-constant"):
-        exact = measures.box_mass_trees(w, depth) if w.is_radial_power else masses
+        exact = measures.box_masses(w, depth).trees if w.is_radial_power else masses
         emb = dyadic_mod.carleson_embedding_constant(w, econf.t, exact)
         stages = [stage("embedding-constant", None,
                         {"c1_hat": emb.c1_hat, "tail_estimate": emb.tail_estimate},
@@ -309,7 +307,9 @@ def _run_two_weight(cfg: RunConfig, timings: dict):
         with dirichlet_mod.timed(timings, "quadrature"):
             quad = measures.build_quadrature(cfg.quad_depth)
     with dirichlet_mod.timed(timings, "testing-constant"):
-        testing = dyadic_mod.two_weight_testing_constant(nu, mu, econf, depth=cfg.depth, quad=quad)
+        # nu's box masses are freed before the norm check, whose peak they would raise.
+        testing = dyadic_mod.two_weight_testing_constant(
+            measures.box_masses(nu, cfg.depth, quad), mu, econf)
     with dirichlet_mod.timed(timings, "norm-check"):
         norms = dyadic_mod.two_weight_norm_check(nu, mu, econf)
     return [

@@ -25,6 +25,7 @@ stage, and of the quadrature it built, if any (:class:`timed`).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -32,10 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import (
-    STABILIZE_RTOL,
     ExponentConfig,
     NormCheckReport,
     TestingConstantReport,
+    refinement_verdict,
     two_weight_norm_check,
     two_weight_testing_constant,
 )
@@ -44,10 +45,9 @@ from .measures import (
     DiskQuadrature,
     ReverseDoublingReport,
     Weight,
-    box_mass_trees,
+    box_masses,
     build_quadrature,
     reverse_doubling_report,
-    sampled_mass_rows,
 )
 from .operators import poly_eval
 
@@ -170,8 +170,8 @@ def carleson_constant(w: Weight, quad_depths: tuple[int, ...] = (8, 10)) -> Carl
     sublayers (192 at depth 10, about 1 ms), with no cell centers built.
     The operator norm is the top eigenvalue of the Gram of the orthonormal
     basis ``z^n / sqrt(n+1)``: the estimate is the kernel-weighted ratio,
-    traced over the depths; the verdict is whether the last two agree
-    within ``STABILIZE_RTOL`` (``None`` after one depth).  The lower bound
+    traced over the distinct depths in order; the verdict is their
+    :func:`refinement_verdict` (``None`` after one depth).  The lower bound
     is the last Gram's derivative-weighted ratio.  The degree cap
     compresses the operator, so the estimate never exceeds the norm between
     cell centers and reads low for mass within about ``1/64`` of the circle.
@@ -185,12 +185,9 @@ def carleson_constant(w: Weight, quad_depths: tuple[int, ...] = (8, 10)) -> Carl
         gram = monomial_gram(quad, w.cell_density(quad) * quad.area, LOWER_BOUND_DEGREE)
         trace.append((d, gram_ratio(gram, kernel_weights)))
         cells.append((d, quad.n_cells))
-    last, verdict = trace[-1][1], None
-    if len(trace) >= 2:
-        verdict = abs(last - trace[-2][1]) <= STABILIZE_RTOL * max(abs(last), 1e-300)
-    return CarlesonVerdict(
-        last, gram_ratio(gram, derivative_weights), tuple(trace), verdict, tuple(cells)
-    )
+    verdict = refinement_verdict([estimate for _, estimate in trace])
+    return CarlesonVerdict(trace[-1][1], gram_ratio(gram, derivative_weights), tuple(trace),
+                           verdict, tuple(cells))
 
 
 def reverse_doubling_stage(rep: ReverseDoublingReport) -> tuple[bool, dict, dict]:
@@ -286,20 +283,13 @@ def theorem_pipeline(w: Weight, depth: int = 12) -> PipelineReport:
         return bool(w.finite and math.isfinite(mass)), {"disk_mass": mass}, {}
 
     run_stage("finiteness", stage_finite)
-    # Both box testers read w's box-mass trees, built and timed with the
-    # first, and one pass of its cell masses behind the trees and windows.
-    shared: dict = {}
-
-    def stage_reverse():
-        shared["rows"] = sampled_mass_rows(w, quad)
-        shared["trees"] = box_mass_trees(w, depth, quad, shared["rows"])
-        return reverse_doubling_stage(reverse_doubling_report(w, quad=quad, **shared))
-
-    run_stage("reverse-doubling", stage_reverse)
+    # Both box testers read w's box masses, built and timed with the first;
+    # a build that raised raises again in the second.
+    masses = functools.cache(lambda: box_masses(w, depth, quad))
+    run_stage("reverse-doubling", lambda: reverse_doubling_stage(reverse_doubling_report(masses())))
     cfg, lebesgue = ExponentConfig(p=2.0, q=2.0, alpha=1.0), Weight.lebesgue()
-    run_stage("testing-constant", lambda: testing_constant_stage(two_weight_testing_constant(
-        w, lebesgue, cfg, depth=depth, quad=quad, **shared
-    )))
+    run_stage("testing-constant", lambda: testing_constant_stage(
+        two_weight_testing_constant(masses(), lebesgue, cfg)))
     run_stage("norm-check", lambda: norm_check_stage(two_weight_norm_check(w, lebesgue, cfg)))
 
     def stage_carleson():

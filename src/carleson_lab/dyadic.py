@@ -8,15 +8,18 @@ nonnegative functions.  It counts a quadrature cell in a box when the box
 contains the cell's center, on both grids, so its matrix is symmetric.
 Tree mappings send a function to its weighted box averages; their strong
 and weak norms against the box-mass measure ``mass(Q)**t`` are what the
-embedding results control.  A tree is the shape the box testers read:
-a dict from each grid to its per-level arrays, ``tree[grid][j][m]`` at
-the level-j, position-m box.  The embedding constant and both tree norms
-read two such trees, the box masses of a weight and the averages of
-``f`` against it, both summed from one row per stratum.  Box masses and
-averages are integrals: they count a shifted-grid boundary cell by its
-covered fraction (:func:`box_level_sums`).  The two-weight norm check measures
-the ``L^p(mu) -> L^q(nu)`` norms of the kernel and model operators, for
-every ``(p, q)``, with one power method.
+embedding results control.  A tree is the shape the box testers read
+(``BoxMasses.trees``): a dict from each grid to its per-level arrays,
+``tree[grid][j][m]`` at the level-j, position-m box.  The embedding
+constant and both tree norms read two such trees, the box masses of a
+weight and the averages of ``f`` against it, both summed from one row per
+stratum.  Box masses and averages are integrals: they count a shifted-grid
+boundary cell by its covered fraction (:func:`box_level_sums`).  The
+two-weight testing constant reads the :class:`BoxMasses` of ``nu`` and of
+the dual weight; it and the embedding constant take their suprema with the
+box testers' one :func:`sweep`.  The two-weight norm check measures the
+``L^p(mu) -> L^q(nu)`` norms of the kernel and model operators, for every
+``(p, q)``, with one power method.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateWeightError, InfiniteMassError, ResolutionError
+from .errors import ConfigError, InfiniteMassError, ResolutionError
 from .geometry import (
-    GRID_PLAIN,
     GRIDS,
     TAU,
     Arc,
@@ -37,14 +39,15 @@ from .geometry import (
     full_box_area,
 )
 from .measures import (
+    BoxMasses,
     DiskQuadrature,
     SampledFunction,
     Weight,
-    box_mass_trees,
+    box_masses,
     build_quadrature,
     dual_weight,
-    sampled_mass_rows,
-    window_masses,
+    positive,
+    sweep,
 )
 from .operators import (
     KernelSpec,
@@ -212,9 +215,7 @@ def tree_averages(integrals: dict, masses: dict) -> dict:
     """
     for grid, levels in masses.items():
         for j, mass_j in enumerate(levels):
-            if np.any(mass_j <= 0.0):
-                raise DegenerateWeightError(f"zero-mass box at grid {grid}, level {j}")
-            integrals[grid][j] /= mass_j
+            integrals[grid][j] /= positive(mass_j, "box", grid, j)
     return {grid: integrals[grid] for grid in masses}
 
 
@@ -233,10 +234,11 @@ def carleson_embedding_constant(
     """Largest ratio ``sum over boxes inside Q_K of mass**t / mass(Q_K)**t``.
 
     ``masses`` holds the box masses of ``w`` on each grid swept, keyed by
-    grid (:func:`box_mass_trees` or :func:`cell_trees`).  Box sums run
+    grid (``box_masses(...).trees`` or :func:`cell_trees`).  Box sums run
     over their levels, up to ``depth``; outer boxes ``Q_K`` run over
-    levels up to ``k_max_level`` (default ``depth // 2``).  A geometric
-    tail estimate for the truncated inner sum is reported alongside.
+    levels up to ``k_max_level`` (default ``depth // 2``), in one
+    :func:`sweep`.  A geometric tail estimate for the truncated inner sum
+    is reported alongside.
     """
     if t < 1.0:
         raise ConfigError(f"t must be >= 1, got {t}")
@@ -245,33 +247,28 @@ def carleson_embedding_constant(
     depth = len(next(iter(masses.values()))) - 1
     k_cap = depth // 2 if k_max_level is None else k_max_level
 
-    best = -math.inf
-    worst = DyadicIndex(GRIDS[0], 0, 0)
-    tail = 0.0
-    for grid, levels in masses.items():
-        for j, m in enumerate(levels):
-            if np.any(m <= 0.0):
-                raise DegenerateWeightError(f"zero-mass box at grid {grid}, level {j}")
-        powered = [m**t for m in levels]
-        # Bottom-up: subtree sums of mass**t.
-        subtree = [None] * (depth + 1)
-        subtree[depth] = powered[depth].copy()
-        for j in range(depth - 1, -1, -1):
-            subtree[j] = powered[j] + subtree[j + 1][0::2] + subtree[j + 1][1::2]
-        for k in range(min(k_cap, depth) + 1):
-            ratios = subtree[k] / powered[k]
-            m = int(np.argmax(ratios))
-            if ratios[m] > best:
-                best = float(ratios[m])
-                worst = DyadicIndex(grid, k, m)
-        last_term = float(np.sum(powered[depth]) / powered[0][0])
-        prev = float(np.sum(powered[depth - 1]) / powered[0][0]) if depth >= 1 else 0.0
-        ratio_step = last_term / prev if prev > 0 else 0.0
-        # Geometric tail: if per-level totals decay by factor rho, the
-        # missing levels contribute about last * rho / (1 - rho).
-        rho = min(ratio_step, 0.99)
-        tail = max(tail, last_term * rho / (1.0 - rho) if rho < 1.0 else math.inf)
-    return EmbeddingReport(float(best), worst, t, depth, float(tail))
+    tails = [0.0]
+
+    def ratios():
+        for grid, levels in masses.items():
+            powered = [positive(m, "box", grid, j) ** t for j, m in enumerate(levels)]
+            # Bottom-up: subtree sums of mass**t.
+            subtree = [None] * (depth + 1)
+            subtree[depth] = powered[depth].copy()
+            for j in range(depth - 1, -1, -1):
+                subtree[j] = powered[j] + subtree[j + 1][0::2] + subtree[j + 1][1::2]
+            for k in range(min(k_cap, depth) + 1):
+                yield grid, k, subtree[k] / powered[k]
+            last_term = float(np.sum(powered[depth]) / powered[0][0])
+            prev = float(np.sum(powered[depth - 1]) / powered[0][0]) if depth >= 1 else 0.0
+            ratio_step = last_term / prev if prev > 0 else 0.0
+            # Geometric tail: if per-level totals decay by factor rho, the
+            # missing levels contribute about last * rho / (1 - rho).
+            rho = min(ratio_step, 0.99)
+            tails.append(last_term * rho / (1.0 - rho) if rho < 1.0 else math.inf)
+
+    best, worst, _ = sweep(ratios())
+    return EmbeddingReport(best, worst or DyadicIndex(GRIDS[0], 0, 0), t, depth, float(max(tails)))
 
 
 def weak_type_norm(t: float, avgs: dict, masses: dict) -> float:
@@ -347,26 +344,17 @@ class TestingConstantReport:
 
 
 def two_weight_testing_constant(
-    nu: Weight,
-    mu: Weight,
-    cfg: ExponentConfig,
-    depth: int = 16,
-    quad: DiskQuadrature | None = None,
-    trees: dict | None = None,
-    rows: list | None = None,
+    m: BoxMasses, mu: Weight, cfg: ExponentConfig
 ) -> TestingConstantReport:
     """Supremum of ``mass_nu(Q)**(1/q) mass_dual(Q)**(1/p') / area(Q)**(alpha/2)``.
 
-    Sweeps both grids up to ``depth``, then, unless both weights are
-    radial, the windows of :func:`window_masses` at levels 1 to ``depth``,
-    which replace the worst box only when strictly larger.  The dual weight
-    of ``mu`` must have finite mass.  Box masses come from
-    :func:`box_mass_trees`: closed form for a radial-power weight, cell
-    sums over ``quad`` (which also caps ``depth``) for any other; trees of
-    ``nu``, passed in, set the depth, and its ``rows``
-    (:meth:`Weight.mass_rows`) serve its windows.  The verdict is false when the
-    supremum sits on an arc of the finest length swept, where it has not
-    stopped growing.
+    ``m`` holds the box masses of ``nu``, and the dual weight of ``mu``,
+    which must have finite mass, takes its :func:`box_masses` at
+    ``m.depth`` on ``m.quad``.  One :func:`sweep` reads both grids up to
+    that depth, then, unless both weights are radial, the windows of
+    :meth:`BoxMasses.windows` at levels 1 to it.  The verdict is false when
+    the supremum sits on an arc of the finest length swept, where it has
+    not stopped growing.
     """
     dual = dual_weight(mu, cfg.p)
     if not dual.finite:
@@ -374,40 +362,21 @@ def two_weight_testing_constant(
             f"dual weight {dual.spec!r} has infinite mass; the testing constant "
             "is undefined"
         )
-    rows = sampled_mass_rows(nu, quad) if rows is None else rows
-    if trees is None:  # raises on a weight nu of infinite mass
-        trees = box_mass_trees(nu, depth, quad, rows)
-    depth = len(trees[GRID_PLAIN]) - 1
+    du = box_masses(dual, m.depth, m.quad)
 
     def quantity(m_nu, m_du, j):
         area = full_box_area(2.0**-j)
         return m_nu ** (1.0 / cfg.q) * m_du ** (1.0 / cfg.p_prime) / area ** (cfg.alpha / 2.0)
 
-    dual_rows = sampled_mass_rows(dual, quad)
-    dual_trees = box_mass_trees(dual, depth, quad, dual_rows)
-    best = -math.inf
-    worst: DyadicIndex | Arc = DyadicIndex(GRIDS[0], 0, 0)
-    for grid in GRIDS:
-        m_nu, m_du = trees[grid], dual_trees[grid]
-        for j in range(depth + 1):
-            vals = quantity(m_nu[j], m_du[j], j)
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best = float(vals[k])
-                worst = DyadicIndex(grid, j, k)
-    windows = 0
-    if not (nu.is_radial_power and dual.is_radial_power):
-        for (grid, j, m_nu, _), (_, _, m_du, _) in zip(
-            window_masses(nu, quad, depth, rows), window_masses(dual, quad, depth, dual_rows)
-        ):
-            vals = quantity(m_nu, m_du, j)
-            k = int(np.argmax(vals))
-            windows += vals.size
-            if vals[k] > best:
-                best = float(vals[k])
-                worst = Arc(0.0, 2.0**-j, start_turn=grid + k / vals.size)
-    verdict = math.isfinite(best) and worst.length != 2.0**-depth
-    return TestingConstantReport(best, worst, dual.spec, verdict, depth, windows)
+    boxes = ((g, j, quantity(m.trees[g][j], du.trees[g][j], j))
+             for g in GRIDS for j in range(m.depth + 1))
+    windows = () if m.rows is None and du.rows is None else (
+        (grid, j, quantity(m_nu, m_du, j))
+        for (grid, j, m_nu, _), (_, _, m_du, _) in zip(m.windows(m.depth), du.windows(m.depth))
+    )
+    best, worst, swept = sweep(boxes, windows)
+    verdict = math.isfinite(best) and worst.length != 2.0**-m.depth
+    return TestingConstantReport(best, worst, dual.spec, verdict, m.depth, swept)
 
 
 @dataclass(frozen=True)
@@ -430,7 +399,7 @@ def norm_check_key(op, depth: int) -> str:
 @dataclass(frozen=True)
 class NormCheckReport:
     levels: tuple[NormCheckLevel, ...]
-    stabilized: bool | None  # None for p < q, where the ascent may stop at a local maximum
+    stabilized: bool | None  # None for p < q (a local maximum may stop the ascent) or one depth
 
     def keyed(self) -> dict:
         """Every solve and how it started, as ``(solve, start)`` under its
@@ -453,6 +422,15 @@ class NormCheckReport:
 _NORM_SOLVE = {"tol": 1e-6, "max_iter": 500, "seed": 314159}
 #: Relative agreement of the last two refinements behind a "stabilized" verdict.
 STABILIZE_RTOL = 0.05
+
+
+def refinement_verdict(figures: list[float]) -> bool | None:
+    """Whether the last two ``figures``, one per distinct depth in order,
+    agree within ``STABILIZE_RTOL``; ``None`` below two depths."""
+    if len(figures) < 2:
+        return None
+    a, b = figures[-2:]
+    return bool(abs(a - b) <= STABILIZE_RTOL * max(abs(b), 1e-300))
 
 
 def fixed_values(cells: slice, seed: int = 0) -> np.ndarray:
@@ -529,17 +507,17 @@ def two_weight_norm_check(
     the adjoint swaps the two weights; the dyadic model operator counts a
     cell in the boxes containing its center on both grids, so it is its
     own adjoint.  Every figure is a lower bound on the discrete norm, and
-    at ``p = q = 2`` the largest singular value.  For ``p = q`` the
-    verdict asks the dense figures of the last two refinements to agree
-    within ``STABILIZE_RTOL``; for ``p < q`` it is ``None``, since the
-    ascent may stop at a local maximum there.  At ``p = q`` the first
-    depth starts every solve from :func:`fixed_start`, and every later
-    depth from the previous depth's final iterate, prolonged through
-    :meth:`DiskQuadrature.parent_index` (the function it stands for is
-    copied to the finer cells; a prolonged start that vanishes falls back
-    to the fixed one); the ascent from there reaches the cold solve's
-    figure in two or three steps, and no random number is drawn.  At
-    ``p < q`` every solve starts from the seeded draw, since a
+    at ``p = q = 2`` the largest singular value.  The distinct depths of
+    ``quad_depths`` are measured in order; for ``p = q`` the verdict is the
+    :func:`refinement_verdict` of the dense figures, and for ``p < q`` it
+    is ``None``, since the ascent may stop at a local maximum there.  At
+    ``p = q`` the first depth starts every solve from :func:`fixed_start`,
+    and every later depth from the previous depth's final iterate,
+    prolonged through :meth:`DiskQuadrature.parent_index` (the function it
+    stands for is copied to the finer cells; a prolonged start that
+    vanishes falls back to the fixed one); the ascent from there reaches
+    the cold solve's figure in two or three steps, and no random number is
+    drawn.  At ``p < q`` every solve starts from the seeded draw, since a
     continuation start can settle on a lower local maximum.  Each level's
     ``starts`` names how every solve began.  A weight ``nu`` of infinite
     mass raises :class:`InfiniteMassError` before any quadrature is built.
@@ -550,7 +528,7 @@ def two_weight_norm_check(
     spec = KernelSpec.k_alpha(cfg.alpha)
     solve = {**_NORM_SOLVE, "p": cfg.p, "q": cfg.q}
     warm = cfg.p == cfg.q
-    for d in quad_depths:
+    for d in dict.fromkeys(quad_depths):
         quad = build_quadrature(d)
         depth = min(d, quad.depth)
         nu_d = nu.cell_density(quad)
@@ -580,10 +558,5 @@ def two_weight_norm_check(
             )
         levels.append(NormCheckLevel(d, quad.n_cells, solves, starts))
         coarse, coarse_root = quad, root
-    stabilized = None
-    if warm:
-        stabilized = False
-        if len(levels) >= 2:
-            a, b = (lv.solves["dense"].value for lv in levels[-2:])
-            stabilized = abs(a - b) <= STABILIZE_RTOL * max(abs(b), 1e-300)
-    return NormCheckReport(levels=tuple(levels), stabilized=stabilized)
+    dense = [lv.solves["dense"].value for lv in levels]
+    return NormCheckReport(tuple(levels), refinement_verdict(dense) if warm else None)

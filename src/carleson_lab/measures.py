@@ -7,8 +7,11 @@ masses for them bypass the quadrature entirely.  Everything else is
 integrated by midpoint sums over quadrature cells that are aligned with
 the plain dyadic grid; boxes of the shifted grid are handled by exact
 fractional overlap of the boundary cells.  The reverse-doubling and
-doubling testers read their ratios off these box masses, reverse doubling
-also off the box over every dyadic-length arc from each finest angle.
+doubling testers read their ratios off one :class:`BoxMasses` value, the
+box masses of both grids from one pass of the cell masses
+(:func:`box_masses`); reverse doubling also reads the box over every
+dyadic-length arc from each finest angle (:meth:`BoxMasses.windows`).
+Every box tester takes its supremum with one :func:`sweep`.
 """
 
 from __future__ import annotations
@@ -512,19 +515,72 @@ def cell_trees(rows: list[np.ndarray], depth: int, quad: DiskQuadrature) -> dict
     return {grid: box_level_sums(quad, rows, grid, depth) for grid in GRIDS}
 
 
-def sampled_mass_rows(w: Weight, quad: DiskQuadrature | None) -> list[np.ndarray] | None:
-    """``w.mass_rows(quad)`` to share, or ``None`` for a closed-form weight."""
-    return None if w.is_radial_power or quad is None else w.mass_rows(quad)
+@dataclass(frozen=True, eq=False)  # equal only to itself: its trees hold arrays
+class BoxMasses:
+    """The box masses of ``weight`` that the box testers read
+    (:func:`box_masses`): ``trees``, each grid's per-level arrays up to
+    :attr:`depth`, and the stratum ``rows`` of its cell masses over
+    ``quad`` they were summed from, ``None`` for a radial-power weight,
+    whose trees are closed form."""
+
+    weight: Weight
+    quad: DiskQuadrature | None
+    trees: dict = field(repr=False)
+    rows: list[np.ndarray] | None = field(repr=False)
+
+    @property
+    def depth(self) -> int:
+        return len(self.trees[GRID_PLAIN]) - 1
+
+    def windows(self, depth: int):
+        """Masses of the box, and its top half, above every arc of length
+        ``2**-j`` that starts a whole number of finest angles past either
+        grid: yields ``(grid, j, full, top)`` for each grid and ``j`` from
+        ``depth`` down to 1, entry ``k`` for the arc from ``grid + k / n``
+        turns (``n`` the finest stratum's angle count), so every grid box is
+        among them.  A radial-power weight is rotation invariant: one
+        closed-form mass a level.
+
+        Any other weight sums its cell masses over ``quad``: each stratum's
+        row is split evenly onto the ``n`` angles, exactly as ``n / count``
+        is a power of two, and added to the finer strata's, so row ``j``
+        spans a level-``j`` box's radii and row ``j + 1`` its top half's
+        (none at the quadrature depth).  Off the plain grid an angle takes
+        the covered fractions of the two it straddles.  Windows of
+        ``n >> j`` angles are built by doubling; as no term is a
+        difference, a tiny window keeps its digits.
+        """
+        if self.rows is None:
+            mass = self.weight.outer_radial_mass
+            for grid in GRIDS:
+                for j in range(depth, 0, -1):
+                    yield grid, j, *(np.array([2.0**-j * mass(2.0**-i)]) for i in (j, j + 1))
+            return
+        quad, n = self.quad, self.quad.strata[-1].count
+        spread = np.zeros((quad.depth + 2, n))
+        for s in reversed(quad.strata):
+            split = n // s.count
+            spread[s.level] = spread[s.level + 1] + np.repeat(self.rows[s.level] / split, split)
+        for grid in GRIDS:
+            shift = grid * n
+            whole = math.floor(shift)
+            sums = np.roll(spread, -whole, axis=1)
+            if shift > whole:
+                sums = (1.0 - (shift - whole)) * sums + (shift - whole) * np.roll(sums, -1, axis=1)
+            for j in range(n.bit_length() - 1, 0, -1):  # windows of n >> j angles
+                if j <= depth:
+                    yield grid, j, sums[j], sums[j + 1]
+                sums = sums[: j + 1] + np.roll(sums[: j + 1], -(n >> j), axis=1)
 
 
-def box_mass_trees(w: Weight, depth: int, quad: DiskQuadrature | None = None, rows=None) -> dict:
-    """The box masses of the weight on both grids up to ``depth`` capped by
-    ``quad``'s, keyed by grid: the trees that the box testers share.
+def box_masses(w: Weight, depth: int, quad: DiskQuadrature | None = None) -> BoxMasses:
+    """The :class:`BoxMasses` of the weight on both grids up to ``depth``
+    capped by ``quad``'s.
 
     A radial-power weight takes the closed form, one list for both grids;
     no quadrature bounds its depth, so the cell cap does.  Any other weight
-    sums its cell masses over ``quad`` (:func:`cell_trees`) from ``rows``,
-    else from :meth:`Weight.mass_rows`."""
+    sums its cell masses over ``quad`` (:func:`cell_trees`) from one pass
+    of :meth:`Weight.mass_rows`."""
     if not w.finite:
         raise InfiniteMassError(f"weight {w.spec!r} has infinite mass")
     if quad is not None:
@@ -536,10 +592,11 @@ def box_mass_trees(w: Weight, depth: int, quad: DiskQuadrature | None = None, ro
                 f"(set {MAX_CELLS_ENV} to raise it)"
             )
         levels = [np.full(2**j, 2.0**-j * w.outer_radial_mass(2.0**-j)) for j in range(depth + 1)]
-        return dict.fromkeys(GRIDS, levels)
+        return BoxMasses(w, quad, dict.fromkeys(GRIDS, levels), None)
     if quad is None:
         raise ValueError("box masses of a sampled weight need a quadrature")
-    return cell_trees(w.mass_rows(quad) if rows is None else rows, depth, quad)
+    rows = w.mass_rows(quad)
+    return BoxMasses(w, quad, cell_trees(rows, depth, quad), rows)
 
 
 def box_mass(w: Weight, box: CarlesonBox, quad: DiskQuadrature | None = None) -> float:
@@ -574,49 +631,38 @@ def box_mass(w: Weight, box: CarlesonBox, quad: DiskQuadrature | None = None) ->
     return float(total)
 
 
-def window_masses(w: Weight, quad: DiskQuadrature | None, depth: int, rows=None):
-    """Masses of the box, and its top half, above every arc of length
-    ``2**-j`` that starts a whole number of finest angles past either grid:
-    yields ``(grid, j, full, top)`` for each grid and ``j`` from ``depth``
-    down to 1, entry ``k`` for the arc from ``grid + k / n`` turns (``n``
-    the finest stratum's angle count), so every grid box is among them.  A
-    radial-power weight is rotation invariant: one closed-form mass a level.
+# ---------------------------------------------------------------------------
+# Box sweeps: doubling and reverse doubling
+# ---------------------------------------------------------------------------
 
-    Any other weight sums its cell masses over ``quad``: each stratum's
-    row (``rows``, else :meth:`Weight.mass_rows`) is split evenly onto the
-    ``n`` angles, exactly as ``n / count`` is a power of two, and added to
-    the finer strata's, so row ``j`` spans a level-``j`` box's radii and
-    row ``j + 1`` its top half's (none at the quadrature depth).  Off the
-    plain grid an angle takes the covered fractions of the two it
-    straddles.  Windows of ``n >> j`` angles are built by doubling; as no
-    term is a difference, a tiny window keeps its digits.
+
+def positive(masses: np.ndarray, what: str, grid: float, j: int) -> np.ndarray:
+    """``masses``, once every one is positive; a zero-mass ``what`` (a
+    ``"box"`` or a ``"window"``) raises :class:`DegenerateWeightError`."""
+    if np.any(masses <= 0.0):
+        raise DegenerateWeightError(f"zero-mass {what} at grid {grid}, level {j}")
+    return masses
+
+
+def sweep(boxes, windows=()) -> tuple[float, DyadicIndex | Arc | None, int]:
+    """The largest value of the ``(grid, j, values)`` arrays of ``boxes``,
+    entry ``k`` at ``DyadicIndex(grid, j, k)``, then of ``windows``, entry
+    ``k`` at the arc of length ``2**-j`` from ``grid + k / values.size``
+    turns (:meth:`BoxMasses.windows`): ``(best, worst, windows_swept)``.
+    A later array replaces the best only when strictly larger, so a tie
+    keeps the first; ``(-inf, None, 0)`` when nothing is swept.
     """
-    if w.is_radial_power:
-        for grid in GRIDS:
-            for j in range(depth, 0, -1):
-                full, top = (np.array([2.0**-j * w.outer_radial_mass(2.0**-i)]) for i in (j, j + 1))
-                yield grid, j, full, top
-        return
-    rows, n = w.mass_rows(quad) if rows is None else rows, quad.strata[-1].count
-    spread = np.zeros((quad.depth + 2, n))
-    for s in reversed(quad.strata):
-        split = n // s.count
-        spread[s.level] = spread[s.level + 1] + np.repeat(rows[s.level] / split, split)
-    for grid in GRIDS:
-        shift = grid * n
-        whole = math.floor(shift)
-        sums = np.roll(spread, -whole, axis=1)
-        if shift > whole:
-            sums = (1.0 - (shift - whole)) * sums + (shift - whole) * np.roll(sums, -1, axis=1)
-        for j in range(n.bit_length() - 1, 0, -1):  # windows of n >> j angles
-            if j <= depth:
-                yield grid, j, sums[j], sums[j + 1]
-            sums = sums[: j + 1] + np.roll(sums[: j + 1], -(n >> j), axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Doubling and reverse doubling
-# ---------------------------------------------------------------------------
+    best, worst, swept = -math.inf, None, 0
+    for grid, j, values in boxes:
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best, worst = float(values[k]), DyadicIndex(grid, j, k)
+    for grid, j, values in windows:
+        k = int(np.argmax(values))
+        swept += values.size
+        if values[k] > best:
+            best, worst = float(values[k]), Arc(0.0, 2.0**-j, start_turn=grid + k / values.size)
+    return best, worst, swept
 
 
 @dataclass(frozen=True)
@@ -629,64 +675,28 @@ class ReverseDoublingReport:
     window_arcs: int  # windows swept besides the grid boxes
 
 
-def reverse_doubling_report(
-    w: Weight,
-    depth: int = 16,
-    quad: DiskQuadrature | None = None,
-    trees: dict | None = None,
-    rows: list | None = None,
-) -> ReverseDoublingReport:
+def reverse_doubling_report(m: BoxMasses) -> ReverseDoublingReport:
     """Largest ratio mass(top half) / mass(box) over the arcs of dyadic length.
 
-    Sweeps every dyadic arc of both grids up to ``depth`` (the whole
-    circle, level 0 of both, once), then the windows of :func:`window_masses`
-    at levels 1 to ``depth - 1``, which replace the worst box only when
-    strictly larger.  The weight is reverse doubling when the ratio stays
-    below ``1 - REVERSE_DOUBLING_MARGIN``.  Box masses come from
-    :func:`box_mass_trees` (passed in, they set the depth): closed form for
-    a radial-power weight, which is rotation invariant, so its trees hold
-    every window, and cell sums over ``quad`` (which also caps ``depth``)
-    for any other, read with the windows from one pass of
-    :meth:`Weight.mass_rows`, or from ``rows``.
+    One :func:`sweep` of every dyadic arc of both grids up to ``m.depth``
+    (the whole circle, level 0 of both, once), then of the windows at
+    levels 1 to ``m.depth - 1`` (:meth:`BoxMasses.windows`); a radial-power
+    weight is rotation invariant, so its boxes hold every window.  The
+    weight is reverse doubling when the ratio stays below
+    ``1 - REVERSE_DOUBLING_MARGIN``.
     """
-    rows = sampled_mass_rows(w, quad) if rows is None else rows
-    if trees is None:
-        trees = box_mass_trees(w, depth, quad, rows)
-    depth = len(trees[GRID_PLAIN]) - 1
-    delta = -math.inf
-    worst = Arc(0.0, 1.0)
-    for grid in GRIDS:
-        masses = trees[grid]
-        # Level 0 is the whole circle on both grids: sweep it once.
-        for j in range(0 if grid == GRID_PLAIN else 1, depth):
-            q = masses[j]
-            if np.any(q <= 0.0):
-                raise DegenerateWeightError(f"zero-mass box at grid {grid}, level {j}")
-            b = masses[j + 1][0::2] + masses[j + 1][1::2]
-            ratios = b / q
-            k = int(np.argmax(ratios))
-            if ratios[k] > delta:
-                delta = float(ratios[k])
-                worst = DyadicIndex(grid, j, k).arc
-    windows = 0
-    for grid, j, full, top in () if w.is_radial_power else window_masses(w, quad, depth - 1, rows):
-        if np.any(full <= 0.0):
-            raise DegenerateWeightError(f"zero-mass window at grid {grid}, level {j}")
-        ratios = top / full
-        k = int(np.argmax(ratios))
-        windows += ratios.size
-        if ratios[k] > delta:
-            delta = float(ratios[k])
-            worst = Arc(0.0, 2.0**-j, start_turn=grid + k / ratios.size)
-
-    return ReverseDoublingReport(
-        delta_hat=delta,
-        worst_arc=worst,
-        verdict=bool(delta < 1.0 - REVERSE_DOUBLING_MARGIN),
-        margin=REVERSE_DOUBLING_MARGIN,
-        depth=depth,
-        window_arcs=windows,
+    t = m.trees
+    # Level 0 is the whole circle on both grids: sweep it once.
+    boxes = ((g, j, (t[g][j + 1][0::2] + t[g][j + 1][1::2]) / positive(t[g][j], "box", g, j))
+             for g in GRIDS for j in range(0 if g == GRID_PLAIN else 1, m.depth))
+    windows = () if m.rows is None else (
+        (g, j, top / positive(full, "window", g, j)) for g, j, full, top in m.windows(m.depth - 1)
     )
+    delta, worst, swept = sweep(boxes, windows)
+    # A grid box's arc; the whole circle when no level was swept (depth 0).
+    worst = worst.arc if isinstance(worst, DyadicIndex) else worst or Arc(0.0, 1.0)
+    verdict = bool(delta < 1.0 - REVERSE_DOUBLING_MARGIN)
+    return ReverseDoublingReport(delta, worst, verdict, REVERSE_DOUBLING_MARGIN, m.depth, swept)
 
 
 @dataclass(frozen=True)
@@ -697,37 +707,26 @@ class DoublingReport:
     depth: int  # the finest level swept, after the quadrature cap
 
 
-def doubling_report(
-    w: Weight, depth: int = 16, quad: DiskQuadrature | None = None, trees: dict | None = None
-) -> DoublingReport:
+def doubling_report(m: BoxMasses) -> DoublingReport:
     """Largest ratio of the mass of a box and its two same-level neighbours
     to the mass of the box itself.
 
     The three boxes lie in the box over the tripled arc, so a doubling
     weight bounds the ratio at every level: this is a necessary condition
-    for doubling.  Levels 2 to ``depth`` of both grids are swept, where an
-    arc is shorter than a third of the circle and its neighbours are two
-    other arcs; coarse levels first, so a tie keeps the coarser box.  Box
-    masses come from :func:`box_mass_trees`, as for the other box testers
-    (``quad`` also caps ``depth``), or from ``trees`` when passed in.  The
-    verdict is false when the supremum sits on the finest level swept,
-    where it has not stopped growing; below depth 2 nothing is swept and
-    it is ``None``.
+    for doubling.  Levels 2 to ``m.depth`` of both grids are swept
+    (:func:`sweep`), where an arc is shorter than a third of the circle and
+    its neighbours are two other arcs; coarse levels first, so a tie keeps
+    the coarser box.  The verdict is false when the supremum sits on the
+    finest level swept, where it has not stopped growing; below depth 2
+    nothing is swept and it is ``None``.
     """
-    if trees is None:
-        trees = box_mass_trees(w, depth, quad)
-    depth = len(trees[GRID_PLAIN]) - 1
-    best, worst = -math.inf, None
-    for j in range(2, depth + 1):
-        for grid in GRIDS:
-            m = trees[grid][j]
-            if np.any(m <= 0.0):
-                raise DegenerateWeightError(f"zero-mass box at grid {grid}, level {j}")
-            # 1 + (left + right) / m reads 3 exactly on equal masses.
-            ratios = 1.0 + (np.roll(m, 1) + np.roll(m, -1)) / m
-            k = int(np.argmax(ratios))
-            if ratios[k] > best:
-                best, worst = float(ratios[k]), DyadicIndex(grid, j, k)
+
+    def ratios(grid, j):
+        q = positive(m.trees[grid][j], "box", grid, j)
+        # 1 + (left + right) / q reads 3 exactly on equal masses.
+        return 1.0 + (np.roll(q, 1) + np.roll(q, -1)) / q
+
+    best, worst, _ = sweep((g, j, ratios(g, j)) for j in range(2, m.depth + 1) for g in GRIDS)
     if worst is None:
-        return DoublingReport(None, None, None, depth)
-    return DoublingReport(best, worst, worst.level < depth, depth)
+        return DoublingReport(None, None, None, m.depth)
+    return DoublingReport(best, worst, worst.level < m.depth, m.depth)

@@ -34,7 +34,7 @@ from carleson_lab.geometry import GRIDS, TAU, mei_cover_batch
 from carleson_lab.measures import (
     SampledFunction,
     Weight,
-    box_mass_trees,
+    box_masses,
     build_quadrature,
     cell_trees,
     row_sums,
@@ -82,7 +82,7 @@ def test_criterion_01_reverse_doubling_lebesgue():
     from carleson_lab.measures import reverse_doubling_report
 
     t0 = time.perf_counter()
-    rep = reverse_doubling_report(Weight.lebesgue(), depth=16)
+    rep = reverse_doubling_report(box_masses(Weight.lebesgue(), 16))
     elapsed = time.perf_counter() - t0
     ok = 0.7499 <= rep.delta_hat <= 0.7501 and rep.verdict and elapsed < 1.0
     report(
@@ -243,7 +243,7 @@ def test_criterion_08_embedding_constant():
     # closed-form oracle: (4 - 4 l / 3) / (2 - l) evaluated at l = 1
     oracle = (4.0 - 4.0 / 3.0) / 1.0
     rep = carleson_embedding_constant(
-        Weight.lebesgue(), 1.0, box_mass_trees(Weight.lebesgue(), 14)
+        Weight.lebesgue(), 1.0, box_masses(Weight.lebesgue(), 14).trees
     )
     ok = abs(rep.c1_hat - oracle) <= 0.01 * oracle
     report(
@@ -334,7 +334,7 @@ def test_criterion_11_theorem_assembly():
     cfg = ExponentConfig(p=2.0, q=2.0, alpha=1.0)
     testing_ok = True
     for nu in (Weight.lebesgue(), Weight.radial_power(1)):
-        rep = two_weight_testing_constant(nu, Weight.lebesgue(), cfg, depth=12)
+        rep = two_weight_testing_constant(box_masses(nu, 12), Weight.lebesgue(), cfg)
         expected = math.sqrt(nu.disk_mass())
         testing_ok &= abs(rep.sup_value - expected) <= 1e-6
     pipe_leb = theorem_pipeline(Weight.lebesgue(), depth=12)

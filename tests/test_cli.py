@@ -346,7 +346,7 @@ def test_embedding_stages_equal_the_per_stage_computation(tmp_path, sampled, q):
         integrals = measures.box_level_sums(quad, measures.row_sums(quad, f * mass), grid, depth)
         return [i / m for i, m in zip(integrals, masses)], masses
 
-    emb = dyadic.carleson_embedding_constant(w, t, measures.box_mass_trees(w, depth, quad))
+    emb = dyadic.carleson_embedding_constant(w, t, measures.box_masses(w, depth, quad).trees)
     weak, strong = [], []
     right = sum(float(np.sum(s.rows(f**p * mass))) for s in quad.strata) ** (1.0 / p)
     for g in GRIDS:
@@ -484,8 +484,8 @@ def test_test_weight_builds_its_box_trees_once(monkeypatch, tmp_path):
     assert specs == [weight]
     monkeypatch.undo()
     w, quad = measures.parse_weight(weight), build_quadrature(cfg.quad_depth)
-    rev = measures.reverse_doubling_report(w, depth=cfg.depth, quad=quad)
-    dbl = measures.doubling_report(w, depth=cfg.depth, quad=quad)
+    rev = measures.reverse_doubling_report(measures.box_masses(w, cfg.depth, quad))
+    dbl = measures.doubling_report(measures.box_masses(w, cfg.depth, quad))
     stages = {s["name"]: s for s in rep.stages}
     assert stages["reverse-doubling"]["constants"]["delta_hat"] == rev.delta_hat
     assert stages["reverse-doubling"]["witness"]["worst_arc_start"] == rev.worst_arc.start
@@ -506,9 +506,9 @@ def test_certify_builds_its_box_trees_once(monkeypatch, tmp_path):
     assert specs == [weight] * 3 + ["lebesgue", weight]
     monkeypatch.undo()
     w, quad = measures.parse_weight(weight), build_quadrature(min(cfg.depth, 10))
-    rev = measures.reverse_doubling_report(w, depth=cfg.depth, quad=quad)
+    rev = measures.reverse_doubling_report(measures.box_masses(w, cfg.depth, quad))
     exps, leb = dyadic.ExponentConfig(2.0, 2.0, 1.0), measures.Weight.lebesgue()
-    test = dyadic.two_weight_testing_constant(w, leb, exps, cfg.depth, quad)
+    test = dyadic.two_weight_testing_constant(measures.box_masses(w, cfg.depth, quad), leb, exps)
     stages = {s["name"]: (s["verdict"], s["constants"], s["witness"]) for s in rep.stages}
     assert stages["reverse-doubling"] == dirichlet.reverse_doubling_stage(rev)
     assert stages["testing-constant"] == dirichlet.testing_constant_stage(test)

@@ -39,7 +39,7 @@ from carleson_lab.measures import (
     SampledFunction,
     Weight,
     box_level_sums,
-    box_mass_trees,
+    box_masses,
     build_quadrature,
     cell_trees,
     reverse_doubling_report,
@@ -68,7 +68,7 @@ def dyadic_kernel_matrix(grid: float, alpha: float, quad, depth: int) -> np.ndar
 
 def closed_form_constant(w, t: float, depth: int, **kwargs):
     """Embedding constant of a radial-power weight from its exact masses."""
-    return carleson_embedding_constant(w, t, box_mass_trees(w, depth), **kwargs)
+    return carleson_embedding_constant(w, t, box_masses(w, depth).trees, **kwargs)
 
 
 def density_and_trees(w, f, depth: int, quad, grids=GRIDS):
@@ -694,7 +694,7 @@ def test_testing_constant_collapses_to_mass_root():
     # the area factor cancel, leaving sup of mass_nu(Q)^(1/2) at the circle
     cfg = ExponentConfig(2.0, 2.0, 1.0)
     for nu in (Weight.lebesgue(), Weight.radial_power(1)):
-        rep = two_weight_testing_constant(nu, Weight.lebesgue(), cfg)
+        rep = two_weight_testing_constant(box_masses(nu, 16), Weight.lebesgue(), cfg)
         expected = math.sqrt(nu.disk_mass())
         assert rep.sup_value == pytest.approx(expected, abs=1e-12)
         assert rep.worst_box.level == 0
@@ -702,7 +702,7 @@ def test_testing_constant_collapses_to_mass_root():
 
 def test_testing_constant_alpha_two_flat():
     cfg = ExponentConfig(2.0, 2.0, 2.0)
-    rep = two_weight_testing_constant(Weight.lebesgue(), Weight.lebesgue(), cfg)
+    rep = two_weight_testing_constant(box_masses(Weight.lebesgue(), 16), Weight.lebesgue(), cfg)
     assert rep.sup_value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -711,7 +711,7 @@ def test_testing_constant_fails_when_its_supremum_sits_on_the_finest_level():
     # alpha = 1 (largest on the whole circle), and l^(-1/2) at q = 3,
     # alpha = 2 (largest on the smallest boxes swept, so unbounded).
     bounded = two_weight_testing_constant(
-        Weight.radial_power(1), Weight.lebesgue(), ExponentConfig(2.0, 2.0, 1.0), depth=8
+        box_masses(Weight.radial_power(1), 8), Weight.lebesgue(), ExponentConfig(2.0, 2.0, 1.0)
     )
     assert bounded.worst_box.level == 0 and bounded.verdict
     assert dirichlet.testing_constant_stage(bounded)[0] is True
@@ -719,7 +719,7 @@ def test_testing_constant_fails_when_its_supremum_sits_on_the_finest_level():
     # A quadrature caps the sweep, and with it the finest level.
     for depth, quad, finest in ((8, None, 8), (12, build_quadrature(6), 6)):
         growing = two_weight_testing_constant(
-            Weight.radial_power(-0.5), Weight.lebesgue(), cfg, depth=depth, quad=quad
+            box_masses(Weight.radial_power(-0.5), depth, quad), Weight.lebesgue(), cfg
         )
         assert growing.worst_box.level == finest
         assert growing.verdict is False
@@ -729,7 +729,7 @@ def test_testing_constant_fails_when_its_supremum_sits_on_the_finest_level():
 def test_testing_constant_infinite_dual_rejected():
     cfg = ExponentConfig(2.0, 2.0, 1.0)
     with pytest.raises(InfiniteMassError):
-        two_weight_testing_constant(Weight.lebesgue(), Weight.radial_power(1), cfg)
+        two_weight_testing_constant(box_masses(Weight.lebesgue(), 16), Weight.radial_power(1), cfg)
 
 
 @pytest.mark.parametrize("tester", ["reverse-doubling", "testing-constant"])
@@ -737,10 +737,10 @@ def test_box_testers_need_a_quadrature_for_a_sampled_weight(tester):
     w = Weight.from_grid(np.linspace(0.05, 0.95, 10), np.linspace(0.3, 6.0, 8), np.ones((10, 8)))
     with pytest.raises(ValueError, match="sampled weight need a quadrature"):
         if tester == "reverse-doubling":
-            reverse_doubling_report(w, depth=4)
-        else:
+            reverse_doubling_report(box_masses(w, 4))
+        else:  # the dual of a sampled mu
             cfg = ExponentConfig(2.0, 2.0, 1.0)
-            two_weight_testing_constant(w, Weight.lebesgue(), cfg, depth=4)
+            two_weight_testing_constant(box_masses(Weight.lebesgue(), 4), w, cfg)
 
 
 def test_testing_constant_sampled_path():
@@ -749,7 +749,7 @@ def test_testing_constant_sampled_path():
     theta = np.linspace(0.0, TAU, 32, endpoint=False)
     nu = Weight.from_grid(r, theta, np.ones((300, 32)))
     cfg = ExponentConfig(2.0, 2.0, 1.0)
-    rep = two_weight_testing_constant(nu, Weight.lebesgue(), cfg, depth=8, quad=quad)
+    rep = two_weight_testing_constant(box_masses(nu, 8, quad), Weight.lebesgue(), cfg)
     assert rep.sup_value == pytest.approx(1.0, rel=1e-6)
 
 
@@ -853,6 +853,25 @@ def test_norm_check_sampled_lower_bound_path():
     for lv in rep.levels:
         assert list(lv.solves) == ["dense", *GRIDS]
         assert all(e.value > 0.0 for e in lv.solves.values())
+
+
+@pytest.mark.parametrize("quad_depths", [(6, 6), (6,)], ids=["repeated", "single"])
+def test_norm_check_verdict_needs_two_distinct_depths(quad_depths):
+    # One distinct depth refines nothing: one level, its solves keyed once,
+    # and no verdict.
+    cfg = ExponentConfig(2.0, 2.0, 1.0)
+    rep = two_weight_norm_check(Weight.lebesgue(), Weight.lebesgue(), cfg, quad_depths=quad_depths)
+    assert [lv.depth for lv in rep.levels] == [6]
+    assert list(rep.keyed()) == ["dense_depth_6", *(dyadic.norm_check_key(g, 6) for g in GRIDS)]
+    assert rep.stabilized is None
+    assert dirichlet.norm_check_stage(rep)[0] is None
+
+
+def test_refinement_verdict_reads_the_last_two_depths():
+    assert dyadic.refinement_verdict([]) is None
+    assert dyadic.refinement_verdict([1.0]) is None
+    assert dyadic.refinement_verdict([2.0, 1.0, 1.04]) is True
+    assert dyadic.refinement_verdict([1.0, 1.04, 2.0]) is False
 
 
 def test_sampled_lower_bounds_carry_no_verdict():

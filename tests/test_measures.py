@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,18 +28,20 @@ from carleson_lab.geometry import (
     full_box_area,
 )
 from carleson_lab.measures import (
+    BoxMasses,
     SampledFunction,
     Weight,
     box_level_sums,
     box_mass,
-    box_mass_trees,
+    box_masses,
     build_quadrature,
     doubling_report,
     dual_weight,
     parse_weight,
+    positive,
     reverse_doubling_report,
     row_sums,
-    window_masses,
+    sweep,
 )
 
 SEED = 20260810
@@ -338,7 +341,9 @@ def test_radial_box_mass_trees_are_one_closed_form_for_both_grids():
     # A radial weight is rotation invariant: both grids read one list, each
     # level-j box weighing 2**-j times the outer annulus of width 2**-j.
     w = Weight.radial_power(1)
-    trees = box_mass_trees(w, 8, build_quadrature(6))
+    masses = box_masses(w, 8, build_quadrature(6))
+    trees = masses.trees
+    assert masses.rows is None and masses.depth == 6
     assert list(trees) == list(GRIDS)
     assert trees[GRID_PLAIN] is trees[GRID_THIRD]
     assert len(trees[GRID_PLAIN]) == 7  # the quadrature caps the depth
@@ -384,7 +389,7 @@ def test_mass_additivity_closed_form():
 def test_mass_additivity_sampled():
     w = thin_shell_weight(floor=0.3)
     quad = build_quadrature(9)
-    trees = box_mass_trees(w, 6, quad)
+    trees = box_masses(w, 6, quad).trees
     for grid in GRIDS:
         levels = trees[grid]
         for j in range(6):
@@ -446,7 +451,7 @@ def test_dual_bad_exponent():
 
 def test_reverse_doubling_lebesgue():
     # oracle: ratio (1 - l/4)/(2 - l) increases in l, so the sup is 3/4 at l = 1
-    rep = reverse_doubling_report(Weight.lebesgue(), depth=16)
+    rep = reverse_doubling_report(box_masses(Weight.lebesgue(), 16))
     assert rep.delta_hat == pytest.approx(0.75, abs=1e-12)
     assert rep.worst_arc.length == 1.0
     assert rep.verdict
@@ -458,7 +463,7 @@ def test_reverse_doubling_radial_power_one():
     lengths = np.linspace(1e-6, 1.0, 1001)
     oracle = (3.0 - lengths) / (12.0 - 8.0 * lengths)
     assert oracle[0] == pytest.approx(0.25, abs=1e-5)
-    rep = reverse_doubling_report(Weight.radial_power(1), depth=16)
+    rep = reverse_doubling_report(box_masses(Weight.radial_power(1), 16))
     assert rep.delta_hat == pytest.approx(float(oracle.max()), abs=1e-9)
     assert rep.delta_hat == pytest.approx(0.5, abs=1e-12)
     assert rep.verdict
@@ -467,7 +472,7 @@ def test_reverse_doubling_radial_power_one():
 def test_reverse_doubling_fails_for_thin_shell():
     w = thin_shell_weight()
     quad = build_quadrature(10)
-    rep = reverse_doubling_report(w, depth=8, quad=quad)
+    rep = reverse_doubling_report(box_masses(w, 8, quad))
     assert rep.delta_hat > 0.999
     assert not rep.verdict
 
@@ -488,14 +493,15 @@ def test_reverse_doubling_sweeps_the_whole_circle_box_once():
     assert (third[1].sum() / third[0])[0] > 0.9
     trees = {grid: fake_levels(grid, 4) for grid in GRIDS}
     w = Weight.from_grid(np.linspace(0.05, 0.95, 10), np.linspace(0.3, 6.0, 8), np.ones((10, 8)))
-    rep = reverse_doubling_report(w, quad=build_quadrature(6), trees=trees)
+    quad = build_quadrature(6)
+    rep = reverse_doubling_report(BoxMasses(w, quad, trees, w.mass_rows(quad)))
     assert rep.delta_hat == 0.9
     assert rep.worst_arc.start == 0.0 and rep.worst_arc.length == 1.0
 
 
 def test_reverse_doubling_infinite_mass_rejected():
     with pytest.raises(InfiniteMassError):
-        reverse_doubling_report(Weight.radial_power(-1.0))
+        reverse_doubling_report(box_masses(Weight.radial_power(-1.0), 16))
 
 
 def test_reverse_doubling_degenerate_weight():
@@ -506,7 +512,7 @@ def test_reverse_doubling_degenerate_weight():
     w = Weight.from_grid(r, theta, values)
     quad = build_quadrature(8)
     with pytest.raises(DegenerateWeightError):
-        reverse_doubling_report(w, depth=6, quad=quad)
+        reverse_doubling_report(box_masses(w, 6, quad))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +522,7 @@ def test_reverse_doubling_degenerate_weight():
 
 def test_doubling_report_lebesgue():
     # Equal masses at each level: the box and its two neighbours weigh three boxes.
-    rep = doubling_report(Weight.lebesgue(), depth=12)
+    rep = doubling_report(box_masses(Weight.lebesgue(), 12))
     assert rep.c_hat == 3.0
     assert rep.worst == DyadicIndex(GRID_PLAIN, 2, 0)  # a tie keeps the coarsest box
     assert (rep.verdict, rep.depth) == (True, 12)
@@ -524,7 +530,7 @@ def test_doubling_report_lebesgue():
 
 def test_doubling_report_radial_power():
     for a in (1, 3, -0.5):
-        rep = doubling_report(Weight.radial_power(a), depth=16)
+        rep = doubling_report(box_masses(Weight.radial_power(a), 16))
         assert (rep.c_hat, rep.verdict) == (3.0, True)
 
 
@@ -541,8 +547,8 @@ def perfbench_seed1_weight(path) -> Weight:
 
 def test_doubling_report_on_the_perfbench_grid(tmp_path):
     # The quadrature caps depth 12 at 10; the supremum sits on level 4.
-    rep = doubling_report(perfbench_seed1_weight(tmp_path / "seed1.grid"), depth=12,
-                          quad=build_quadrature(10))
+    rep = doubling_report(box_masses(perfbench_seed1_weight(tmp_path / "seed1.grid"), 12,
+                                     build_quadrature(10)))
     assert rep.c_hat == pytest.approx(3.5538, abs=1e-4)
     assert rep.worst == DyadicIndex(GRID_PLAIN, 4, 5)
     assert (rep.verdict, rep.depth) == (True, 10)
@@ -550,7 +556,7 @@ def test_doubling_report_on_the_perfbench_grid(tmp_path):
 
 def test_doubling_report_fails_a_weight_that_vanishes_at_one_point():
     # The box next to theta = 0 outweighs it by a factor that grows without bound.
-    rep = doubling_report(vanishing_weight(), depth=12, quad=build_quadrature(10))
+    rep = doubling_report(box_masses(vanishing_weight(), 12, build_quadrature(10)))
     assert rep.c_hat > 1e28
     assert rep.worst.level == rep.depth == 10
     assert rep.verdict is False
@@ -562,16 +568,16 @@ def test_doubling_report_degenerate_weight():
     values = np.ones((10, 8))
     values[:, theta > 3.0] = 0.0  # half the circle carries no mass
     with pytest.raises(DegenerateWeightError, match="zero-mass box"):
-        doubling_report(Weight.from_grid(r, theta, values), depth=6, quad=build_quadrature(8))
+        doubling_report(box_masses(Weight.from_grid(r, theta, values), 6, build_quadrature(8)))
 
 
 def test_doubling_report_sweeps_nothing_below_level_two():
     for depth in (0, 1):
-        assert doubling_report(Weight.lebesgue(), depth=depth) == (
+        assert doubling_report(box_masses(Weight.lebesgue(), depth)) == (
             measures.DoublingReport(None, None, None, depth)
         )
     with pytest.raises(InfiniteMassError):
-        doubling_report(Weight.radial_power(-1.0))
+        doubling_report(box_masses(Weight.radial_power(-1.0), 16))
 
 
 # ---------------------------------------------------------------------------
@@ -653,16 +659,14 @@ def test_radial_box_levels_respect_the_cell_cap(monkeypatch):
     # finest level count against the cell cap.
     monkeypatch.setenv(measures.MAX_CELLS_ENV, "1024")
     w = Weight.radial_power(1)
-    assert box_mass_trees(w, 10)[GRID_PLAIN][10].size == 1024
+    assert box_masses(w, 10).trees[GRID_PLAIN][10].size == 1024
     with pytest.raises(MemoryGuardError):
-        box_mass_trees(w, 11)
-    with pytest.raises(MemoryGuardError):
-        reverse_doubling_report(w, depth=11)
+        box_masses(w, 11)
 
 
 def test_box_mass_trees_of_a_sampled_weight_need_a_quadrature():
     with pytest.raises(ValueError):
-        box_mass_trees(thin_shell_weight(), 4)
+        box_masses(thin_shell_weight(), 4)
 
 
 def test_sampled_function_shape_check():
@@ -749,7 +753,7 @@ def test_box_mass_keeps_the_digits_of_a_tiny_box():
     assert box_mass(w, box, quad) == pytest.approx(want, rel=1e-12)
     # Its windows keep their digits too: no window reads zero, and the
     # box over the gap sends the ratio to 1.
-    rep = reverse_doubling_report(w, depth=12, quad=quad)
+    rep = reverse_doubling_report(box_masses(w, 12, quad))
     assert rep.delta_hat == 1.0 and rep.verdict is False
 
 
@@ -791,7 +795,7 @@ def test_box_mass_resolution_and_quadrature_errors():
 def test_windows_match_an_fsum_oracle(w, data):
     values = w.cell_density(ARC_QUAD) * ARC_QUAD.area
     levels = []
-    for grid, j, full, top in window_masses(w, ARC_QUAD, ARC_DEPTH):
+    for grid, j, full, top in box_masses(w, ARC_DEPTH, ARC_QUAD).windows(ARC_DEPTH):
         levels.append((grid, j))
         n = full.size
         for k in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
@@ -812,8 +816,9 @@ def test_windows_match_an_fsum_oracle(w, data):
 )
 def test_windows_at_grid_starts_are_the_grid_boxes(quad):
     w = thin_shell_weight(floor=0.3)
-    boxes = box_mass_trees(w, quad.depth, quad)
-    for grid, j, full, top in window_masses(w, quad, quad.depth):
+    masses = box_masses(w, quad.depth, quad)
+    boxes = masses.trees
+    for grid, j, full, top in masses.windows(quad.depth):
         step = full.size >> j
         np.testing.assert_allclose(full[::step], boxes[grid][j], rtol=1e-15, atol=0.0)
         if j < quad.depth:
@@ -829,10 +834,11 @@ def test_zero_mass_window_raises():
     values = np.zeros((1, 64))
     values[0, [13, 38]] = 1.0
     w = Weight.from_grid([0.5], theta, values)
-    trees = box_mass_trees(w, 2, ARC_QUAD)
+    masses = box_masses(w, 2, ARC_QUAD)
+    trees = masses.trees
     assert all(np.all(trees[grid][j] > 0.0) for grid in GRIDS for j in (0, 1))
     with pytest.raises(DegenerateWeightError, match="zero-mass window at grid 0.0, level 1"):
-        reverse_doubling_report(w, depth=2, quad=ARC_QUAD)
+        reverse_doubling_report(masses)
 
 
 def test_testing_constant_fails_when_a_window_of_the_finest_length_is_worst(tmp_path):
@@ -843,7 +849,42 @@ def test_testing_constant_fails_when_a_window_of_the_finest_length_is_worst(tmp_
 
     nu = Weight.product(Weight.radial_power(-0.5), perfbench_seed1_weight(tmp_path / "g.grid"))
     cfg = ExponentConfig(2.0, 3.0, 2.0)
-    rep = two_weight_testing_constant(nu, Weight.lebesgue(), cfg, 8, build_quadrature(10))
+    rep = two_weight_testing_constant(box_masses(nu, 8, build_quadrature(10)), Weight.lebesgue(), cfg)
     assert isinstance(rep.worst_box, Arc) and rep.worst_box.length == 2.0**-8
     assert rep.worst_box.start_turn * 2**8 % 1.0 != 0.0
     assert (rep.depth, rep.window_arcs, rep.verdict) == (8, 2 * 8 * 1024, False)
+
+
+# ---------------------------------------------------------------------------
+# the one sweep behind every box tester
+# ---------------------------------------------------------------------------
+
+
+def test_sweep_keeps_a_grid_box_against_an_equal_window():
+    boxes = [(GRID_PLAIN, 0, np.array([0.5])), (GRID_THIRD, 2, np.array([0.1, 0.9, 0.2, 0.3]))]
+    windows = [(GRID_PLAIN, 2, np.array([0.9, 0.1, 0.2, 0.5, 0.3, 0.0, 0.4, 0.9]))]
+    # The windows are counted although none replaces the box.
+    assert sweep(boxes, windows) == (0.9, DyadicIndex(GRID_THIRD, 2, 1), 8)
+
+
+def test_sweep_takes_a_strictly_larger_window_as_its_arc():
+    boxes = [(GRID_PLAIN, 1, np.array([0.2, 0.4]))]
+    windows = [(GRID_PLAIN, 2, np.array([0.1, 0.3])), (GRID_THIRD, 1, np.array([0.1, 0.3, 0.4, 0.5]))]
+    best, worst, swept = sweep(iter(boxes), iter(windows))
+    assert (best, swept) == (0.5, 6)
+    # The level-1 arc from the fourth of four starts past the one-third grid.
+    assert worst == Arc(0.0, 0.5, start_turn=GRID_THIRD + 3 / 4)
+    assert worst.start_turn == pytest.approx(1 / 12)
+
+
+def test_sweep_of_nothing_finds_nothing():
+    assert sweep(()) == sweep([], []) == (-math.inf, None, 0)
+
+
+def test_positive_names_the_box_or_window_its_grid_and_level():
+    masses = np.array([1.0, 2.0])
+    assert positive(masses, "box", GRID_PLAIN, 1) is masses
+    for what in ("box", "window"):
+        message = f"zero-mass {what} at grid {GRID_THIRD}, level 3"
+        with pytest.raises(DegenerateWeightError, match=f"^{re.escape(message)}$"):
+            positive(np.array([1.0, 0.0]), what, GRID_THIRD, 3)

@@ -14,6 +14,12 @@ child's figure is the program's: ``peak_rss_mb`` is read from
 ``ru_maxrss``, which a worker inherits from the benchmark driver across
 fork and exec, so it cannot fall below the driver's own peak.
 
+The recorder also times the CLI invocations that no workload runs, the
+keys of ``INVOCATIONS`` (or each ``--invocation``), on the seed's grid
+weight: each in ``--children`` fresh children alone, recording every
+child and the median ``VmHWM`` and ``timings_ms.total``.  With neither
+``--workload`` nor ``--invocation`` it runs all of both.
+
 Each call appends one run under ``runs[<label>]`` of ``--out`` (created if
 missing), with the checkout's directory name, the machine (``nproc``, the
 Python and numpy versions) and the line count of each
@@ -48,6 +54,18 @@ print(json.dumps({"exit_code": code, "vmhwm_mb": hwm_kib / 1024.0, "total_ms": t
 """
 
 
+# The grid token of ``perfbench/run.py``: the seed's grid weight file.
+GRID = "@grid"
+# CLI invocations that no perfbench workload runs, timed by fresh children alone.
+_TWO_WEIGHT = ("two-weight", "--nu", GRID, "--mu", "lebesgue")
+INVOCATIONS = {
+    "test-weight-grid": ("test-weight", "--weight", GRID),
+    "two-weight-grid": _TWO_WEIGHT,
+    "two-weight-grid-p3-q3": (*_TWO_WEIGHT, "--p", "3", "--q", "3"),
+    "two-weight-grid-alpha0.5": (*_TWO_WEIGHT, "--alpha", "0.5"),
+}
+
+
 def _perfbench(root: Path):
     """The ``run`` module of the checkout's benchmark, for its workloads and inputs."""
     sys.path.insert(0, str(root / "perfbench"))
@@ -80,11 +98,12 @@ def _last_line(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def _child(root: Path, bench, workload: str, seed: int, scratch: Path) -> dict:
-    args = list(bench.WORKLOADS[workload].args)
+def _child(root: Path, bench, args, seed: int, scratch: Path) -> dict:
+    args = list(args)
     if bench.GRID in args:
         grid = scratch / "weight.txt"
-        bench.inputs.write_grid_file(str(grid), bench.inputs.product_weight(seed))
+        if not grid.exists():  # one seed per call
+            bench.inputs.write_grid_file(str(grid), bench.inputs.product_weight(seed))
         args[args.index(bench.GRID)] = f"grid:{grid}"
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -110,6 +129,8 @@ def _summary(runs: dict) -> dict:
                 row = figures.setdefault(workload, {})
                 for name, metric in rec["perfbench"]["metrics"].items():
                     row.setdefault(name, []).append(metric["value"])
+            for workload, rec in {**entry["workloads"], **entry.get("invocations", {})}.items():
+                row = figures.setdefault(workload, {})
                 for name in ("vmhwm_mb", "total_ms"):
                     row.setdefault(f"child_{name}", []).append(rec["child"][name])
         out[label] = {w: {m: _quartiles(v) for m, v in row.items()} for w, row in figures.items()}
@@ -124,10 +145,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--workload", action="append", help="default: every workload")
+    parser.add_argument("--invocation", action="append", choices=sorted(INVOCATIONS),
+                        help="default: every invocation")
+    parser.add_argument("--children", type=int, default=5,
+                        help="fresh children per invocation")
     args = parser.parse_args(argv)
+    if args.children < 1:
+        parser.error("--children must be at least 1")
     root = Path(args.root).resolve()
     bench = _perfbench(root)
-    workloads = args.workload or list(bench.WORKLOADS)
+    chosen = args.workload or args.invocation
+    workloads = args.workload or ([] if chosen else list(bench.WORKLOADS))
+    invocations = args.invocation or ([] if chosen else list(INVOCATIONS))
     entry = {
         "checkout": root.name,
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -136,12 +165,27 @@ def main(argv=None) -> int:
         "machine": _machine(),
         "src_lines": _src_lines(root),
         "workloads": {},
+        "invocations": {},
     }
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
         for workload in workloads:
             entry["workloads"][workload] = {
                 "perfbench": _last_line(root, workload, args.seed, args.seconds),
-                "child": _child(root, bench, workload, args.seed, Path(scratch)),
+                "child": _child(root, bench, bench.WORKLOADS[workload].args, args.seed, scratch),
+            }
+        for name in invocations:
+            children = [
+                _child(root, bench, INVOCATIONS[name], args.seed, scratch)
+                for _ in range(args.children)
+            ]
+            entry["invocations"][name] = {
+                "args": list(INVOCATIONS[name]),
+                "children": children,
+                "child": {
+                    "exit_code": max(c["exit_code"] for c in children),
+                    **{k: statistics.median(c[k] for c in children) for k in ("vmhwm_mb", "total_ms")},
+                },
             }
     out = Path(args.out)
     record = json.loads(out.read_text()) if out.exists() else {"runs": {}}
@@ -152,8 +196,9 @@ def main(argv=None) -> int:
         rec["perfbench"]["correct"] is True and rec["perfbench"]["failed"] == 0
         and rec["child"]["exit_code"] == 0
         for rec in entry["workloads"].values()
-    )
-    print(json.dumps(entry["workloads"]))
+    ) and all(rec["child"]["exit_code"] == 0 for rec in entry["invocations"].values())
+    print(json.dumps({"workloads": entry["workloads"],
+                      "invocations": {k: v["child"] for k, v in entry["invocations"].items()}}))
     return 0 if ok else 1
 
 
