@@ -190,14 +190,16 @@ def carleson_constant(w: Weight, quad_depths: tuple[int, ...] = (8, 10)) -> Carl
                            verdict, tuple(cells))
 
 
-def reverse_doubling_stage(rep: ReverseDoublingReport) -> tuple[bool, dict, dict]:
-    """The ``(verdict, constants, witness)`` of a reverse-doubling stage."""
+def reverse_doubling_stage(rep: ReverseDoublingReport) -> tuple[bool | None, dict, dict]:
+    """The ``(verdict, constants, witness)`` of a reverse-doubling stage;
+    the worst arc's fields are ``None`` when nothing was swept."""
+    arc = rep.worst_arc
     return (
         rep.verdict,
         {"delta_hat": rep.delta_hat, "margin": rep.margin},
         {
-            "worst_arc_start": rep.worst_arc.start,
-            "worst_arc_length": rep.worst_arc.length,
+            "worst_arc_start": None if arc is None else arc.start,
+            "worst_arc_length": None if arc is None else arc.length,
             "depth": rep.depth,
             "window_arcs": rep.window_arcs,
         },

@@ -104,7 +104,7 @@ def dyadic_plan(grid: float, alpha: float, quad: DiskQuadrature, depth: int):
     if depth > quad.depth:
         raise ResolutionError(f"depth {depth} exceeds quadrature depth {quad.depth}")
     level = np.minimum(quad.stratum, depth)
-    turns = np.mod(quad.theta / TAU - grid, 1.0)
+    turns = _frac(quad.theta / TAU - grid)
     node = 2**level - 1 + np.minimum((turns * 2.0**level).astype(np.int64), 2**level - 1)
     n_boxes = 2 ** (depth + 1) - 1
     factors = [full_box_area(2.0**-j) ** (-alpha / 2.0) for j in range(depth + 1)]
@@ -433,16 +433,24 @@ def refinement_verdict(figures: list[float]) -> bool | None:
     return bool(abs(a - b) <= STABILIZE_RTOL * max(abs(b), 1e-300))
 
 
+def _frac(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``v - floor(v)``: the bits of ``np.mod(v, 1.0)`` for every finite
+    ``v``, negatives included (both round the exact fraction once), at a
+    fraction of its cost."""
+    return np.subtract(v, np.floor(v), out=out)
+
+
 def fixed_values(cells: slice, seed: int = 0) -> np.ndarray:
     """``frac(k**2 (sqrt 2 - 1) + frac(seed phi))``, ``phi`` the golden ratio,
-    for ``k = i + 1`` at each cell index ``i`` of ``cells``, built in place:
-    no random number is drawn.  Below 2,000,000 cells ``k**2`` is exact and
-    the sum keeps at least 12 fraction bits."""
+    for ``k = i + 1`` at each cell index ``i`` of ``cells``, built in place
+    with the exact :func:`_frac`: no random number is drawn.  Below
+    2,000,000 cells ``k**2`` is exact and the sum keeps at least 12
+    fraction bits."""
     v = np.arange(cells.start + 1.0, cells.stop + 1.0)
     v *= v
     v *= math.sqrt(2.0) - 1.0
     v += seed * ((1.0 + math.sqrt(5.0)) / 2.0) % 1.0
-    return np.mod(v, 1.0, out=v)
+    return _frac(v, out=v)
 
 
 def fixed_start(n: int) -> np.ndarray:
@@ -455,7 +463,7 @@ def fixed_start(n: int) -> np.ndarray:
     It draws no random numbers; the imaginary part is :func:`fixed_values`.
     """
     k = np.arange(1.0, n + 1.0)
-    return np.mod(k * ((1.0 + math.sqrt(5.0)) / 2.0), 1.0) - 0.5 + 1j * (
+    return _frac(k * ((1.0 + math.sqrt(5.0)) / 2.0)) - 0.5 + 1j * (
         fixed_values(slice(0, n)) - 0.5
     )
 

@@ -71,7 +71,9 @@ class Weight:
     collapsed at construction), or ``grid`` (sampled density on a polar
     grid, piecewise constant by nearest node, a tie going to the lower one).
     Quadrature readers go stratum by stratum through :meth:`density_rows`,
-    which :meth:`cell_density` and :meth:`mass_rows` share.
+    which :meth:`cell_density` and :meth:`mass_rows` share.  A grid keeps
+    the :func:`_node_runs` of each stratum angle count it has read, so its
+    rows are one gather of node rows and one ``np.repeat``.
     """
 
     kind: str
@@ -81,6 +83,8 @@ class Weight:
     grid_theta: np.ndarray | None = field(default=None, repr=False)
     grid_values: np.ndarray | None = field(default=None, repr=False)
     spec: str = ""
+    # A grid's angle count -> its angles' runs on grid_theta (_node_runs).
+    _runs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- constructors -------------------------------------------------
 
@@ -187,11 +191,14 @@ class Weight:
 
     def density_rows(self, s: "Stratum") -> np.ndarray:
         """The density on stratum ``s``'s ``(sublayers, count)`` rows: for a
-        grid, at the node nearest each exact sublayer radius and angle, else
-        :meth:`density` at the centers, the bits of ``DiskQuadrature.z``."""
+        grid, at the node nearest each exact sublayer radius and angle (each
+        node's value repeated over its run of angles), else :meth:`density`
+        at the centers, the bits of ``DiskQuadrature.z``."""
         if self.kind == "grid":
-            i = _nearest_node(self.grid_r, s.radii)
-            return self.grid_values[i[:, None], _nearest_node(self.grid_theta, s.angles)]
+            runs = self._runs.get(s.count)
+            if runs is None:
+                runs = self._runs[s.count] = _node_runs(self.grid_theta, s.angles)
+            return np.repeat(self.grid_values[_nearest_node(self.grid_r, s.radii)], runs, axis=1)
         if self.kind == "product":
             w1, w2 = self.factors
             return w1.density_rows(s) * w2.density_rows(s)
@@ -246,6 +253,25 @@ def _nearest_node(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     i = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
     i_lo = np.maximum(i - 1, 0)
     return np.where(np.abs(nodes[i_lo] - x) <= np.abs(nodes[i] - x), i_lo, i)
+
+
+def _node_runs(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.bincount(_nearest_node(nodes, x), minlength=nodes.size)`` for
+    ascending ``x``, from one search of the node midpoints.
+
+    ``x`` goes to a node at most ``j`` exactly when ``fl(x - nodes[j]) <=
+    fl(nodes[j + 1] - x)`` (the tie rule of :func:`_nearest_node`), which
+    holds up to some index of ``x`` and fails after it.  The midpoint
+    search finds that index up to the rounding of the comparison, and one
+    step mends it when the ``x`` are spaced more than a few ulps apart, as
+    stratum angles are.
+    """
+    a, b = nodes[:-1], nodes[1:]
+    c = np.searchsorted(x, 0.5 * (a + b), side="right")
+    lo, hi = x[np.maximum(c - 1, 0)], x[np.minimum(c, x.size - 1)]
+    c += (c < x.size) & (hi - a <= b - hi)
+    c -= (c > 0) & (lo - a > b - lo)
+    return np.diff(c, prepend=0, append=x.size)
 
 
 def parse_weight(spec: str) -> Weight:
@@ -667,9 +693,9 @@ def sweep(boxes, windows=()) -> tuple[float, DyadicIndex | Arc | None, int]:
 
 @dataclass(frozen=True)
 class ReverseDoublingReport:
-    delta_hat: float
-    worst_arc: Arc
-    verdict: bool
+    delta_hat: float | None  # None when no arc was swept (depth 0)
+    worst_arc: Arc | None
+    verdict: bool | None
     margin: float
     depth: int  # the finest level swept, after the quadrature cap
     window_arcs: int  # windows swept besides the grid boxes
@@ -683,7 +709,8 @@ def reverse_doubling_report(m: BoxMasses) -> ReverseDoublingReport:
     levels 1 to ``m.depth - 1`` (:meth:`BoxMasses.windows`); a radial-power
     weight is rotation invariant, so its boxes hold every window.  The
     weight is reverse doubling when the ratio stays below
-    ``1 - REVERSE_DOUBLING_MARGIN``.
+    ``1 - REVERSE_DOUBLING_MARGIN``; at depth 0 nothing is swept, and the
+    ratio, its arc and the verdict are ``None``.
     """
     t = m.trees
     # Level 0 is the whole circle on both grids: sweep it once.
@@ -693,8 +720,9 @@ def reverse_doubling_report(m: BoxMasses) -> ReverseDoublingReport:
         (g, j, top / positive(full, "window", g, j)) for g, j, full, top in m.windows(m.depth - 1)
     )
     delta, worst, swept = sweep(boxes, windows)
-    # A grid box's arc; the whole circle when no level was swept (depth 0).
-    worst = worst.arc if isinstance(worst, DyadicIndex) else worst or Arc(0.0, 1.0)
+    if worst is None:
+        return ReverseDoublingReport(None, None, None, REVERSE_DOUBLING_MARGIN, m.depth, swept)
+    worst = worst.arc if isinstance(worst, DyadicIndex) else worst
     verdict = bool(delta < 1.0 - REVERSE_DOUBLING_MARGIN)
     return ReverseDoublingReport(delta, worst, verdict, REVERSE_DOUBLING_MARGIN, m.depth, swept)
 

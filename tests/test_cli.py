@@ -514,6 +514,39 @@ def test_certify_builds_its_box_trees_once(monkeypatch, tmp_path):
     assert stages["testing-constant"] == dirichlet.testing_constant_stage(test)
 
 
+def test_certify_searches_each_angle_counts_runs_once(monkeypatch, tmp_path):
+    # Every density pass of certify's one grid weight (quadrature depths 6 to
+    # 10) reads the node runs it kept for each stratum angle count.
+    searched, node_runs = [], measures._node_runs
+    monkeypatch.setattr(measures, "_node_runs",
+                        lambda n, x: searched.append(x.size) or node_runs(n, x))
+    code, _ = run(RunConfig(command="certify", weight=write_sampled_weight(tmp_path / "w.grid")))
+    assert code == 0 and searched == [16, 32, 64, 128, 256, 512, 1024]
+
+
+def not_strict(constant: str):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+@pytest.mark.parametrize("weight", ["lebesgue", "grid"])
+def test_reverse_doubling_at_depth_zero_has_no_verdict(tmp_path, weight):
+    # Nothing is swept at depth 0: no ratio, no worst arc and no verdict, as
+    # the doubling stage beside it, and the report is strict JSON.
+    if weight == "grid":
+        weight = write_sampled_weight(tmp_path / "w.grid")
+    out = tmp_path / "r.json"
+    assert main(["test-weight", "--weight", weight, "--depth", "0", "--out", str(out)]) == 0
+    stages = {s["name"]: s for s in json.loads(out.read_text(), parse_constant=not_strict)["stages"]}
+    assert stages["reverse-doubling"] == {
+        "name": "reverse-doubling",
+        "verdict": None,
+        "constants": {"delta_hat": None, "margin": measures.REVERSE_DOUBLING_MARGIN},
+        "witness": {"worst_arc_start": None, "worst_arc_length": None, "depth": 0,
+                    "window_arcs": 0},
+    }
+    assert stages["doubling"]["verdict"] is None
+
+
 @pytest.mark.parametrize("sampled_mu", [False, True], ids=["lebesgue", "grid"])
 def test_two_weight_builds_each_weights_box_trees_once(monkeypatch, tmp_path, sampled_mu):
     # One density pass for both grids' trees and the windows of nu, and of

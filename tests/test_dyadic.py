@@ -969,6 +969,26 @@ def test_fixed_start_is_one_generic_vector():
     assert np.any(start.real != start.real[0]) and np.any(start.imag != start.imag[0])
 
 
+def test_frac_keeps_the_bits_of_np_mod():
+    tiny = np.nextafter(0.0, 1.0)
+    v = np.array([0.0, -0.0, 0.25, 0.75, 1.0, 3.0, 1.5, 2.0**52, 2.0**52 + 2.0, 2.0**53 + 2.0,
+                  1e300, -0.25, -1.0, -3.0, -1.5, -1e-20, -tiny, -2.0**-60, -(2.0**52) - 0.5,
+                  -(2.0**52), -(2.0**60), tiny, 1.0 - 2.0**-53, -(1.0 - 2.0**-53)])
+    rng = np.random.default_rng(34)
+    v = np.concatenate([v, rng.uniform(-1e6, 1e6, 10_000), rng.standard_normal(10_000) * 1e-3])
+    assert dyadic._frac(v).tobytes() == np.mod(v, 1.0).tobytes()
+    # The embedding's test function at every cell of quad depth 16, and the
+    # norm check's start, keep the bits of the np.mod they had.
+    cells = slice(0, build_quadrature(16).n_cells)
+    k = np.arange(cells.start + 1.0, cells.stop + 1.0)
+    for seed in (0, 1, 7, 123):
+        old = np.mod(k * k * (math.sqrt(2.0) - 1.0) + seed * ((1.0 + math.sqrt(5.0)) / 2.0) % 1.0, 1.0)
+        assert dyadic.fixed_values(cells, seed).tobytes() == old.tobytes()
+    real = np.mod(k[:5000] * ((1.0 + math.sqrt(5.0)) / 2.0), 1.0) - 0.5
+    old = real + 1j * (dyadic.fixed_values(slice(0, 5000)) - 0.5)
+    assert fixed_start(5000).tobytes() == old.tobytes()
+
+
 def test_prolongation_copies_the_function_and_falls_back_when_it_vanishes():
     coarse, fine = build_quadrature(4), build_quadrature(5)
     coarse_root = np.sqrt(coarse.area)

@@ -254,6 +254,57 @@ def test_cell_density_reads_the_nearest_node_of_the_exact_cell():
     )
 
 
+def stratum_angles(count: int) -> np.ndarray:
+    """The angles of a ``count``-angle stratum, as ``Stratum.angles`` builds them."""
+    return (np.arange(count) + 0.5) * (TAU / count)
+
+
+def assert_runs_count_the_nearest_nodes(nodes, x):
+    runs = measures._node_runs(nodes, x)
+    nearest = measures._nearest_node(nodes, x)
+    assert runs.tolist() == np.bincount(nearest, minlength=nodes.size).tolist()
+
+
+def test_node_runs_count_the_angles_nearest_each_node():
+    # The perfbench grid's 128 angular nodes put every angle of a stratum of
+    # 64 or fewer angles, and some angles of every count 64 times an odd
+    # number over a power of two, midway between two nodes: a tie decided by
+    # the last bits.  Every count up to 4,096, then every 97th and each power
+    # of two up to 65,536 (the whole range checks the same, but takes minutes).
+    nodes = stratum_angles(128)
+    counts = [*range(16, 4097), *range(4099, 65537, 97), *(2**k for k in range(13, 17))]
+    for count in counts:
+        assert_runs_count_the_nearest_nodes(nodes, stratum_angles(count))
+    # Random non-uniform nodes, with fewer and more angles than nodes, and
+    # nodes inside [1, 5] so that angles fall below and above all of them.
+    rng = np.random.default_rng(SEED)
+    for size, low, high in ((200, 0.0, TAU), (7, 0.0, TAU), (40, 1.0, 5.0), (1, 1.0, 5.0)):
+        nodes = np.unique(rng.uniform(low, high, size))
+        for count in (4, 16, 33, 64, 100, 1024, 4000):
+            assert_runs_count_the_nearest_nodes(nodes, stratum_angles(count))
+        ties = np.sort(np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])]))
+        assert_runs_count_the_nearest_nodes(nodes, ties)
+
+
+def test_grid_density_rows_keep_one_runs_per_angle_count(monkeypatch):
+    # Levels 0-4 of a depth-10 quadrature share 16 angles: seven counts, each
+    # searched once, and a second pass reads the same bits with no search.
+    rng = np.random.default_rng(SEED)
+    w = Weight.from_grid(np.sort(rng.uniform(0.0, 1.0, 9)), stratum_angles(128),
+                         rng.uniform(0.5, 2.0, (9, 128)))
+    searched, node_runs = [], measures._node_runs
+    monkeypatch.setattr(measures, "_node_runs",
+                        lambda n, x: searched.append(x.size) or node_runs(n, x))
+    quad = build_quadrature(10)
+    first = w.cell_density(quad)
+    assert searched == [16, 32, 64, 128, 256, 512, 1024]
+    assert w.cell_density(quad).tobytes() == first.tobytes()
+    assert len(searched) == 7 and sorted(w._runs) == searched
+    i = measures._nearest_node(w.grid_r, quad.r)
+    k = measures._nearest_node(w.grid_theta, quad.theta)
+    assert first.tobytes() == w.grid_values[i, k].tobytes()
+
+
 def test_grid_file_rejects_negative(tmp_path):
     path = tmp_path / "bad.grid"
     path.write_text("1 1\n0.5 0.0 -1.0\n")
