@@ -123,9 +123,7 @@ def _sandwich(cfg: RunConfig, rng):
     trials = max(10, min(cfg.samples, 100))
     for k in range(trials):
         n = int(rng.integers(2, 60))
-        pts = np.sqrt(rng.uniform(0, 0.9, n)) * np.exp(
-            1j * rng.uniform(0, geometry.TAU, n)
-        )
+        pts = geometry.random_disk_points(rng, n, 0.9)
         dm = operators.DiscreteMeasure(pts, rng.uniform(0.1, 1.0, n))
         spec = (
             operators.KernelSpec.dirichlet()
@@ -146,9 +144,7 @@ def _gram_psd(cfg: RunConfig, rng):
     spec = operators.KernelSpec.dirichlet()
     for _ in range(trials):
         n = int(rng.integers(2, 80))
-        pts = np.sqrt(rng.uniform(0, 0.95, n)) * np.exp(
-            1j * rng.uniform(0, geometry.TAU, n)
-        )
+        pts = geometry.random_disk_points(rng, n, 0.95)
         min_eig = operators.gram_psd_check(pts, spec)
         trace = float(np.sum(np.real(operators.eval_kernel(spec, pts, pts))))
         if min_eig < -1e-10 * trace:
@@ -188,9 +184,7 @@ def _k1_projection(cfg: RunConfig, rng):
 
 def _factorization(cfg: RunConfig, rng):
     quad = measures.build_quadrature(cfg.quad_depth, angular_base=64)
-    pts = np.sqrt(rng.uniform(0, 0.36, 5)) * np.exp(
-        1j * rng.uniform(0, geometry.TAU, 5)
-    )
+    pts = geometry.random_disk_points(rng, 5, 0.36)
     err = operators.factorization_check(
         operators.DiscreteMeasure(pts, np.ones(5)), quad
     )
@@ -437,7 +431,9 @@ def run(cfg: RunConfig) -> tuple[int, Report]:
     return code, report
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every command's parser; given ``argv``, only the invoked command (or
+    lemma) gets options, so help and usage errors read the same, built faster."""
     parser = argparse.ArgumentParser(
         prog="carleson-lab",
         description="Numerical testers for Carleson boxes, doubling weights, "
@@ -451,6 +447,9 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             parsers = {"": sub.add_parser(name)}
         for lemma, p in parsers.items():
+            path = [name, lemma] if lemma else [name]
+            if argv is not None and list(argv[: len(path)]) != path:
+                continue
             for f in dataclasses.fields(RunConfig):
                 if f.name in _options(name, lemma):
                     flag = "--" + f.name.replace("_", "-")
@@ -460,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -70,10 +70,6 @@ class AnalyticPolynomial:
             raise ValueError(f"degree exceeds the cap {DEFAULT_DEGREE_CAP}")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
-
     def __call__(self, z):
         return poly_eval(self.coefficients, z)
 

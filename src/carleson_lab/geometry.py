@@ -174,6 +174,12 @@ def full_box_area(length) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def random_disk_points(rng, n: int, r2_max: float = 1.0) -> np.ndarray:
+    """``n`` points uniform by area in the disk of radius ``sqrt(r2_max)``:
+    ``sqrt(u) e^(i theta)``, each ``u`` then each ``theta`` drawn from ``rng``."""
+    return np.sqrt(rng.uniform(0, r2_max, n)) * np.exp(1j * rng.uniform(0, TAU, n))
+
+
 def _finest_grid_arcs(j0: np.ndarray, locate):
     """Per item, the finest grid arc accepted by ``locate(grid, level, rows)``,
     which returns the candidate positions of the items ``rows`` and a mask

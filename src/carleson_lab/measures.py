@@ -236,17 +236,6 @@ class Weight:
             raise ValueError("disk mass of a sampled weight needs a quadrature")
         return float(np.sum(self.cell_density(quad) * quad.area))
 
-    def radial_moment(self, k: int) -> float:
-        """Exact ``integral of |z|^k`` against the weight, radial-power only."""
-        if not self.is_radial_power:
-            raise ValueError("closed-form moments require a radial-power weight")
-        if not self.finite:
-            raise InfiniteMassError(f"weight {self.spec!r} has infinite mass")
-        a = self.a
-        return 2.0 * math.exp(
-            math.lgamma(k + 2.0) + math.lgamma(a + 1.0) - math.lgamma(k + a + 3.0)
-        )
-
 
 def _nearest_node(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the node nearest each ``x``; a tie goes to the lower node."""
@@ -322,10 +311,7 @@ def dual_weight(w: Weight, p: float) -> Weight:
         raise ValueError("dual weight requires a strictly positive density")
     exponent = 1.0 - p / (p - 1.0)
     if w.kind == "radial-power":
-        out = Weight.radial_power(w.a * exponent)
-        if w.a == 0.0:
-            out = Weight.lebesgue()
-        return out
+        return Weight.lebesgue() if w.a == 0.0 else Weight.radial_power(w.a * exponent)
     if w.kind == "product":
         w1, w2 = w.factors
         return Weight.product(dual_weight(w1, p), dual_weight(w2, p))
@@ -520,11 +506,11 @@ def box_level_sums(
     def window_sums(row: np.ndarray, j: int) -> np.ndarray:
         shift = (grid % 1.0) * row.size
         whole = math.floor(shift)
-        windows = np.roll(row, -whole).reshape(-1, row.size >> j)
+        windows = np.concatenate((row[whole:], row[:whole])).reshape(-1, row.size >> j)
         sums = windows.sum(axis=1)
         if shift > whole:
             first = windows[:, 0]
-            sums += (shift - whole) * (np.roll(first, -1) - first)
+            sums += (shift - whole) * (np.append(first[1:], first[0]) - first)
         return sums
 
     sums: list[np.ndarray | None] = [None] * (depth + 1)

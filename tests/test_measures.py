@@ -705,6 +705,39 @@ def test_level_sums_match_an_fsum_oracle(grid, quad_depth, depth):
             assert abs(sums[level][m] - want) <= 1e-13 * want, (level, m)
 
 
+def rolled_level_sums(rows: list, grid: float, depth: int) -> list:
+    """The per-level box sums with each window rotated by ``np.roll``: the
+    formula that :func:`box_level_sums` slices, kept as its oracle."""
+
+    def window_sums(row, j):
+        shift = (grid % 1.0) * row.size
+        whole = math.floor(shift)
+        windows = np.roll(row, -whole).reshape(-1, row.size >> j)
+        sums = windows.sum(axis=1)
+        if shift > whole:
+            first = windows[:, 0]
+            sums += (shift - whole) * (np.roll(first, -1) - first)
+        return sums
+
+    sums = [None] * (depth + 1)
+    sums[depth] = sum(window_sums(row, depth) for row in rows[depth:])
+    for j in range(depth - 1, -1, -1):
+        sums[j] = window_sums(rows[j], j) + sums[j + 1][0::2] + sums[j + 1][1::2]
+    return sums
+
+
+@pytest.mark.parametrize("quad_depth", range(4, 17))
+def test_level_sums_equal_the_rolled_windows_bit_for_bit(quad_depth):
+    # Every level on both grids, at the quadrature depth and two levels short of it.
+    quad = build_quadrature(quad_depth)
+    rows = row_sums(quad, np.random.default_rng(SEED + quad_depth).uniform(size=quad.n_cells))
+    for grid in GRIDS:
+        for depth in (quad_depth, quad_depth - 2):
+            got = box_level_sums(quad, rows, grid, depth)
+            want = rolled_level_sums(rows, grid, depth)
+            assert [s.tobytes() for s in got] == [s.tobytes() for s in want], (grid, depth)
+
+
 def test_radial_box_levels_respect_the_cell_cap(monkeypatch):
     # No quadrature bounds a radial weight's depth: 2**depth boxes on the
     # finest level count against the cell cap.

@@ -9,23 +9,25 @@ recorder runs ``perfbench/run.py`` of the checkout ``--root`` unchanged, with
 tracing off, and keeps its last line: ``correct``, ``failed`` and the
 end-to-end metrics.  It then runs the workload's CLI invocation once more
 in a fresh child and reads that child's own peak resident set (``VmHWM``
-in ``/proc/self/status``) and the report's ``timings_ms.total``.  The
-child's figure is the program's: ``peak_rss_mb`` is read from
-``ru_maxrss``, which a worker inherits from the benchmark driver across
-fork and exec, so it cannot fall below the driver's own peak.
+in ``/proc/self/status``) and the report's whole ``timings_ms``: the
+``total`` and each stage and setup step.  The child's figure is the
+program's: ``peak_rss_mb`` is read from ``ru_maxrss``, which a worker
+inherits across fork and exec from ``perfbench/run.py``, so it cannot fall
+below that process's own peak.
 
 The recorder also times the CLI invocations that no workload runs, the
 keys of ``INVOCATIONS`` (or each ``--invocation``), on the seed's grid
 weight: each in ``--children`` fresh children alone, recording every
-child and the median ``VmHWM`` and ``timings_ms.total``.  With neither
+child and the median ``VmHWM`` and ``timings_ms`` entries.  With neither
 ``--workload`` nor ``--invocation`` it runs all of both.
 
 Each call appends one run under ``runs[<label>]`` of ``--out`` (created if
 missing), with the checkout's directory name, the machine (``nproc``, the
 Python and numpy versions) and the line count of each
 ``src/carleson_lab/*.py``; ``summary`` holds each label's median and
-quartiles per workload and metric over its runs.  Alternate the labels of
-two checkouts, at paths of equal length, to compare them.
+quartiles per workload and metric over its runs, a child's stage ``s``
+under ``child_ms:s``.  Alternate the labels of two checkouts, at paths of
+equal length, to compare them.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ code = cli.main(sys.argv[1:])
 with open("/proc/self/status") as fh:
     hwm_kib = int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 with open(sys.argv[sys.argv.index("--out") + 1]) as fh:
-    total_ms = json.load(fh)["timings_ms"]["total"]
-print(json.dumps({"exit_code": code, "vmhwm_mb": hwm_kib / 1024.0, "total_ms": total_ms}))
+    timings = json.load(fh)["timings_ms"]
+print(json.dumps({"exit_code": code, "vmhwm_mb": hwm_kib / 1024.0, "total_ms": timings["total"],
+                  "timings_ms": timings}))
 """
 
 
@@ -133,6 +136,8 @@ def _summary(runs: dict) -> dict:
                 row = figures.setdefault(workload, {})
                 for name in ("vmhwm_mb", "total_ms"):
                     row.setdefault(f"child_{name}", []).append(rec["child"][name])
+                for name, ms in rec["child"].get("timings_ms", {}).items():
+                    row.setdefault(f"child_ms:{name}", []).append(ms)
         out[label] = {w: {m: _quartiles(v) for m, v in row.items()} for w, row in figures.items()}
     return out
 
@@ -185,6 +190,10 @@ def main(argv=None) -> int:
                 "child": {
                     "exit_code": max(c["exit_code"] for c in children),
                     **{k: statistics.median(c[k] for c in children) for k in ("vmhwm_mb", "total_ms")},
+                    "timings_ms": {
+                        k: statistics.median(c["timings_ms"][k] for c in children)
+                        for k in children[0]["timings_ms"]
+                    },
                 },
             }
     out = Path(args.out)
